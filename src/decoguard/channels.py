@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurements import Branch, BranchEnsemble
-from .qmath import ID2, PAULI_Z, as_matrix, dagger
+from .measurements import COMPLETENESS_ATOL, Branch, BranchEnsemble
+from .qmath import ID2, PAULI_Z, as_matrix, check_prob, dagger
 
-COMPLETENESS_ATOL = 1e-12
 TRACE_DRIFT_ATOL = 1e-12
 
 
@@ -48,17 +47,12 @@ def identity_channel(dim: int = 2) -> KrausChannel:
     return KrausChannel(ops=(np.eye(dim, dtype=complex),), kind="identity", r=0.0)
 
 
-def _check_prob(r: float, name: str = "r", hi: float = 1.0):
-    if not 0.0 <= r <= hi:
-        raise ValueError(f"{name} must be in [0, {hi}], got {r}")
-
-
 def pd_flip(rho, r: float) -> np.ndarray:
     """Phase-flip form of dephasing: r Z rho Z + (1 - r) rho, r in [0, 1/2].
 
     Leaves populations untouched and scales coherences by (1 - 2r).
     """
-    _check_prob(r, "r", hi=0.5)
+    check_prob(r, "r", hi=0.5)
     rho = as_matrix(rho, "rho")
     return r * (PAULI_Z @ rho @ PAULI_Z) + (1 - r) * rho
 
@@ -74,13 +68,13 @@ def flip_to_kraus_r(r_flip: float) -> float:
     Coherences scale by (1 - 2 r_flip) in the flip form and sqrt(1 - r) in
     the Kraus form, so r = 1 - (1 - 2 r_flip)^2.
     """
-    _check_prob(r_flip, "r_flip", hi=0.5)
+    check_prob(r_flip, "r_flip", hi=0.5)
     return 1.0 - (1.0 - 2.0 * r_flip) ** 2
 
 
 def pd_kraus(r: float) -> KrausChannel:
     """Dephasing Kraus pair A0 = diag(1, sqrt(1-r)), A1 = diag(0, sqrt(r))."""
-    _check_prob(r)
+    check_prob(r, "r")
     a0 = np.diag([1, np.sqrt(1 - r)]).astype(complex)
     a1 = np.diag([0, np.sqrt(r)]).astype(complex)
     return KrausChannel(ops=(a0, a1), kind="pd", r=r)
@@ -88,7 +82,7 @@ def pd_kraus(r: float) -> KrausChannel:
 
 def ad_kraus(r: float) -> KrausChannel:
     """Amplitude damping: A0 = diag(1, sqrt(1-r)), A1 = sqrt(r)|0><1|."""
-    _check_prob(r)
+    check_prob(r, "r")
     a0 = np.diag([1, np.sqrt(1 - r)]).astype(complex)
     a1 = np.array([[0, np.sqrt(r)], [0, 0]], dtype=complex)
     return KrausChannel(ops=(a0, a1), kind="ad", r=r)
@@ -113,7 +107,7 @@ class NoiseParams:
 
     @classmethod
     def from_r(cls, r: float) -> "NoiseParams":
-        _check_prob(r)
+        check_prob(r, "r")
         return cls(r=r, source="r")
 
     @classmethod
@@ -159,7 +153,7 @@ def ad_unravel(rho, r: float) -> BranchEnsemble:
     Branch states are unnormalized; their weights sum to Tr(rho) and their
     sum equals the full channel output.
     """
-    _check_prob(r)
+    check_prob(r, "r")
     rho = as_matrix(rho, "rho")
     if rho.shape[0] != 2:
         raise ValueError("ad_unravel expects a single-qubit state")

@@ -73,6 +73,14 @@ def parse_signs(text: str) -> tuple[int, int]:
     return mapping[s[0]], mapping[s[1]]
 
 
+class _SignsAction(argparse.Action):
+    """Stores --signs. Older argparse (Python 3.11 among them) drops a '--'
+    value before conversion and passes [], which only '--signs=--' produces."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, parse_signs("--") if values == [] else values)
+
+
 def load_config(path: str) -> dict[str, str]:
     """Line-oriented key = value file with # comments."""
     out = {}
@@ -192,35 +200,25 @@ def cmd_scheme(args) -> int:
     r = _resolve_r(args)
     noise_kind = args.noise if args.noise is not None else "ad"
     params: dict = {}
+    rho_in = None
     if kind in ("wmqmr", "qffc_ps", "composite"):
         params["r"] = r
-        noise = None
     elif kind == "ent_wmqmr":
         params["r1"] = args.r1 if args.r1 is not None else r
         params["r2"] = args.r2 if args.r2 is not None else r
         params["side"] = args.side if args.side is not None else "one"
-        noise = None
-    else:
-        noise = make_channel(noise_kind, r)
-    for name in ("p", "p1", "p2", "p_u", "p_v", "theta", "eta", "beta"):
-        value = getattr(args, name, None)
-        if value is not None:
-            params[name] = value
-    for name in ("meas_axis", "rot_axis"):
-        value = getattr(args, name, None)
+        rho_in = np.zeros((4, 4), dtype=complex)  # the Bell state (|00> + |11>)/sqrt(2)
+        rho_in[0, 0] = rho_in[0, 3] = rho_in[3, 0] = rho_in[3, 3] = 0.5
+    for name in ("p", "p1", "p2", "p_u", "p_v", "theta", "eta", "beta",
+                 "meas_axis", "rot_axis", "signs"):
+        value = getattr(args, name)
         if value is not None:
             params[name] = value
     if args.sign_binding is not None:
         params["sign_binding"] = +1 if args.sign_binding == "+" else -1
-    if args.signs is not None:
-        params["signs"] = args.signs
-
-    if kind == "ent_wmqmr":
-        bell = np.zeros((4, 4), dtype=complex)
-        bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
-        rho_in = bell
-    else:
+    if rho_in is None:
         rho_in = _input_state(args)
+    noise = make_channel(noise_kind, r)
     result = schemes.run_scheme(rho_in, schemes.SchemeSpec(kind=kind, noise=noise,
                                                            params=params))
     if not 0.0 <= result.success_prob <= 1.0 + 1e-12:
@@ -230,7 +228,7 @@ def cmd_scheme(args) -> int:
     cols = ("scheme", "noise", "r", "fidelity", "success_prob", "concurrence",
             "params", "branches")
     conc = result.concurrence if result.concurrence is not None else ""
-    rows = ((kind, noise_kind if noise is not None else "ad", r, result.fidelity,
+    rows = ((kind, noise_kind, r, result.fidelity,
              result.success_prob, conc, packed, trail),)
     _emit(args, SweepResult(columns=cols, rows=rows).to_csv())
     return 0
@@ -320,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=schemes.SCHEME_KINDS,
                    help="protection scheme (required here or in the config file)")
     p.add_argument("--noise", choices=("pd", "ad", "identity"),
-                   help="noise channel for qfbc/qffc_rot/wmppf (default ad)")
+                   help="noise channel for qfbc/qffc_rot/wmppf (default ad); the "
+                        "other schemes take only ad")
     _add_noise_flags(p)
     _add_state_flags(p)
     p.add_argument("--p", type=parse_prob, help="pre-measurement strength in [0, 1]")
@@ -343,8 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rotation axis (qfbc)")
     p.add_argument("--sign-binding", choices=("+", "-"), dest="sign_binding",
                    help="which outcome gets +eta (qfbc)")
-    p.add_argument("--signs", type=parse_signs,
-                   help="per-branch rotation signs for qffc_rot/composite, e.g. +-")
+    p.add_argument("--signs", type=parse_signs, action=_SignsAction,
+                   help="per-branch rotation signs for qffc_rot/composite, e.g. "
+                        "--signs=+- (the = form is needed for values starting with -)")
     p.add_argument("--r1", type=parse_prob, help="qubit-1 damping (ent_wmqmr)")
     p.add_argument("--r2", type=parse_prob, help="qubit-2 damping (ent_wmqmr)")
     p.add_argument("--side", choices=("one", "both"),
@@ -354,9 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_scheme, subparser=p)
 
     p = sub.add_parser("sweep", help="optimal-fidelity sweep for one scheme")
-    p.add_argument("--scheme",
-                   choices=("qfbc", "qffc_rot", "wmppf", "wmqmr", "qffc_ps",
-                            "composite"),
+    p.add_argument("--scheme", choices=optimize.OPTIMIZABLE_KINDS,
                    help="scheme to optimize per (alpha, r) cell (required)")
     p.add_argument("--phi", type=parse_angle, help="state phase in radians (default 0)")
     p.add_argument("--noise", choices=("pd", "ad"), help="channel kind (default ad)")
@@ -386,9 +384,6 @@ def main(argv=None) -> int:
     try:
         _apply_config(args)
         return args.fn(args)
-    except KeyError as exc:
-        print(f"error: missing required parameter {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

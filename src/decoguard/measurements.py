@@ -22,6 +22,7 @@ from .qmath import (
     KET_PLUS_I,
     PAULI_X,
     as_matrix,
+    check_prob,
     dagger,
     eig_hermitian,
     projector,
@@ -137,21 +138,16 @@ def povm_generalized(theta: float, beta: float) -> MeasurementPair:
                            axis="generalized", theta=theta, beta=beta)
 
 
-def _check_prob(p: float, name: str):
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {p}")
-
-
 def wm_map(p1: float) -> PartialMeasurement:
     """Pre-noise weak measurement diag(1, sqrt(1-p1)); null result keeps the state."""
-    _check_prob(p1, "p1")
+    check_prob(p1, "p1")
     return PartialMeasurement(op=np.diag([1, np.sqrt(1 - p1)]).astype(complex),
                               strength=p1, role="wm")
 
 
 def qmr_map(p2: float) -> PartialMeasurement:
     """Post-noise reversal measurement diag(sqrt(1-p2), 1)."""
-    _check_prob(p2, "p2")
+    check_prob(p2, "p2")
     return PartialMeasurement(op=np.diag([np.sqrt(1 - p2), 1]).astype(complex),
                               strength=p2, role="qmr")
 
@@ -161,7 +157,7 @@ def pre_wm_pair(p: float) -> MeasurementPair:
 
     Equals the z-axis pair of povm_axis under p = cos^2(theta/2).
     """
-    _check_prob(p, "p")
+    check_prob(p, "p")
     m1 = np.diag([np.sqrt(p), np.sqrt(1 - p)]).astype(complex)
     m2 = np.diag([np.sqrt(1 - p), np.sqrt(p)]).astype(complex)
     return MeasurementPair(labels=("M1", "M2"), ops=(m1, m2), axis="z",
@@ -179,8 +175,8 @@ def post_wm_ops(p_u: float, p_v: float) -> tuple[PartialMeasurement, PartialMeas
     N1 follows the M1 branch and W1 the M2 branch; with p_u = p_v = (2p-1)/p
     they exactly invert the pre-measurement (M1 N1 and M2 W1 proportional to I).
     """
-    _check_prob(p_u, "p_u")
-    _check_prob(p_v, "p_v")
+    check_prob(p_u, "p_u")
+    check_prob(p_v, "p_v")
     n1 = PartialMeasurement(op=np.diag([np.sqrt(1 - p_u), 1]).astype(complex),
                             strength=p_u, role="post-wm-n")
     w1 = PartialMeasurement(op=np.diag([1, np.sqrt(1 - p_v)]).astype(complex),

@@ -8,11 +8,14 @@ cells are independent pure computations and may be evaluated in parallel
 (DECO_GUARD_THREADS limits the worker count), with rows always assembled in
 alpha-major, r-minor order.
 
-For pure inputs the scheme outputs are evaluated in closed vectorized form;
-the results agree with running the scheme pipelines point by point (this is
-cross-checked in the test suite). The qfbc search optimizes the two outcome
-rotation angles independently; for mixed inputs a plain loop over the tied
-+/- eta form is used instead.
+For pure inputs the qfbc and qffc_rot outputs are evaluated in closed
+vectorized form; the results agree with running the scheme pipelines point
+by point (this is cross-checked in the test suite), and the qfbc search
+optimizes the two outcome rotation angles independently. Every other search
+(mixed-input qfbc over the tied +/- eta form, mixed-input qffc_rot, and the
+wmppf, wmqmr, qffc_ps and composite kinds) is one exhaustive loop: a kind's
+candidate space yields run_* keyword arguments, each candidate runs through
+run_scheme, and ties go to the smallest candidate index.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ import numpy as np
 from .channels import KrausChannel, apply_channel, make_channel
 from .measurements import flips, povm_axis, rotation
 from .qmath import InitialState, check_density, eig_hermitian, purity, state_from_angles
-from .schemes import run_qffc_ps, run_qffc_rot, run_scheme, run_wmppf, run_wmqmr, SchemeSpec, run_qfbc
+# run_qfbc is unused here but stays importable from this module for existing callers
+from .schemes import SchemeSpec, run_qfbc, run_scheme  # noqa: F401
 
 ENV_THREADS = "DECO_GUARD_THREADS"
 
@@ -160,28 +164,6 @@ def _optimize_qfbc_pure(psi, rho_e, grid: GridSpec):
     return OptResult(f_opt=f_opt, params=params, success_prob=1.0)
 
 
-def _optimize_qfbc_mixed(rho_in, noise, grid: GridSpec):
-    # tied +/- eta search, evaluated through the scheme pipeline
-    best_key = None
-    best = None
-    for ra_i, ra in enumerate(grid.axes):
-        for ma_i, ma in enumerate(grid.axes):
-            for t_i, theta in enumerate(grid.theta):
-                for e_i, eta in enumerate(grid.eta):
-                    for s_i, binding in enumerate((+1, -1)):
-                        res = run_qfbc(rho_in, noise, theta=theta, eta=eta,
-                                       meas_axis=ma, rot_axis=ra,
-                                       sign_binding=binding)
-                        key = (-res.fidelity, t_i, e_i, ma_i, ra_i, s_i)
-                        if best_key is None or key < best_key:
-                            best_key = key
-                            best = (res.fidelity, {
-                                "theta": theta,
-                                "etas": (binding * eta, -binding * eta),
-                                "meas_axis": ma, "rot_axis": ra})
-    return OptResult(f_opt=best[0], params=best[1], success_prob=1.0)
-
-
 def optimize_qfbc(rho_in, noise: KrausChannel, grid: GridSpec) -> OptResult:
     """Best feedback-control fidelity over the measurement/rotation grid.
 
@@ -192,7 +174,7 @@ def optimize_qfbc(rho_in, noise: KrausChannel, grid: GridSpec) -> OptResult:
     rho_in = check_density(rho_in)
     if purity(rho_in) >= 1 - 1e-10:
         return _optimize_qfbc_pure(_pure_ket(rho_in), apply_channel(rho_in, noise), grid)
-    return _optimize_qfbc_mixed(rho_in, noise, grid)
+    return _optimize_by_loop(rho_in, "qfbc", noise, _search_space("qfbc", noise, grid))
 
 
 def _optimize_qffc_pure(psi, noise: KrausChannel, grid: GridSpec):
@@ -234,36 +216,72 @@ def _optimize_qffc_pure(psi, noise: KrausChannel, grid: GridSpec):
                      params=params, success_prob=1.0)
 
 
-def _optimize_qffc_mixed(rho_in, noise, grid: GridSpec):
-    best_key = None
-    best = None
-    for t_i, p in enumerate(grid.strengths):
-        for e_i, eta in enumerate(grid.eta):
-            for c_i, signs in enumerate(_SIGN_COMBOS):
-                res = run_qffc_rot(rho_in, noise, p=p, eta=eta, signs=signs)
-                key = (-res.fidelity, t_i, e_i, c_i)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (res.fidelity, {"p": p, "theta_pre": grid.theta[t_i],
-                                           "eta": eta, "signs": signs})
-    return OptResult(f_opt=best[0], params=best[1], success_prob=1.0)
-
-
 def optimize_qffc_rot(rho_in, noise: KrausChannel, grid: GridSpec) -> OptResult:
     """Best deterministic feed-forward fidelity over p, eta and branch signs."""
     rho_in = check_density(rho_in)
     if purity(rho_in) >= 1 - 1e-10:
         return _optimize_qffc_pure(_pure_ket(rho_in), noise, grid)
-    return _optimize_qffc_mixed(rho_in, noise, grid)
+    return _optimize_by_loop(rho_in, "qffc_rot", noise, _search_space("qffc_rot", noise, grid))
 
 
-def _optimize_by_loop(rho_in, grid_values, runner):
-    """Shared exhaustive loop: grid_values yields (tie_key, params); the runner
-    maps params to a SchemeResult."""
+OPTIMIZABLE_KINDS = ("qfbc", "qffc_rot", "wmppf", "wmqmr", "qffc_ps", "composite")
+
+
+def _search_space(kind: str, noise: KrausChannel | None, grid: GridSpec):
+    """The exhaustive candidates of one scheme kind as (tie key, params) pairs;
+    params are run_* keyword arguments plus any reported-only entries.
+
+    qfbc: tied +/- eta over axes, theta and binding; qffc_rot: p in theta
+    order, eta and the branch signs; wmppf: p; wmqmr: (p1, p2); qffc_ps:
+    (p, p_u, p_v); composite: (p, eta, signs) with matched post-measurements.
+    The last four run strengths in ascending order, so ties prefer the weakest.
+    """
+    if kind not in OPTIMIZABLE_KINDS:
+        raise ValueError(f"cannot optimize scheme kind {kind!r}")
+    if kind in ("qfbc", "qffc_rot", "wmppf"):
+        if noise is None:
+            raise ValueError(f"{kind} optimization needs a noise channel")
+    elif noise is None or noise.r is None or noise.kind != "ad":
+        raise ValueError(f"{kind} optimization needs an amplitude-damping channel")
+    ps = sorted(grid.strengths)
+    if kind == "qfbc":
+        return (((t_i, e_i, ma_i, ra_i, s_i),
+                 {"theta": theta, "etas": (binding * eta, -binding * eta),
+                  "meas_axis": ma, "rot_axis": ra})
+                for ra_i, ra in enumerate(grid.axes)
+                for ma_i, ma in enumerate(grid.axes)
+                for t_i, theta in enumerate(grid.theta)
+                for e_i, eta in enumerate(grid.eta)
+                for s_i, binding in enumerate((+1, -1)))
+    if kind == "qffc_rot":
+        return (((t_i, e_i, c_i),
+                 {"p": p, "theta_pre": grid.theta[t_i], "eta": eta, "signs": signs})
+                for t_i, p in enumerate(grid.strengths)
+                for e_i, eta in enumerate(grid.eta)
+                for c_i, signs in enumerate(_SIGN_COMBOS))
+    if kind == "wmppf":
+        return (((i,), {"p": p}) for i, p in enumerate(ps))
+    r = noise.r
+    if kind == "wmqmr":
+        return (((i, j), {"r": r, "p1": p1, "p2": p2})
+                for i, p1 in enumerate(ps) for j, p2 in enumerate(ps))
+    if kind == "qffc_ps":
+        return (((i, j, k), {"r": r, "p": p, "p_u": pu, "p_v": pv})
+                for i, p in enumerate(ps) for j, pu in enumerate(ps)
+                for k, pv in enumerate(ps))
+    return (((i, j, c), {"r": r, "p": p, "eta": e, "signs": signs})  # composite
+            for i, p in enumerate(ps) for j, e in enumerate(grid.eta)
+            for c, signs in enumerate(_SIGN_COMBOS))
+
+
+def _optimize_by_loop(rho_in, kind: str, noise: KrausChannel | None,
+                      candidates) -> OptResult:
+    """Run every (tie key, params) candidate through run_scheme; the highest
+    fidelity wins and the smallest tie key breaks ties."""
     best_key = None
     best = None
-    for tie, params in grid_values:
-        res = runner(params)
+    for tie, params in candidates:
+        res = run_scheme(rho_in, SchemeSpec(kind=kind, noise=noise, params=params))
         key = (-res.fidelity, *tie)
         if best_key is None or key < best_key:
             best_key = key
@@ -275,56 +293,17 @@ def optimize_scheme(scheme_kind: str, rho_in, noise: KrausChannel | None,
                     grid: GridSpec) -> OptResult:
     """Exhaustive grid optimization of one scheme's control parameters.
 
-    qfbc and qffc_rot use the vectorized searches; wmppf sweeps p; wmqmr
-    sweeps (p1, p2) and qffc_ps (p, p_u, p_v) over the strength grid in
-    ascending order (ties prefer the weakest strengths); composite sweeps
-    (p, eta, signs) with matched post-measurement defaults.
+    qfbc and qffc_rot go through optimize_qfbc and optimize_qffc_rot; the
+    other kinds loop over their search space (see _search_space).
     """
     kind = scheme_kind.lower()
     rho_in = check_density(rho_in)
-    if kind in ("qfbc", "qffc_rot", "wmppf") and noise is None:
-        raise ValueError(f"{kind} optimization needs a noise channel")
+    candidates = _search_space(kind, noise, grid)  # validates kind and noise
     if kind == "qfbc":
         return optimize_qfbc(rho_in, noise, grid)
     if kind == "qffc_rot":
         return optimize_qffc_rot(rho_in, noise, grid)
-    if kind == "wmppf":
-        return _optimize_by_loop(
-            rho_in,
-            (((i,), {"p": p}) for i, p in enumerate(sorted(grid.strengths))),
-            lambda ps: run_wmppf(rho_in, noise, **ps))
-    r = None if noise is None or noise.r is None or noise.kind != "ad" else noise.r
-    if kind == "wmqmr":
-        if r is None:
-            raise ValueError("wmqmr optimization needs an amplitude-damping channel")
-        ps = sorted(grid.strengths)
-        return _optimize_by_loop(
-            rho_in,
-            (((i, j), {"r": r, "p1": p1, "p2": p2})
-             for i, p1 in enumerate(ps) for j, p2 in enumerate(ps)),
-            lambda kw: run_wmqmr(rho_in, **kw))
-    if kind == "qffc_ps":
-        if r is None:
-            raise ValueError("qffc_ps optimization needs an amplitude-damping channel")
-        ps = sorted(grid.strengths)
-        return _optimize_by_loop(
-            rho_in,
-            (((i, j, k), {"r": r, "p": p, "p_u": pu, "p_v": pv})
-             for i, p in enumerate(ps) for j, pu in enumerate(ps)
-             for k, pv in enumerate(ps)),
-            lambda kw: run_qffc_ps(rho_in, **kw))
-    if kind == "composite":
-        if r is None:
-            raise ValueError("composite optimization needs an amplitude-damping channel")
-        spec_params = (((i, j, c), {"r": r, "p": p, "eta": e, "signs": signs})
-                       for i, p in enumerate(sorted(grid.strengths))
-                       for j, e in enumerate(grid.eta)
-                       for c, signs in enumerate(_SIGN_COMBOS))
-        return _optimize_by_loop(
-            rho_in, spec_params,
-            lambda kw: run_scheme(rho_in, SchemeSpec(kind="composite", noise=None,
-                                                     params=kw)))
-    raise ValueError(f"cannot optimize scheme kind {scheme_kind!r}")
+    return _optimize_by_loop(rho_in, kind, noise, candidates)
 
 
 def f_diff(rho_in, noise: KrausChannel, grid: GridSpec) -> float:

@@ -58,6 +58,12 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def check_prob(value: float, name: str, hi: float = 1.0):
+    """Reject a probability-like parameter outside [0, hi]."""
+    if not 0.0 <= value <= hi:
+        raise ValueError(f"{name} must be in [0, {hi:g}], got {value}")
+
+
 def check_density(rho, name: str = "rho") -> np.ndarray:
     """Validate a density matrix: Hermitian, trace 1, positive semidefinite."""
     rho = as_matrix(rho, name)

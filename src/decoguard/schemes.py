@@ -10,8 +10,11 @@ normalized accepted mixture and its weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+import functools
+import inspect
+from dataclasses import dataclass, replace
+from types import MappingProxyType
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -32,9 +35,7 @@ from .measurements import (
     rotation,
     wm_map,
 )
-from .qmath import ID2, InitialState, dagger, state_from_angles
-
-TRACE_ATOL = 1e-12
+from .qmath import ID2, TRACE_ATOL, InitialState, check_prob, dagger, state_from_angles
 
 
 @dataclass(frozen=True)
@@ -55,27 +56,50 @@ class SchemeResult:
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """A scheme kind plus its noise channel and named parameters."""
+    """A scheme kind plus its noise channel and named parameters.
+
+    params holds keyword arguments of the kind's run_* function; it is stored
+    as a read-only copy of the mapping given.
+    """
 
     kind: str
     noise: KrausChannel | None
-    params: dict[str, Any]
+    params: Mapping[str, Any]
 
-
-def _check_prob(value: float, name: str):
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
+    def __post_init__(self):
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
 
 def _conj(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return op @ rho @ dagger(op)
 
 
-def _conditional(rho_in, accepted_sum, success):
-    if success <= 1e-15:
-        return None, 0.0
-    out = accepted_sum / success
-    return out, qmath.fidelity(rho_in, out)
+def _deterministic(rho_in, branches: list[Branch], what: str) -> SchemeResult:
+    """Result of a trace-preserving scheme: the sum of its branches, checked
+    to have unit trace and renormalized to it."""
+    out = np.zeros_like(rho_in)
+    for br in branches:
+        out = out + br.state
+    tr = float(np.real(np.trace(out)))
+    if abs(tr - 1.0) > TRACE_ATOL:
+        raise ValueError(f"{what} map is not trace preserving: trace {tr}")
+    out = out / tr
+    return SchemeResult(output_state=out, success_prob=1.0,
+                        fidelity=qmath.fidelity(rho_in, out),
+                        branches=BranchEnsemble(branches=tuple(branches)))
+
+
+def _postselected(rho_in, accepted_sum, branches: list[Branch]) -> SchemeResult:
+    """Result of a post-selected scheme: the accepted weight and the accepted
+    mixture normalized by it (None, with fidelity 0, when nothing is kept)."""
+    ensemble = BranchEnsemble(branches=tuple(branches))
+    success = ensemble.success_prob
+    out, fid = None, 0.0
+    if success > 1e-15:
+        out = accepted_sum / success
+        fid = qmath.fidelity(rho_in, out)
+    return SchemeResult(output_state=out, success_prob=success, fidelity=fid,
+                        branches=ensemble)
 
 
 def matched_qmr_strength(p1: float, r: float) -> float:
@@ -99,11 +123,11 @@ def run_wmqmr(rho_in, r: float, p1: float, p2: float | None = None,
     discarded), under which the matched p2 recovers the input exactly.
     """
     rho_in = qmath.check_density(rho_in)
-    _check_prob(r, "r")
-    _check_prob(p1, "p1")
+    check_prob(r, "r")
+    check_prob(p1, "p1")
     if p2 is None:
         p2 = matched_qmr_strength(p1, r)
-    _check_prob(p2, "p2")
+    check_prob(p2, "p2")
 
     branches: list[Branch] = []
     wm_ens = partial_measure(rho_in, wm_map(p1))
@@ -123,12 +147,7 @@ def run_wmqmr(rho_in, r: float, p1: float, p2: float | None = None,
                            state=qmr_ens.branches[1].state, accepted=False))
     kept = qmr_ens.branches[0].state
     branches.insert(0, Branch(label="wm/ad/qmr/accept", state=kept, accepted=True))
-
-    ensemble = BranchEnsemble(branches=tuple(branches))
-    success = ensemble.success_prob
-    out, fid = _conditional(rho_in, kept, success)
-    return SchemeResult(output_state=out, success_prob=success, fidelity=fid,
-                        branches=ensemble)
+    return _postselected(rho_in, kept, branches)
 
 
 def run_qfbc(rho_in, noise: KrausChannel, theta: float, eta: float | None = None,
@@ -155,20 +174,11 @@ def run_qfbc(rho_in, noise: KrausChannel, theta: float, eta: float | None = None
         else povm_axis(meas_axis, theta)
     measured = measure(rho_e, pair)
 
-    out = np.zeros_like(rho_e)
     rotated = []
     for br, angle in zip(measured.branches, etas):
         rot = rotation(rot_axis, abs(angle), +1 if angle >= 0 else -1)
-        state = _conj(rot.matrix, br.state)
-        rotated.append(Branch(label=f"{br.label}/rot", state=state))
-        out = out + state
-    tr = float(np.real(np.trace(out)))
-    if abs(tr - 1.0) > TRACE_ATOL:
-        raise ValueError(f"feedback map is not trace preserving: trace {tr}")
-    out = out / tr
-    return SchemeResult(output_state=out, success_prob=1.0,
-                        fidelity=qmath.fidelity(rho_in, out),
-                        branches=BranchEnsemble(branches=tuple(rotated)))
+        rotated.append(Branch(label=f"{br.label}/rot", state=_conj(rot.matrix, br.state)))
+    return _deterministic(rho_in, rotated, "feedback")
 
 
 def _flip_sandwich(rho_in, noise: KrausChannel, p: float):
@@ -193,8 +203,8 @@ def run_qffc_ps(rho_in, r: float, p: float, p_u: float | None = None,
     Strengths default to the exact-reversal values (2p-1)/p.
     """
     rho_in = qmath.check_density(rho_in)
-    _check_prob(r, "r")
-    _check_prob(p, "p")
+    check_prob(r, "r")
+    check_prob(p, "p")
     if p_u is None:
         p_u = matched_post_wm_strength(p)
     if p_v is None:
@@ -210,11 +220,7 @@ def run_qffc_ps(rho_in, r: float, p: float, p_u: float | None = None,
         branches.append(Branch(label=f"{label}/{pm.role}/accept", state=kept))
         branches.append(Branch(label=f"{label}/{pm.role}/discard",
                                state=ens.branches[1].state, accepted=False))
-    ensemble = BranchEnsemble(branches=tuple(branches))
-    success = ensemble.success_prob
-    out, fid = _conditional(rho_in, kept_sum, success)
-    return SchemeResult(output_state=out, success_prob=success, fidelity=fid,
-                        branches=ensemble)
+    return _postselected(rho_in, kept_sum, branches)
 
 
 def run_qffc_rot(rho_in, noise: KrausChannel, p: float, eta: float,
@@ -225,21 +231,12 @@ def run_qffc_rot(rho_in, noise: KrausChannel, p: float, eta: float,
     keyed to its pre-measurement outcome.
     """
     rho_in = qmath.check_density(rho_in)
-    _check_prob(p, "p")
+    check_prob(p, "p")
     branches = []
-    out = np.zeros_like(rho_in)
     for (label, s), sign in zip(_flip_sandwich(rho_in, noise, p), signs):
         rot = rotation("y", eta, sign)
-        state = _conj(rot.matrix, s)
-        branches.append(Branch(label=f"{label}/rot", state=state))
-        out = out + state
-    tr = float(np.real(np.trace(out)))
-    if abs(tr - 1.0) > TRACE_ATOL:
-        raise ValueError(f"feed-forward map is not trace preserving: trace {tr}")
-    out = out / tr
-    return SchemeResult(output_state=out, success_prob=1.0,
-                        fidelity=qmath.fidelity(rho_in, out),
-                        branches=BranchEnsemble(branches=tuple(branches)))
+        branches.append(Branch(label=f"{label}/rot", state=_conj(rot.matrix, s)))
+    return _deterministic(rho_in, branches, "feed-forward")
 
 
 def run_wmppf(rho_in, noise: KrausChannel, p: float) -> SchemeResult:
@@ -264,11 +261,7 @@ def run_composite(rho_in, r: float, p: float, eta: float,
         state = _conj(rot.matrix, br.state)
         kept_sum = kept_sum + state
         branches.append(Branch(label=f"{br.label}/rot", state=state))
-    ensemble = BranchEnsemble(branches=tuple(branches))
-    success = ensemble.success_prob
-    out, fid = _conditional(rho_in, kept_sum, success)
-    return SchemeResult(output_state=out, success_prob=success, fidelity=fid,
-                        branches=ensemble)
+    return _postselected(rho_in, kept_sum, branches)
 
 
 def run_ent_wmqmr(rho_2q, r1: float, r2: float, p1: float,
@@ -283,12 +276,12 @@ def run_ent_wmqmr(rho_2q, r1: float, r2: float, p1: float,
     if rho_2q.shape[0] != 4:
         raise ValueError("run_ent_wmqmr expects a two-qubit state (dim 4)")
     for name, v in (("r1", r1), ("r2", r2), ("p1", p1)):
-        _check_prob(v, name)
+        check_prob(v, name)
     if side not in ("one", "both"):
         raise ValueError(f"side must be 'one' or 'both', got {side!r}")
     if p2 is None:
         p2 = matched_qmr_strength(p1, r1)
-    _check_prob(p2, "p2")
+    check_prob(p2, "p2")
 
     def lifted(pm: PartialMeasurement, qubit: int) -> PartialMeasurement:
         op = np.kron(pm.op, ID2) if qubit == 1 else np.kron(ID2, pm.op)
@@ -312,53 +305,48 @@ def run_ent_wmqmr(rho_2q, r1: float, r2: float, p1: float,
         rejected.append(ens.branches[1])
         s = ens.branches[0].state
 
-    success = float(np.real(np.trace(s)))
-    ensemble = BranchEnsemble(branches=(
-        Branch(label=f"wm[{side}]/ad/qmr/accept", state=s),
-        *rejected,
-    ))
-    out, fid = _conditional(rho_2q, s, success)
-    conc = qmath.concurrence(out) if out is not None else 0.0
-    return SchemeResult(output_state=out, success_prob=success, fidelity=fid,
-                        branches=ensemble, concurrence=conc)
+    res = _postselected(rho_2q, s, [Branch(label=f"wm[{side}]/ad/qmr/accept", state=s),
+                                    *rejected])
+    out = res.output_state
+    return replace(res, concurrence=qmath.concurrence(out) if out is not None else 0.0)
 
 
-_RUNNERS = {
-    "wmqmr": lambda rho, spec: run_wmqmr(
-        rho, r=spec.params["r"], p1=spec.params["p1"], p2=spec.params.get("p2"),
-        no_jump_only=spec.params.get("no_jump_only", False)),
-    "qfbc": lambda rho, spec: run_qfbc(
-        rho, spec.noise, theta=spec.params["theta"], eta=spec.params.get("eta"),
-        meas_axis=spec.params.get("meas_axis", "y"),
-        rot_axis=spec.params.get("rot_axis", "z"),
-        beta=spec.params.get("beta"),
-        sign_binding=spec.params.get("sign_binding", +1),
-        etas=spec.params.get("etas")),
-    "qffc_ps": lambda rho, spec: run_qffc_ps(
-        rho, r=spec.params["r"], p=spec.params["p"],
-        p_u=spec.params.get("p_u"), p_v=spec.params.get("p_v")),
-    "qffc_rot": lambda rho, spec: run_qffc_rot(
-        rho, spec.noise, p=spec.params["p"], eta=spec.params["eta"],
-        signs=spec.params.get("signs", (+1, -1))),
-    "wmppf": lambda rho, spec: run_wmppf(rho, spec.noise, p=spec.params["p"]),
-    "composite": lambda rho, spec: run_composite(
-        rho, r=spec.params["r"], p=spec.params["p"], eta=spec.params["eta"],
-        p_u=spec.params.get("p_u"), p_v=spec.params.get("p_v"),
-        signs=spec.params.get("signs", (+1, -1))),
-    "ent_wmqmr": lambda rho, spec: run_ent_wmqmr(
-        rho, r1=spec.params["r1"], r2=spec.params["r2"], p1=spec.params["p1"],
-        p2=spec.params.get("p2"), side=spec.params.get("side", "one")),
-}
+SCHEME_KINDS = ("composite", "ent_wmqmr", "qfbc", "qffc_ps", "qffc_rot", "wmppf", "wmqmr")
 
-SCHEME_KINDS = tuple(sorted(_RUNNERS))
+
+@functools.cache
+def _keywords(runner) -> tuple[frozenset[str], tuple[str, ...]]:
+    """The keyword parameters of a run_* function (all but the input state)
+    and the required ones among them, in signature order."""
+    params = list(inspect.signature(runner).parameters.values())[1:]
+    return (frozenset(p.name for p in params),
+            tuple(p.name for p in params if p.default is p.empty))
 
 
 def run_scheme(rho_in, spec: SchemeSpec) -> SchemeResult:
-    """Dispatch a SchemeSpec to its pipeline."""
+    """Dispatch a SchemeSpec to its run_* pipeline.
+
+    spec.params are passed as the run_* keyword arguments of the same name;
+    keys the runner does not take are ignored. spec.noise goes to runners
+    with a noise argument; the others fix their own amplitude damping and
+    reject any other channel.
+    """
     kind = spec.kind.lower()
-    if kind not in _RUNNERS:
+    if kind not in SCHEME_KINDS:
         raise ValueError(f"unknown scheme kind {spec.kind!r}; expected one of {SCHEME_KINDS}")
-    return _RUNNERS[kind](rho_in, spec)
+    # looked up at call time, so a rebound run_* (a tracing wrapper) is seen
+    runner = globals()[f"run_{kind}"]
+    names, required = _keywords(runner)
+    kwargs = {k: v for k, v in spec.params.items() if k in names}
+    if "noise" in names:
+        kwargs["noise"] = spec.noise
+    elif spec.noise is not None and spec.noise.kind != "ad":
+        raise ValueError(f"{kind} needs an amplitude-damping channel, "
+                         f"got {spec.noise.kind!r}")
+    for name in required:
+        if name not in kwargs:
+            raise ValueError(f"missing required parameter {name!r}")
+    return runner(rho_in, **kwargs)
 
 
 def pair_average_fidelity(spec: SchemeSpec, alpha: float, phi: float) -> float:

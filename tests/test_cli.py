@@ -228,3 +228,36 @@ class TestFig6Command:
         code, _, err = run_cli(capsys, "fig6", "--angle-count", "4",
                                "--alpha-count", "2", "--r-count", "3")
         assert code == 1 and "outdir" in err
+
+
+class TestSchemeNoise:
+    @pytest.mark.parametrize("kind,args", [
+        ("wmqmr", ("--r", "0.5", "--p1", "0.8")),
+        ("qffc_ps", ("--r", "0.5", "--p", "0.8")),
+        ("composite", ("--r", "0.5", "--p", "0.8", "--eta", "0.1")),
+        ("ent_wmqmr", ("--r", "0.5", "--p1", "0.8")),
+    ])
+    @pytest.mark.parametrize("noise", ["pd", "identity"])
+    def test_non_ad_noise_rejected(self, capsys, kind, args, noise):
+        code, out, err = run_cli(capsys, "scheme", "--kind", kind, "--noise", noise,
+                                 *args)
+        assert code == 1 and out == ""
+        assert f"{kind} needs an amplitude-damping channel" in err
+
+    def test_explicit_ad_noise_matches_default(self, capsys):
+        args = ("scheme", "--kind", "wmqmr", "--r", "0.5", "--p1", "0.8", "--state", "+x")
+        code, out_default, _ = run_cli(capsys, *args)
+        assert code == 0
+        code, out_ad, _ = run_cli(capsys, *args, "--noise", "ad")
+        assert code == 0 and out_ad == out_default
+
+
+class TestSignsFlag:
+    @pytest.mark.parametrize("signs,packed", [("-+", "signs=-1|1"), ("--", "signs=-1|-1")])
+    def test_equals_form_accepts_leading_minus(self, capsys, signs, packed):
+        code, out, _ = run_cli(capsys, "scheme", "--kind", "qffc_rot", "--noise", "ad",
+                               "--r", "0.5", "--p", "0.8", "--eta", "0.1",
+                               f"--signs={signs}", "--state", "+x")
+        assert code == 0
+        header, rows = csv_rows(out)
+        assert packed in dict(zip(header, rows[0]))["params"].split(";")

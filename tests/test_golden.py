@@ -1,0 +1,130 @@
+"""Byte-for-byte golden outputs: sweep CSVs, scheme rows, mixed-input optima.
+
+These pin what no other test does: the packed `params` column, the argmax
+and tie-break of every optimizable scheme, and the exact float text. The
+files in tests/golden/ are written by running this module as a script:
+
+    PYTHONPATH=src python tests/test_golden.py
+
+Regenerating a golden file is a behaviour change and needs a CHANGES.md entry
+saying why.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from decoguard import GridSpec, bloch_to_density, make_channel, optimize_scheme
+from decoguard.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+SWEEP_FLAGS = ("--phi", "0.25pi", "--angle-count", "4", "--alpha-count", "2",
+               "--r-count", "3", "--workers", "1")
+# every optimizable scheme with every noise kind it accepts
+SWEEP_CASES = tuple((s, n) for s in ("qfbc", "qffc_rot", "wmppf") for n in ("ad", "pd")) \
+    + tuple((s, "ad") for s in ("wmqmr", "qffc_ps", "composite"))
+
+SCHEME_CASES = {
+    "wmqmr_theta": ("--kind", "wmqmr", "--r", "0.5", "--p1", "0.8", "--theta", "0.3",
+                    "--state", "+x"),
+    "wmqmr_p2": ("--kind", "wmqmr", "--r", "0.3", "--p1", "0.6", "--p2", "0.5",
+                 "--alpha", "0.3", "--phi", "0.25pi"),
+    "qfbc_axes": ("--kind", "qfbc", "--noise", "ad", "--r", "0.4", "--theta", "0.2pi",
+                  "--eta", "0.1pi", "--meas-axis", "x", "--rot-axis", "y",
+                  "--alpha", "0.2pi", "--phi", "0.5pi"),
+    "qfbc_sign_binding": ("--kind", "qfbc", "--noise", "pd", "--r", "0.3",
+                          "--theta", "0.25pi", "--eta", "0.15pi", "--sign-binding", "-",
+                          "--state", "+x"),
+    "qfbc_beta": ("--kind", "qfbc", "--noise", "pd", "--r", "0.2", "--theta", "0.3",
+                  "--eta", "0.2", "--beta", "0.5", "--alpha", "0.4"),
+    "qffc_ps": ("--kind", "qffc_ps", "--r", "0.6", "--p", "0.7", "--alpha", "0.3pi"),
+    "qffc_ps_post": ("--kind", "qffc_ps", "--r", "0.6", "--p", "0.7", "--p-u", "0.2",
+                     "--p-v", "0.4", "--alpha", "0.1pi", "--phi", "0.5pi"),
+    "qffc_rot": ("--kind", "qffc_rot", "--noise", "pd", "--r", "0.5", "--p", "0.8",
+                 "--eta", "0.1pi", "--signs=-+", "--alpha", "0.2pi"),
+    "wmppf_identity": ("--kind", "wmppf", "--noise", "identity", "--r", "0", "--p", "0.7",
+                       "--state", "+y"),
+    "wmppf_ad": ("--kind", "wmppf", "--noise", "ad", "--r", "0.7", "--p", "0.9",
+                 "--alpha", "0.25pi"),
+    "composite": ("--kind", "composite", "--r", "0.5", "--p", "0.8", "--eta", "0.05pi",
+                  "--signs=+-", "--alpha", "0.1pi"),
+    "ent_wmqmr_both": ("--kind", "ent_wmqmr", "--r1", "0.6", "--r2", "0.3", "--p1", "0.8",
+                       "--side", "both"),
+    "ent_wmqmr_p2": ("--kind", "ent_wmqmr", "--r", "0.5", "--p1", "0.7", "--p2", "0.6"),
+}
+
+# Bloch vectors of four mixed states, drawn once from a seeded generator and
+# written out so the inputs do not depend on the generator's stream
+MIXED_BLOCH = ((0.412553, -0.215791, 0.538127), (-0.127405, 0.683962, -0.301447),
+               (0.052218, 0.097316, -0.781044), (-0.563372, -0.402958, 0.118235))
+OPT_CASES = tuple((k, n) for k in ("qfbc", "qffc_rot", "wmppf") for n in ("ad", "pd")) \
+    + tuple((k, "ad") for k in ("wmqmr", "qffc_ps", "composite"))
+OPT_R = {"ad": 0.45, "pd": 0.3}
+
+
+def _cli_stdout(argv) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    assert code == 0, argv
+    return buf.getvalue()
+
+
+def _text(value) -> str:
+    if isinstance(value, tuple):
+        return "|".join(_text(v) for v in value)
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def _optimize_text(kind: str, noise_kind: str) -> str:
+    grid = GridSpec.default(angle_count=4, alpha_count=2, r_count=3)
+    noise = make_channel(noise_kind, OPT_R[noise_kind])
+    lines = []
+    for i, bloch in enumerate(MIXED_BLOCH):
+        res = optimize_scheme(kind, bloch_to_density(bloch), noise, grid)
+        params = ";".join(f"{k}={_text(v)}" for k, v in sorted(res.params.items()))
+        lines.append(f"{i},{_text(res.f_opt)},{_text(res.success_prob)},{params}\n")
+    return "".join(lines)
+
+
+def _outputs() -> dict[str, object]:
+    """Golden file name -> thunk producing its text."""
+    out = {}
+    for scheme, noise in SWEEP_CASES:
+        out[f"sweep_{scheme}_{noise}.csv"] = (
+            lambda s=scheme, n=noise: _cli_stdout(("sweep", "--scheme", s, "--noise", n,
+                                                   *SWEEP_FLAGS)))
+    for name, argv in SCHEME_CASES.items():
+        out[f"scheme_{name}.csv"] = lambda a=argv: _cli_stdout(("scheme", *a))
+    for kind, noise in OPT_CASES:
+        out[f"optimize_mixed_{kind}_{noise}.txt"] = (
+            lambda k=kind, n=noise: _optimize_text(k, n))
+    return out
+
+
+OUTPUTS = _outputs()
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUTS))
+def test_matches_golden(name):
+    expected = (GOLDEN / name).read_bytes()
+    assert OUTPUTS[name]().encode("utf-8") == expected
+
+
+def test_no_stray_golden_files():
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(OUTPUTS)
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, produce in OUTPUTS.items():
+        (GOLDEN / name).write_bytes(produce().encode("utf-8"))
+        print(f"wrote {GOLDEN / name}", file=sys.stderr)

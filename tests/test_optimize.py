@@ -234,3 +234,28 @@ class TestWorkers:
     def test_invalid_count(self):
         with pytest.raises(ValueError):
             resolve_workers(0, 10)
+
+
+class TestSearchLoop:
+    def test_loop_calls_rebound_runners(self, monkeypatch):
+        # every loop candidate goes through the module's current run_* binding
+        import functools
+
+        from decoguard import schemes
+        seen = []
+        real = schemes.run_wmqmr
+
+        @functools.wraps(real)
+        def spy(rho_in, **kwargs):
+            seen.append(kwargs)
+            return real(rho_in, **kwargs)
+
+        monkeypatch.setattr(schemes, "run_wmqmr", spy)
+        res = optimize_scheme("wmqmr", a_state(), ad_kraus(0.3), TINY)
+        assert len(seen) == len(TINY.strengths) ** 2
+        assert res.params in seen
+
+    def test_noise_channel_required(self):
+        for kind in ("qfbc", "qffc_rot", "wmppf"):
+            with pytest.raises(ValueError, match="needs a noise channel"):
+                optimize_scheme(kind, a_state(), None, TINY)

@@ -274,3 +274,54 @@ class TestDispatcherAndPairs:
             fids.append(run_scheme(rho, spec).fidelity)
         assert pair_average_fidelity(spec, alpha=0.6, phi=0.7) == pytest.approx(
             np.mean(fids), abs=1e-14)
+
+
+class TestSchemeSpec:
+    def test_params_are_read_only(self):
+        spec = SchemeSpec(kind="wmppf", noise=ad_kraus(0.4), params={"p": 0.8})
+        with pytest.raises(TypeError):
+            spec.params["p"] = 0.5
+
+    def test_params_are_a_copy(self):
+        params = {"p": 0.8}
+        spec = SchemeSpec(kind="wmppf", noise=ad_kraus(0.4), params=params)
+        params["p"] = 0.5
+        params["eta"] = 0.1
+        assert dict(spec.params) == {"p": 0.8}
+
+
+class TestRunScheme:
+    def test_missing_parameter_is_value_error(self):
+        spec = SchemeSpec(kind="qffc_rot", noise=ad_kraus(0.3), params={"eta": 0.2})
+        with pytest.raises(ValueError, match="missing required parameter 'p'"):
+            run_scheme(RHO_0, spec)
+
+    def test_unused_keys_ignored(self):
+        rho = state_from_angles(InitialState(alpha=0.35, phi=0.15))
+        spec = SchemeSpec(kind="wmqmr", noise=None,
+                          params={"r": 0.5, "p1": 0.8, "theta": 0.3, "theta_pre": 1.0})
+        assert run_scheme(rho, spec).fidelity == run_wmqmr(rho, r=0.5, p1=0.8).fidelity
+
+    @pytest.mark.parametrize("kind,params", [
+        ("wmqmr", {"r": 0.5, "p1": 0.8}),
+        ("qffc_ps", {"r": 0.5, "p": 0.8}),
+        ("composite", {"r": 0.5, "p": 0.8, "eta": 0.1}),
+    ])
+    @pytest.mark.parametrize("noise", [pd_kraus(0.5), identity_channel()])
+    def test_amplitude_damping_only_kinds_reject_other_noise(self, kind, params, noise):
+        spec = SchemeSpec(kind=kind, noise=noise, params=params)
+        with pytest.raises(ValueError, match=f"{kind} needs an amplitude-damping"):
+            run_scheme(RHO_0, spec)
+
+    def test_runner_looked_up_at_call_time(self, monkeypatch):
+        # a rebound run_* (for example a tracing wrapper) must see the call
+        from decoguard import schemes
+        calls = []
+
+        def spy(rho_in, noise, p):
+            calls.append(p)
+            return run_wmppf(rho_in, noise, p)
+
+        monkeypatch.setattr(schemes, "run_wmppf", spy)
+        run_scheme(RHO_0, SchemeSpec(kind="wmppf", noise=ad_kraus(0.4), params={"p": 0.8}))
+        assert calls == [0.8]
