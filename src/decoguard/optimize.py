@@ -9,13 +9,13 @@ cells are independent pure computations and may be evaluated in parallel
 alpha-major, r-minor order.
 
 For pure inputs the qfbc and qffc_rot outputs are evaluated in closed
-vectorized form; the results agree with running the scheme pipelines point
-by point (this is cross-checked in the test suite), and the qfbc search
-optimizes the two outcome rotation angles independently. Every other search
-(mixed-input qfbc over the tied +/- eta form, mixed-input qffc_rot, and the
-wmppf, wmqmr, qffc_ps and composite kinds) is one exhaustive loop: a kind's
-candidate space yields run_* keyword arguments, each candidate runs through
-run_scheme, and ties go to the smallest candidate index.
+vectorized form and agree with the scheme pipelines run point by point
+(cross-checked in the test suite); the qfbc search optimizes the two outcome
+rotation angles independently. These fast paths take the first maximum of
+the rounded scores, so round-off, not candidate order, settles exact ties.
+Every other search (mixed-input qfbc, with tied +/- eta, and qffc_rot; wmppf,
+wmqmr, qffc_ps, composite) is one exhaustive loop through run_scheme;
+equal scores go to the smallest candidate index.
 """
 
 from __future__ import annotations
@@ -106,8 +106,8 @@ _TABLE_CACHE: dict[tuple, dict] = {}
 
 
 def _signed_etas(eta_grid) -> np.ndarray:
-    """Candidates ordered 0, +d, -d, +2d, ... so first-maximum selection
-    prefers the smallest magnitude and the + sign on ties."""
+    """Candidates 0, +d, -d, +2d, ...; this order settles only bitwise-equal
+    scores, as the fast paths take the first maximum of the rounded scores."""
     out = [0.0]
     for e in eta_grid[1:]:
         out.append(+e)

@@ -2,9 +2,8 @@
 
 Everything here works on plain numpy arrays (complex128) of dimension 2 or 4.
 Density matrices are validated Hermitian, unit-trace and positive
-semidefinite; eigendecomposition of Hermitian matrices is done in-repo with
-cyclic Jacobi rotations so the metric code has no dependence on LAPACK
-internals and is exactly testable against an independent oracle.
+semidefinite. Hermitian matrices are diagonalized in closed form: one Jacobi
+rotation for 2x2, LAPACK for 4x4 (see eig_hermitian for why 2x2 is not LAPACK).
 """
 
 from __future__ import annotations
@@ -139,43 +138,30 @@ def density_to_bloch(rho) -> BlochVector:
 
 
 def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a 2x2 or 4x4 Hermitian matrix.
 
     Returns (eigenvalues sorted descending, eigenvector matrix V with
-    matching columns) such that m = V diag(w) V^dagger.
+    matching columns) such that m = V diag(w) V^dagger. 4x4 uses LAPACK
+    (numpy.linalg.eigh); 2x2 uses one Jacobi rotation (Golub & Van Loan,
+    sec. 8.5), whose exact eigenvector bits decide the round-off tie-breaks
+    that the pinned fig6 and sweep outputs record.
     """
     m = as_matrix(m, "m")
     if np.abs(m - dagger(m)).max() > 1e-10:
         raise ValueError("eig_hermitian requires a Hermitian matrix")
-    n = m.shape[0]
     a = 0.5 * (m + dagger(m))                # symmetrize away roundoff
-    v = np.eye(n, dtype=complex)
-    scale = max(1.0, float(np.abs(a).max()))
-    for _ in range(100):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off = max(off, abs(a[p, q]))
-        if off <= 1e-15 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                b = abs(a[p, q])
-                if b <= 1e-18 * scale:
-                    continue
-                phase = a[p, q] / b
-                # zero a[p,q]: tan(2 th) = 2|a_pq| / (a_qq - a_pp)
-                th = 0.5 * np.arctan2(2 * b, (a[q, q] - a[p, p]).real)
-                c, s = np.cos(th), np.sin(th)
-                u = np.eye(n, dtype=complex)
-                u[p, p] = c
-                u[p, q] = s * phase
-                u[q, p] = -s * np.conj(phase)
-                u[q, q] = c
-                a = dagger(u) @ a @ u
-                v = v @ u
-    else:
-        raise ArithmeticError("Jacobi eigendecomposition did not converge")
+    if a.shape[0] == 4:
+        w, v = np.linalg.eigh(a)
+        return w[::-1].copy(), v[:, ::-1].copy()
+    v = np.eye(2, dtype=complex)
+    b = abs(a[0, 1])
+    if b > 1e-15 * max(1.0, float(np.abs(a).max())):
+        phase = a[0, 1] / b
+        # zero a[0,1]: tan(2 th) = 2|a_01| / (a_11 - a_00)
+        th = 0.5 * np.arctan2(2 * b, (a[1, 1] - a[0, 0]).real)
+        c, s = np.cos(th), np.sin(th)
+        v = np.array([[c, s * phase], [-s * np.conj(phase), c]])
+        a = dagger(v) @ a @ v
     w = np.real(np.diag(a))
     order = np.argsort(-w, kind="stable")
     return w[order].copy(), v[:, order].copy()
@@ -232,8 +218,8 @@ def concurrence(rho) -> float:
 
     The l_i are the descending square roots of the eigenvalues of
     rho (sy x sy) rho* (sy x sy), computed here through the Hermitian
-    equivalent sqrt(rho) rho_tilde sqrt(rho) so only the Jacobi solver
-    is needed.
+    equivalent sqrt(rho) rho_tilde sqrt(rho) so only a Hermitian
+    eigensolver is needed.
     """
     rho = check_density(rho)
     if rho.shape[0] != 4:

@@ -1,8 +1,9 @@
-"""Byte-for-byte golden outputs: sweep CSVs, scheme rows, mixed-input optima.
+"""Byte-for-byte golden outputs: sweep and fig6 CSVs, scheme rows, mixed-input optima.
 
 These pin what no other test does: the packed `params` column, the argmax
-and tie-break of every optimizable scheme, and the exact float text. The
-files in tests/golden/ are written by running this module as a script:
+and tie-break of every optimizable scheme (the fig6 `eta_opt` and `p_opt`
+columns included), and the exact float text. The files in tests/golden/ are
+written by running this module as a script:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -13,8 +14,10 @@ saying why.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -29,6 +32,9 @@ SWEEP_FLAGS = ("--phi", "0.25pi", "--angle-count", "4", "--alpha-count", "2",
 # every optimizable scheme with every noise kind it accepts
 SWEEP_CASES = tuple((s, n) for s in ("qfbc", "qffc_rot", "wmppf") for n in ("ad", "pd")) \
     + tuple((s, "ad") for s in ("wmqmr", "qffc_ps", "composite"))
+
+FIG6_FLAGS = ("--angle-count", "4", "--alpha-count", "3", "--r-count", "3", "--workers", "1")
+FIG6_NAMES = tuple(f"fig6_{n}_phi{t}.csv" for n in ("ad", "pd") for t in ("0pi", "0.25pi", "0.5pi"))
 
 SCHEME_CASES = {
     "wmqmr_theta": ("--kind", "wmqmr", "--r", "0.5", "--p1", "0.8", "--theta", "0.3",
@@ -84,6 +90,15 @@ def _text(value) -> str:
     return str(value)
 
 
+@functools.cache
+def _fig6_texts() -> dict[str, str]:
+    """Every fig6 CSV of one TINY-grid run, by file name."""
+    with tempfile.TemporaryDirectory() as outdir:
+        _cli_stdout(("fig6", "--outdir", outdir, *FIG6_FLAGS))
+        return {name: (Path(outdir) / name).read_bytes().decode("utf-8")
+                for name in FIG6_NAMES}
+
+
 def _optimize_text(kind: str, noise_kind: str) -> str:
     grid = GridSpec.default(angle_count=4, alpha_count=2, r_count=3)
     noise = make_channel(noise_kind, OPT_R[noise_kind])
@@ -102,6 +117,8 @@ def _outputs() -> dict[str, object]:
         out[f"sweep_{scheme}_{noise}.csv"] = (
             lambda s=scheme, n=noise: _cli_stdout(("sweep", "--scheme", s, "--noise", n,
                                                    *SWEEP_FLAGS)))
+    for name in FIG6_NAMES:
+        out[name] = lambda n=name: _fig6_texts()[n]
     for name, argv in SCHEME_CASES.items():
         out[f"scheme_{name}.csv"] = lambda a=argv: _cli_stdout(("scheme", *a))
     for kind, noise in OPT_CASES:

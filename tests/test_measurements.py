@@ -5,6 +5,7 @@ from decoguard.measurements import (
     Branch,
     BranchEnsemble,
     MeasurementPair,
+    PartialMeasurement,
     flips,
     measure,
     partial_measure,
@@ -254,3 +255,28 @@ class TestPartialMeasure:
             assert ens.success_prob == pytest.approx(born, abs=1e-12)
             assert 0.0 <= ens.success_prob <= 1.0 + 1e-12
             assert ens.total_weight == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_non_diagonal_operator_complement(self, dim):
+        # every library operator is diagonal; a random one gives the
+        # complement sqrt(I - op^t op) non-trivial eigenvectors
+        rng = np.random.default_rng(40 + dim)
+        for scale in (1.0, 0.9, 0.6, 0.3):
+            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            op = a * (scale / np.linalg.norm(a, 2))
+            pm = PartialMeasurement(op=op, strength=scale, role="test")
+            # Tr(op E_ij op^t) + Tr(comp E_ij comp^t) = (op^t op + comp^t comp)[j, i]
+            total = np.zeros((dim, dim), dtype=complex)
+            for i in range(dim):
+                for j in range(dim):
+                    unit = np.zeros((dim, dim), dtype=complex)
+                    unit[i, j] = 1.0
+                    ens = partial_measure(unit, pm)
+                    total[j, i] = sum(np.trace(b.state) for b in ens.branches)
+            assert np.abs(total - np.eye(dim)).max() < 1e-12
+            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            rho = g @ g.conj().T
+            rho /= np.trace(rho).real
+            ens = partial_measure(rho, pm)
+            accept, discard = (b.weight for b in ens.branches)
+            assert abs(accept + discard - 1.0) < 1e-12

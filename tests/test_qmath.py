@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from decoguard.qmath import (
     ID2,
@@ -145,6 +147,64 @@ class TestEigHermitian:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+# derandomized so tier-1 runs the same examples every time
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+_UNIT = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+def _complex_matrix(draw, dim):
+    re, im = (np.array(draw(st.lists(_UNIT, min_size=dim * dim, max_size=dim * dim)))
+              .reshape(dim, dim) for _ in range(2))
+    return re + 1j * im
+
+
+@st.composite
+def _hermitian(draw, dim):
+    """Random Hermitian matrices, and U diag(w) U^dagger with repeated eigenvalues."""
+    if draw(st.booleans()):
+        a = _complex_matrix(draw, dim)
+        return a + a.conj().T
+    u, _ = np.linalg.qr(_complex_matrix(draw, dim))
+    w = np.array(draw(st.lists(st.sampled_from([-1.0, 0.0, 0.25, 0.5]),
+                               min_size=dim, max_size=dim)))
+    return (u * w) @ u.conj().T
+
+
+class TestEigHermitianProperties:
+    @PROPERTY
+    @given(st.sampled_from([2, 4]).flatmap(_hermitian))
+    @example(np.eye(4, dtype=complex) / 4)
+    @example(BELL)
+    @example(ID2 / 2)
+    def test_descending_orthonormal_reconstructs(self, h):
+        w, v = eig_hermitian(h)
+        assert np.all(np.diff(w) <= 0)
+        assert np.abs(v.conj().T @ v - np.eye(len(w))).max() < 1e-12
+        assert np.abs(h - (v * w) @ v.conj().T).max() < 1e-9
+
+    @PROPERTY
+    @given(_UNIT, _UNIT, _UNIT, _UNIT)
+    def test_2x2_closed_form_eigenvalues(self, a00, a11, re01, im01):
+        a01 = complex(re01, im01)
+        h = np.array([[a00, a01], [a01.conjugate(), a11]], dtype=complex)
+        w, _ = eig_hermitian(h)
+        half_gap = np.sqrt(((a00 - a11) / 2) ** 2 + abs(a01) ** 2)
+        mid = (a00 + a11) / 2
+        assert np.abs(w - [mid + half_gap, mid - half_gap]).max() < 1e-12
+
+    @PROPERTY
+    @given(_UNIT, _UNIT, _UNIT, _UNIT)
+    def test_2x2_pure_top_column_is_the_ket(self, re0, im0, re1, im1):
+        ket = np.array([complex(re0, im0), complex(re1, im1)])
+        norm = np.linalg.norm(ket)
+        assume(norm > 1e-3)
+        ket /= norm
+        _, v = eig_hermitian(projector(ket))
+        phase = np.vdot(v[:, 0], ket)
+        assert abs(abs(phase) - 1.0) < 1e-12
+        assert np.abs(v[:, 0] * phase - ket).max() < 1e-12
 
 
 class TestFidelity:
