@@ -13,6 +13,9 @@ vectorized form and agree with the scheme pipelines run point by point
 (cross-checked in the test suite); the qfbc search optimizes the two outcome
 rotation angles independently. These fast paths take the first maximum of
 the rounded scores, so round-off, not candidate order, settles exact ties.
+Their operator tables are built once per grid; their ket products are kept for
+the last input ket of each path, so a fig6 alpha row builds them once. Each
+cached array holds the bits a cell would compute, so every score is unchanged.
 Every other search (mixed-input qfbc, with tied +/- eta, and qffc_rot; wmppf,
 wmqmr, qffc_ps, composite) is one exhaustive loop through run_scheme;
 equal scores go to the smallest candidate index.
@@ -103,6 +106,7 @@ class OptResult:
 # ---------------------------------------------------------------------------
 
 _TABLE_CACHE: dict[tuple, dict] = {}
+_KET_MEMO: dict[str, tuple] = {}  # fast path -> ((table key, ket bytes), ket tables)
 
 
 def _signed_etas(eta_grid) -> np.ndarray:
@@ -116,20 +120,54 @@ def _signed_etas(eta_grid) -> np.ndarray:
 
 
 def _qfbc_tables(grid: GridSpec) -> dict:
+    """Per grid: signed etas and, per axis pair, conj(K[t, m, e] = R(e) @ M(t)[m])."""
     key = ("qfbc", grid.theta, grid.eta, grid.axes)
     if key in _TABLE_CACHE:
         return _TABLE_CACHE[key]
     se = _signed_etas(grid.eta)
-    tables = {"signed_etas": se, "blocks": {}}
+    tables = {"key": key, "signed_etas": se, "blocks": {}}
     for ma in grid.axes:
         m_ops = np.stack([np.stack(povm_axis(ma, t).ops) for t in grid.theta])
         for ra in grid.axes:
             r_ops = np.stack([rotation(ra, abs(e), +1 if e >= 0 else -1).matrix
                               for e in se])
-            # K[t, m, e] = R(e) @ M(t)[m]
-            tables["blocks"][(ma, ra)] = np.einsum("eij,tmjk->tmeik", r_ops, m_ops)
+            tables["blocks"][(ma, ra)] = np.einsum("eij,tmjk->tmeik", r_ops, m_ops).conj()
     _TABLE_CACHE[key] = tables
     return tables
+
+
+def _qffc_tables(grid: GridSpec) -> dict:
+    """Per grid: strengths, eta, the flips, M_i(p) and R_y(sign eta)."""
+    key = ("qffc", grid.theta, grid.eta)
+    if key not in _TABLE_CACHE:
+        strengths, eta = grid.strengths, np.asarray(grid.eta)
+        m1 = np.stack([np.diag([np.sqrt(p), np.sqrt(1 - p)]) for p in strengths]).astype(complex)
+        m2 = np.stack([np.diag([np.sqrt(1 - p), np.sqrt(p)]) for p in strengths]).astype(complex)
+        _TABLE_CACHE[key] = {
+            "key": key, "strengths": strengths, "eta": eta, "flips": flips(), "m": (m1, m2),
+            "r": {sign: np.stack([rotation("y", e, sign).matrix for e in eta])
+                  for sign in (+1, -1)}}
+    return _TABLE_CACHE[key]
+
+
+def _qfbc_ket(tables: dict, psi) -> dict:
+    """Per ket: v = conj(K) psi for every axis pair."""
+    return {pair: np.einsum("tmeji,j->tmei", k, psi) for pair, k in tables["blocks"].items()}
+
+
+def _qffc_ket(tables: dict, psi) -> tuple:
+    """Per ket: u[i] = M_i(p) |psi> and w[sign][e] = <psi| R_y(sign e)."""
+    u = tuple(np.einsum("pij,j->pi", m, psi) for m in tables["m"])
+    w = {sign: np.einsum("j,eji->ei", psi.conj(), r) for sign, r in tables["r"].items()}
+    return u, w
+
+
+def _ket_tables(tables: dict, psi, build):
+    """build(tables, psi), kept for the last (grid, ket) of each fast path."""
+    kind, key = tables["key"][0], (tables["key"], psi.tobytes())
+    if kind not in _KET_MEMO or _KET_MEMO[kind][0] != key:
+        _KET_MEMO[kind] = (key, build(tables, psi))
+    return _KET_MEMO[kind][1]
 
 
 def _pure_ket(rho: np.ndarray) -> np.ndarray:
@@ -139,13 +177,13 @@ def _pure_ket(rho: np.ndarray) -> np.ndarray:
 
 def _optimize_qfbc_pure(psi, rho_e, grid: GridSpec):
     tables = _qfbc_tables(grid)
+    vs = _ket_tables(tables, psi, _qfbc_ket)
     se = tables["signed_etas"]
     best_key = None
     best = None
     for ra_i, ra in enumerate(grid.axes):
         for ma_i, ma in enumerate(grid.axes):
-            k_tab = tables["blocks"][(ma, ra)]
-            v = np.einsum("tmeji,j->tmei", k_tab.conj(), psi)
+            v = vs[(ma, ra)]
             f = np.real(np.einsum("tmei,ij,tmej->tme", v.conj(), rho_e, v))
             e_best = np.argmax(f, axis=2)                        # (t, m)
             vals = np.take_along_axis(f, e_best[:, :, None], axis=2)[:, :, 0]
@@ -178,19 +216,11 @@ def optimize_qfbc(rho_in, noise: KrausChannel, grid: GridSpec) -> OptResult:
 
 
 def _optimize_qffc_pure(psi, noise: KrausChannel, grid: GridSpec):
-    strengths = grid.strengths
-    m1 = np.stack([np.diag([np.sqrt(p), np.sqrt(1 - p)]) for p in strengths]).astype(complex)
-    m2 = np.stack([np.diag([np.sqrt(1 - p), np.sqrt(p)]) for p in strengths]).astype(complex)
-    u = (np.einsum("pij,j->pi", m1, psi), np.einsum("pij,j->pi", m2, psi))
-    f1, f2op = flips()
-    t_ops = [[f @ a @ f for a in noise.ops] for f in (f1, f2op)]
-    eta = np.asarray(grid.eta)
-    r_plus = np.stack([rotation("y", e, +1).matrix for e in eta])
-    r_minus = np.stack([rotation("y", e, -1).matrix for e in eta])
-    # w[sign][e] = <psi| R_y(sign e); amplitude for branch i, kraus k:
-    #   <psi| R F_i A_k F_i M_i(p) |psi>
-    w = {+1: np.einsum("j,eji->ei", psi.conj(), r_plus),
-         -1: np.einsum("j,eji->ei", psi.conj(), r_minus)}
+    tables = _qffc_tables(grid)
+    u, w = _ket_tables(tables, psi, _qffc_ket)
+    strengths, eta = tables["strengths"], tables["eta"]
+    t_ops = [[f @ a @ f for a in noise.ops] for f in tables["flips"]]
+    # amplitude for branch i, kraus k: <psi| R F_i A_k F_i M_i(p) |psi>
     branch_f2 = {}
     for i in (0, 1):
         for sign in (+1, -1):

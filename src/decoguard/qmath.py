@@ -71,7 +71,7 @@ def check_density(rho, name: str = "rho") -> np.ndarray:
     tr = np.trace(rho)
     if abs(tr - 1.0) > TRACE_ATOL:
         raise ValueError(f"{name} has trace {tr}, expected 1")
-    evals, _ = eig_hermitian(rho)
+    evals, _ = _eig_core(0.5 * (rho + dagger(rho)))
     if evals[-1] < EIGENVALUE_FLOOR:
         raise ValueError(f"{name} has negative eigenvalue {evals[-1]}")
     return rho
@@ -149,7 +149,11 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     m = as_matrix(m, "m")
     if np.abs(m - dagger(m)).max() > 1e-10:
         raise ValueError("eig_hermitian requires a Hermitian matrix")
-    a = 0.5 * (m + dagger(m))                # symmetrize away roundoff
+    return _eig_core(0.5 * (m + dagger(m)))   # symmetrize away roundoff
+
+
+def _eig_core(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eig_hermitian of an already validated, exactly Hermitian matrix."""
     if a.shape[0] == 4:
         w, v = np.linalg.eigh(a)
         return w[::-1].copy(), v[:, ::-1].copy()

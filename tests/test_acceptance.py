@@ -6,6 +6,7 @@ parse the emitted CSV files; everything else exercises the library API
 directly against independently computed expectations.
 """
 
+import gzip
 import time
 from pathlib import Path
 
@@ -329,6 +330,18 @@ def test_criterion_5d_phi0_alpha_trend(fig6_run):
         details.append(f"{noise}: near0={near0:.2e} nearPi/2={near_half_pi:.2e}")
         ok &= near_half_pi < near0
     _report("5d phi=0 alpha ordering", ok, "; ".join(details))
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_default_grid_matches_golden(fig6_run):
+    # pins the default-grid argmax columns (eta_opt, p_opt) byte for byte;
+    # the files are written by tests/test_golden.py
+    assert len(fig6_run["surfaces"]) == 6
+    for surf in fig6_run["surfaces"].values():
+        golden = gzip.decompress((GOLDEN / f"default_{surf['name']}.gz").read_bytes())
+        assert surf["raw"] == golden, surf["name"]
 
 
 def test_criterion_5_runtime(fig6_run):

@@ -2,8 +2,10 @@
 
 These pin what no other test does: the packed `params` column, the argmax
 and tie-break of every optimizable scheme (the fig6 `eta_opt` and `p_opt`
-columns included), and the exact float text. The files in tests/golden/ are
-written by running this module as a script:
+columns included), and the exact float text. The gzip-compressed
+default-grid fig6 CSVs (default_fig6_*.csv.gz) are compared with the
+default-grid run that tests/test_acceptance.py makes anyway. The files in
+tests/golden/ are written by running this module as a script:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import gzip
 import io
 import sys
 import tempfile
@@ -35,6 +38,7 @@ SWEEP_CASES = tuple((s, n) for s in ("qfbc", "qffc_rot", "wmppf") for n in ("ad"
 
 FIG6_FLAGS = ("--angle-count", "4", "--alpha-count", "3", "--r-count", "3", "--workers", "1")
 FIG6_NAMES = tuple(f"fig6_{n}_phi{t}.csv" for n in ("ad", "pd") for t in ("0pi", "0.25pi", "0.5pi"))
+FIG6_DEFAULT_GOLDENS = {f"default_{name}.gz": name for name in FIG6_NAMES}
 
 SCHEME_CASES = {
     "wmqmr_theta": ("--kind", "wmqmr", "--r", "0.5", "--p1", "0.8", "--theta", "0.3",
@@ -90,13 +94,17 @@ def _text(value) -> str:
     return str(value)
 
 
+def _fig6_bytes(*flags) -> dict[str, bytes]:
+    """Every fig6 CSV of one run with the given flags, by file name."""
+    with tempfile.TemporaryDirectory() as outdir:
+        _cli_stdout(("fig6", "--outdir", outdir, *flags))
+        return {name: (Path(outdir) / name).read_bytes() for name in FIG6_NAMES}
+
+
 @functools.cache
 def _fig6_texts() -> dict[str, str]:
     """Every fig6 CSV of one TINY-grid run, by file name."""
-    with tempfile.TemporaryDirectory() as outdir:
-        _cli_stdout(("fig6", "--outdir", outdir, *FIG6_FLAGS))
-        return {name: (Path(outdir) / name).read_bytes().decode("utf-8")
-                for name in FIG6_NAMES}
+    return {name: text.decode("utf-8") for name, text in _fig6_bytes(*FIG6_FLAGS).items()}
 
 
 def _optimize_text(kind: str, noise_kind: str) -> str:
@@ -137,11 +145,15 @@ def test_matches_golden(name):
 
 
 def test_no_stray_golden_files():
-    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(OUTPUTS)
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted([*OUTPUTS, *FIG6_DEFAULT_GOLDENS])
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, produce in OUTPUTS.items():
         (GOLDEN / name).write_bytes(produce().encode("utf-8"))
+        print(f"wrote {GOLDEN / name}", file=sys.stderr)
+    default_csvs = _fig6_bytes()
+    for name, csv_name in FIG6_DEFAULT_GOLDENS.items():
+        (GOLDEN / name).write_bytes(gzip.compress(default_csvs[csv_name], mtime=0))
         print(f"wrote {GOLDEN / name}", file=sys.stderr)

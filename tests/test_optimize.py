@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from decoguard.channels import ad_kraus, identity_channel, pd_kraus
+from decoguard import optimize
+from decoguard.channels import ad_kraus, identity_channel, make_channel, pd_kraus
 from decoguard.optimize import (
     GridSpec,
     f_diff,
@@ -289,3 +292,74 @@ class TestSearchLoop:
         for kind in ("qfbc", "qffc_rot", "wmppf"):
             with pytest.raises(ValueError, match="needs a noise channel"):
                 optimize_scheme(kind, a_state(), None, TINY)
+
+
+def _logging(log, fn):
+    """fn, appending its positional arguments to log on every call."""
+    def wrapper(*args, **kwargs):
+        log.append(args)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+class TestGridAndKetTables:
+    """The pure fast paths keep grid tables per grid and ket products for the
+    last ket; neither may leak into a result computed for other inputs."""
+
+    def test_memo_results_equal_fresh_results(self, monkeypatch):
+        kets = (a_state(0.8, 0.6), a_state(0.3, 2.1))
+        # runs of one (ket, grid) with the channel changing, then another ket,
+        # grid or both, so the ket memo both hits and misses
+        cells = ((0, TINY, "ad", 0.3), (0, TINY, "pd", 0.6), (1, TINY, "ad", 0.3),
+                 (1, SMALL, "pd", 0.5), (0, SMALL, "ad", 0.7), (0, SMALL, "ad", 0.2),
+                 (1, TINY, "pd", 0.9), (1, TINY, "ad", 0.4), (1, SMALL, "pd", 0.5),
+                 (0, TINY, "pd", 0.6))
+        misses = sum(i == 0 or cells[i][:2] != cells[i - 1][:2] for i in range(len(cells)))
+        calls = [(fn, kets[k], make_channel(kind, r), grid)
+                 for k, grid, kind, r in cells for fn in (optimize_qfbc, optimize_qffc_rot)]
+        builds = []
+        for name in ("_qfbc_ket", "_qffc_ket"):
+            monkeypatch.setattr(optimize, name, _logging(builds, getattr(optimize, name)))
+        optimize._KET_MEMO.clear()
+        memoized = [fn(rho, noise, grid) for fn, rho, noise, grid in calls]
+        assert len(builds) == 2 * misses and misses < len(cells)
+        for (fn, rho, noise, grid), got in zip(calls, memoized):
+            optimize._TABLE_CACHE.clear()
+            optimize._KET_MEMO.clear()
+            assert fn(rho, noise, grid) == got
+
+    def test_warm_calls_build_no_rotations(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(optimize, "rotation", _logging(made, optimize.rotation))
+        for grid in (TINY, SMALL):
+            optimize_qfbc(a_state(0.2, 0.1), ad_kraus(0.1), grid)
+            optimize_qffc_rot(a_state(0.2, 0.1), ad_kraus(0.1), grid)
+        made.clear()
+        for grid in (TINY, SMALL):
+            for alpha, phi, r in ((0.5, 0.4, 0.35), (1.1, 2.9, 0.85)):
+                for maker in (ad_kraus, pd_kraus):
+                    optimize_qfbc(a_state(alpha, phi), maker(r), grid)
+                    optimize_qffc_rot(a_state(alpha, phi), maker(r), grid)
+        assert made == []
+
+
+_ANGLES = st.tuples(st.floats(0.0, np.pi / 2), st.floats(0.0, 2 * np.pi, exclude_max=True))
+_CELL = st.tuples(st.integers(0, 2), st.floats(0.0, 1.0), st.sampled_from(("ad", "pd")))
+
+
+class TestFastPathProperties:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(st.lists(_ANGLES, min_size=1, max_size=3), st.lists(_CELL, min_size=2, max_size=6))
+    def test_fast_paths_match_pipelines_at_argmax(self, angles, cells):
+        # cells index into the few kets, so a sequence revisits them
+        for k, r, kind in cells:
+            rho = a_state(*angles[k % len(angles)])
+            noise = make_channel(kind, r)
+            fb = optimize_qfbc(rho, noise, SMALL)
+            check = run_qfbc(rho, noise, theta=fb.params["theta"], etas=fb.params["etas"],
+                             meas_axis=fb.params["meas_axis"], rot_axis=fb.params["rot_axis"])
+            assert abs(check.fidelity - fb.f_opt) < 1e-12
+            ff = optimize_qffc_rot(rho, noise, SMALL)
+            check = run_qffc_rot(rho, noise, p=ff.params["p"], eta=ff.params["eta"],
+                                 signs=ff.params["signs"])
+            assert abs(check.fidelity - ff.f_opt) < 1e-12
