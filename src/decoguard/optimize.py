@@ -14,15 +14,22 @@ vectorized form and agree with the scheme pipelines run point by point
 rotation angles independently. These fast paths take the first maximum of
 the rounded scores, so round-off, not candidate order, settles exact ties.
 Their operator tables are built once per grid; their ket products are kept for
-the last input ket of each path, so a fig6 alpha row builds them once. Each
-cached array holds the bits a cell would compute, so every score is unchanged.
+the last input state of each path, so a fig6 alpha row finds its ket and builds
+them once. Each cached array holds the bits a cell would compute, so every
+score is unchanged.
 Every other search (mixed-input qfbc, with tied +/- eta, and qffc_rot; wmppf,
-wmqmr, qffc_ps, composite) is one exhaustive loop through run_scheme;
-equal scores go to the smallest candidate index.
+wmqmr, qffc_ps, composite) screens, then verifies. One batched kernel scores
+every candidate from its stack of accepted Kraus operators and the
+closed-form qubit fidelity; only the candidates within SCREEN_ATOL of the
+best score go through run_scheme, in candidate order. The kernel is within
+far less than SCREEN_ATOL / 2 of run_scheme, so the exhaustive loop's winner
+is always among them: the optimum, its success probability and its params
+are run_scheme's, and equal scores still go to the smallest candidate index.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -32,7 +39,14 @@ import numpy as np
 
 from .channels import KrausChannel, apply_channel, make_channel
 from .measurements import flips, povm_axis, rotation
-from .qmath import InitialState, check_density, eig_hermitian, purity, state_from_angles
+from .qmath import (
+    PURITY_PURE_THRESHOLD,
+    InitialState,
+    check_density,
+    eig_hermitian,
+    purity,
+    state_from_angles,
+)
 # run_qfbc is unused here but stays importable from this module for existing callers
 from .schemes import SchemeSpec, run_qfbc, run_scheme  # noqa: F401
 
@@ -106,7 +120,7 @@ class OptResult:
 # ---------------------------------------------------------------------------
 
 _TABLE_CACHE: dict[tuple, dict] = {}
-_KET_MEMO: dict[str, tuple] = {}  # fast path -> ((table key, ket bytes), ket tables)
+_KET_MEMO: dict[str, tuple] = {}  # fast path -> ((table key, rho bytes), ket tables)
 
 
 def _signed_etas(eta_grid) -> np.ndarray:
@@ -162,11 +176,12 @@ def _qffc_ket(tables: dict, psi) -> tuple:
     return u, w
 
 
-def _ket_tables(tables: dict, psi, build):
-    """build(tables, psi), kept for the last (grid, ket) of each fast path."""
-    kind, key = tables["key"][0], (tables["key"], psi.tobytes())
+def _ket_tables(tables: dict, rho, build):
+    """build(tables, ket of the pure rho), kept for the last (grid, rho) of each
+    fast path, so a hit also skips the eigensolve that finds the ket."""
+    kind, key = tables["key"][0], (tables["key"], rho.tobytes())
     if kind not in _KET_MEMO or _KET_MEMO[kind][0] != key:
-        _KET_MEMO[kind] = (key, build(tables, psi))
+        _KET_MEMO[kind] = (key, build(tables, _pure_ket(rho)))
     return _KET_MEMO[kind][1]
 
 
@@ -175,9 +190,9 @@ def _pure_ket(rho: np.ndarray) -> np.ndarray:
     return v[:, 0]
 
 
-def _optimize_qfbc_pure(psi, rho_e, grid: GridSpec):
+def _optimize_qfbc_pure(rho_in, rho_e, grid: GridSpec):
     tables = _qfbc_tables(grid)
-    vs = _ket_tables(tables, psi, _qfbc_ket)
+    vs = _ket_tables(tables, rho_in, _qfbc_ket)
     se = tables["signed_etas"]
     best_key = None
     best = None
@@ -211,13 +226,13 @@ def optimize_qfbc(rho_in, noise: KrausChannel, grid: GridSpec) -> OptResult:
     """
     rho_in = check_density(rho_in)
     if purity(rho_in) >= 1 - 1e-10:
-        return _optimize_qfbc_pure(_pure_ket(rho_in), apply_channel(rho_in, noise), grid)
-    return _optimize_by_loop(rho_in, "qfbc", noise, _search_space("qfbc", noise, grid))
+        return _optimize_qfbc_pure(rho_in, apply_channel(rho_in, noise), grid)
+    return _optimize_screened(rho_in, "qfbc", noise, grid)
 
 
-def _optimize_qffc_pure(psi, noise: KrausChannel, grid: GridSpec):
+def _optimize_qffc_pure(rho_in, noise: KrausChannel, grid: GridSpec):
     tables = _qffc_tables(grid)
-    u, w = _ket_tables(tables, psi, _qffc_ket)
+    u, w = _ket_tables(tables, rho_in, _qffc_ket)
     strengths, eta = tables["strengths"], tables["eta"]
     t_ops = [[f @ a @ f for a in noise.ops] for f in tables["flips"]]
     # amplitude for branch i, kraus k: <psi| R F_i A_k F_i M_i(p) |psi>
@@ -250,8 +265,8 @@ def optimize_qffc_rot(rho_in, noise: KrausChannel, grid: GridSpec) -> OptResult:
     """Best deterministic feed-forward fidelity over p, eta and branch signs."""
     rho_in = check_density(rho_in)
     if purity(rho_in) >= 1 - 1e-10:
-        return _optimize_qffc_pure(_pure_ket(rho_in), noise, grid)
-    return _optimize_by_loop(rho_in, "qffc_rot", noise, _search_space("qffc_rot", noise, grid))
+        return _optimize_qffc_pure(rho_in, noise, grid)
+    return _optimize_screened(rho_in, "qffc_rot", noise, grid)
 
 
 OPTIMIZABLE_KINDS = ("qfbc", "qffc_rot", "wmppf", "wmqmr", "qffc_ps", "composite")
@@ -304,10 +319,167 @@ def _search_space(kind: str, noise: KrausChannel | None, grid: GridSpec):
             for c, signs in enumerate(_SIGN_COMBOS))
 
 
+# ---------------------------------------------------------------------------
+# batched screening of the loop searches
+# ---------------------------------------------------------------------------
+
+# A candidate is run through run_scheme when its kernel fidelity is within
+# SCREEN_ATOL of the best one. The kernel agrees with run_scheme to far less
+# than SCREEN_ATOL / 2, so the loop's winner is always among those run.
+SCREEN_ATOL = 1e-6
+# Accepted weights where the pipelines' fidelity-0 cutoff (success <= 1e-15)
+# may fall on the other side for the kernel; such candidates are always run.
+_CUTOFF_BAND = (1e-16, 1e-14)
+
+
+def _diag(a, b) -> np.ndarray:
+    """The stack of diag(a_j, b_j)."""
+    out = np.zeros((len(a), 2, 2), dtype=complex)
+    out[:, 0, 0], out[:, 1, 1] = a, b
+    return out
+
+
+def _loop_tables(grid: GridSpec) -> dict:
+    """Per grid: the noise-free factors of the feed-forward and wmqmr stacks.
+
+    m: M_i(p) per strength in theta order, (p, i, 2, 2); m_asc the same with
+    strengths ascending; wm and qmr: diag(1, sqrt(1-p)) and diag(sqrt(1-p), 1)
+    with p ascending; post: the matched N_1 and W_1 of composite per ascending
+    p; rot: R_y(s_i eta) per (eta, sign combination, branch i).
+    """
+    key = ("loop", grid.theta, grid.eta)
+    if key not in _TABLE_CACHE:
+        ff = _qffc_tables(grid)
+        asc = np.argsort(ff["strengths"], kind="stable")
+        ps = np.asarray(ff["strengths"])[asc]
+        m = np.stack(ff["m"], axis=1)
+        one, matched = np.ones_like(ps), np.maximum(0.0, (2 * ps - 1) / ps)
+        _TABLE_CACHE[key] = {
+            "flips": np.stack(ff["flips"]), "m": m, "m_asc": m[asc],
+            "wm": _diag(one, np.sqrt(1 - ps)), "qmr": _diag(np.sqrt(1 - ps), one),
+            "post": np.stack([_diag(np.sqrt(1 - matched), one),
+                              _diag(one, np.sqrt(1 - matched))], axis=1),
+            "rot": np.stack([np.stack([ff["r"][s] for s in signs], axis=1)
+                             for signs in _SIGN_COMBOS], axis=1)}
+    return _TABLE_CACHE[key]
+
+
+def _tied_qfbc_ops(grid: GridSpec) -> np.ndarray:
+    """Per grid: R(+-eta) M_m(theta), (rot axis, meas axis, theta, eta, binding,
+    outcome m, 2, 2); binding +1 rotates outcome '+' by +eta and '-' by -eta."""
+    key = ("qfbc_tied", grid.theta, grid.eta, grid.axes)
+    if key not in _TABLE_CACHE:
+        blocks = _qfbc_tables(grid)["blocks"]  # conj(R(e) M_m(theta)), (theta, m, e)
+        n = len(grid.eta)
+        # positions of +eta and -eta among _signed_etas: 0, +d, -d, +2d, ...
+        plus, minus = np.r_[0, 1:2 * n - 1:2], np.r_[0, 2:2 * n - 1:2]
+        signed = np.stack([np.stack([plus, minus], -1), np.stack([minus, plus], -1)], 1)
+        _TABLE_CACHE[key] = np.stack([
+            np.stack([blocks[(ma, ra)][:, np.arange(2), signed].conj() for ma in grid.axes])
+            for ra in grid.axes])
+    return _TABLE_CACHE[key]
+
+
+def _kraus_stack(kind: str, noise: KrausChannel, grid: GridSpec) -> np.ndarray:
+    """The accepted Kraus operators of every candidate of a loop search,
+    (candidate, K, 2, 2) with candidates in _search_space order.
+
+    They follow each run_* pipeline, for the noise Kraus operators A_k:
+      wmqmr      qmr(p2) A_k wm(p1)
+      qffc_ps    N_i F_i A_k F_i M_i(p) per pre-measurement branch i, where
+                 N_1 = qmr(p_u) and N_2 = wm(p_v)
+      composite  R_y(s_i eta) N_i F_i A_k F_i M_i(p), N_i matched to p
+      qffc_rot   R_y(s_i eta) F_i A_k F_i M_i(p)
+      wmppf      F_i A_k F_i M_i(p)
+      qfbc       R(e_m) M_m(theta) A_k per outcome m, with e = (+eta, -eta)
+                 or, for binding -1, (-eta, +eta)
+    so sum_K K rho K^dagger is the pipeline's accepted, unnormalized output.
+    """
+    a = np.stack(noise.ops)
+    k = len(a)
+    if kind == "qfbc":
+        ops = np.einsum("...xy,kyz->...kxz", _tied_qfbc_ops(grid), a, optimize=True)
+        return ops.reshape(-1, 2 * k, 2, 2)
+    t = _loop_tables(grid)
+    if kind == "wmqmr":
+        return np.einsum("jxy,kyz,izw->ijkxw", t["qmr"], a, t["wm"]).reshape(-1, k, 2, 2)
+    fl = t["flips"]
+    fa = np.einsum("ixy,kyz,izw->ikxw", fl, a, fl)       # F_i A_k F_i
+    if kind == "qffc_rot":
+        front = np.einsum("ikxy,piyz->pikxz", fa, t["m"])
+        return np.einsum("ecixy,pikyz->pecikxz", t["rot"], front).reshape(-1, 2 * k, 2, 2)
+    front = np.einsum("ikxy,piyz->pikxz", fa, t["m_asc"])
+    if kind == "wmppf":
+        return front.reshape(-1, 2 * k, 2, 2)
+    if kind == "composite":
+        kept = np.einsum("pixy,pikyz->pikxz", t["post"], front)
+        return np.einsum("ecixy,pikyz->pecikxz", t["rot"], kept).reshape(-1, 2 * k, 2, 2)
+    n = len(front)  # qffc_ps: candidates (p, p_u, p_v)
+    n1 = np.einsum("jxy,pkyz->pjkxz", t["qmr"], front[:, 0])
+    w1 = np.einsum("jxy,pkyz->pjkxz", t["wm"], front[:, 1])
+    shape = (n, n, n, k, 2, 2)
+    return np.concatenate([np.broadcast_to(n1[:, :, None], shape),
+                           np.broadcast_to(w1[:, None], shape)], axis=3).reshape(-1, 2 * k, 2, 2)
+
+
+def _screen_scores(rho, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(fidelity, success) of every candidate of a Kraus stack.
+
+    sigma = sum_K K rho K^dagger, success = Tr sigma, and the closed-form qubit
+    fidelity F^2 = Tr rho s + 2 sqrt(det rho det s) of s = sigma / success
+    (Hubner 1992; Jozsa 1994), clipped as qmath.fidelity clips: the overlap
+    alone for a pure rho, zeroed spectrum below 1e-14, F <= 1, and F = 0 when
+    success <= 1e-15. Written out entrywise, as batched 2x2 matmul is slower.
+    """
+    a, b, c, d = (stack[:, :, i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    ka, kb = a * rho[0, 0] + b * rho[1, 0], a * rho[0, 1] + b * rho[1, 1]  # rows of K rho
+    kc, kd = c * rho[0, 0] + d * rho[1, 0], c * rho[0, 1] + d * rho[1, 1]
+    s00 = np.real(ka * a.conj() + kb * b.conj()).sum(axis=1)
+    s11 = np.real(kc * c.conj() + kd * d.conj()).sum(axis=1)
+    s01 = (ka * c.conj() + kb * d.conj()).sum(axis=1)
+    success = s00 + s11
+    fid = np.zeros(len(stack))
+    kept = success > 1e-15
+    s00, s11, s01 = (v[kept] / success[kept] for v in (s00, s11, s01))
+    overlap = rho[0, 0].real * s00 + rho[1, 1].real * s11 + 2 * np.real(rho[1, 0] * s01)
+    if purity(rho) >= PURITY_PURE_THRESHOLD:
+        f = np.sqrt(np.maximum(overlap, 0.0))
+    else:
+        # the eigenvalues of sqrt(rho) s sqrt(rho) have sum overlap and product det
+        det_rho = np.real(rho[0, 0] * rho[1, 1]) - abs(rho[0, 1]) ** 2
+        det = np.maximum(det_rho * (s00 * s11 - np.abs(s01) ** 2), 0.0)
+        hi = np.maximum(0.5 * (overlap + np.sqrt(np.maximum(overlap ** 2 - 4 * det, 0.0))), 0.0)
+        lo = np.divide(det, hi, out=np.zeros_like(hi), where=hi > 0)
+        lo[lo < 1e-14 * np.maximum(1.0, hi)] = 0.0
+        f = np.sqrt(hi) + np.sqrt(lo)
+    fid[kept] = np.minimum(1.0, f)
+    return fid, success
+
+
+def _optimize_screened(rho_in, kind: str, noise: KrausChannel, grid: GridSpec) -> OptResult:
+    """_optimize_by_loop over the candidates the batched kernel cannot rule out.
+
+    Scores every candidate of _search_space at once (_screen_scores) and runs
+    only those within SCREEN_ATOL of the best score, plus any in the success
+    band where the fidelity-0 cutoff is not continuous. If every score is
+    within delta of its run_scheme fidelity and 2 delta <= SCREEN_ATOL, the
+    exhaustive loop's winner is among them, so the result is the same
+    OptResult, tie-breaks included.
+    """
+    fid, success = _screen_scores(rho_in, _kraus_stack(kind, noise, grid))
+    band = (success >= _CUTOFF_BAND[0]) & (success <= _CUTOFF_BAND[1])
+    top = np.max(fid, where=~band, initial=-np.inf)
+    keep = band | (fid >= top - SCREEN_ATOL)
+    return _optimize_by_loop(rho_in, kind, noise,
+                             itertools.compress(_search_space(kind, noise, grid), keep))
+
+
 def _optimize_by_loop(rho_in, kind: str, noise: KrausChannel | None,
                       candidates) -> OptResult:
-    """Run every (tie key, params) candidate through run_scheme; the highest
-    fidelity wins and the smallest tie key breaks ties."""
+    """Run every (tie key, params) candidate given through run_scheme; the
+    highest fidelity wins and the smallest tie key breaks ties. The searches
+    pass it their screened shortlist (_optimize_screened), in _search_space
+    order, so the winner and its tie key are those of the exhaustive loop."""
     best_key = None
     best = None
     for tie, params in candidates:
@@ -323,17 +495,20 @@ def optimize_scheme(scheme_kind: str, rho_in, noise: KrausChannel | None,
                     grid: GridSpec) -> OptResult:
     """Exhaustive grid optimization of one scheme's control parameters.
 
-    qfbc and qffc_rot go through optimize_qfbc and optimize_qffc_rot; the
-    other kinds loop over their search space (see _search_space).
+    qfbc and qffc_rot go through optimize_qfbc and optimize_qffc_rot. The
+    other kinds search their whole space (see _search_space): a batched
+    kernel screens every candidate and run_scheme verifies the near-best
+    ones, which gives the result of running every candidate through
+    run_scheme, tie-break included (see _optimize_screened).
     """
     kind = scheme_kind.lower()
     rho_in = check_density(rho_in)
-    candidates = _search_space(kind, noise, grid)  # validates kind and noise
+    _search_space(kind, noise, grid)  # validates kind and noise
     if kind == "qfbc":
         return optimize_qfbc(rho_in, noise, grid)
     if kind == "qffc_rot":
         return optimize_qffc_rot(rho_in, noise, grid)
-    return _optimize_by_loop(rho_in, kind, noise, candidates)
+    return _optimize_screened(rho_in, kind, noise, grid)
 
 
 def f_diff(rho_in, noise: KrausChannel, grid: GridSpec) -> float:

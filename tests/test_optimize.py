@@ -15,8 +15,9 @@ from decoguard.optimize import (
     sweep_fig6,
     sweep_optimal,
 )
-from decoguard.qmath import InitialState, fidelity, projector, state_from_angles
-from decoguard.schemes import run_qfbc, run_qffc_rot
+from decoguard.qmath import InitialState, bloch_to_density, fidelity, projector, state_from_angles
+from decoguard.schemes import SchemeSpec, run_qfbc, run_qffc_rot, run_scheme
+from test_golden import MIXED_BLOCH
 
 SMALL = GridSpec.default(angle_count=7, alpha_count=4, r_count=4)
 TINY = GridSpec.default(angle_count=4, alpha_count=2, r_count=3)
@@ -271,7 +272,9 @@ class TestWorkers:
 
 class TestSearchLoop:
     def test_loop_calls_rebound_runners(self, monkeypatch):
-        # every loop candidate goes through the module's current run_* binding
+        # every verified candidate goes through the module's current run_*
+        # binding; the kernel screens the other candidates out, so fewer than
+        # the 16 of the exhaustive loop are run
         import functools
 
         from decoguard import schemes
@@ -284,9 +287,12 @@ class TestSearchLoop:
             return real(rho_in, **kwargs)
 
         monkeypatch.setattr(schemes, "run_wmqmr", spy)
-        res = optimize_scheme("wmqmr", a_state(), ad_kraus(0.3), TINY)
-        assert len(seen) == len(TINY.strengths) ** 2
+        rho, noise = a_state(), ad_kraus(0.3)
+        res = optimize_scheme("wmqmr", rho, noise, TINY)
+        assert 1 <= len(seen) <= len(TINY.strengths) ** 2
         assert res.params in seen
+        assert res == optimize._optimize_by_loop(
+            rho, "wmqmr", noise, optimize._search_space("wmqmr", noise, TINY))
 
     def test_noise_channel_required(self):
         for kind in ("qfbc", "qffc_rot", "wmppf"):
@@ -328,6 +334,14 @@ class TestGridAndKetTables:
             optimize._KET_MEMO.clear()
             assert fn(rho, noise, grid) == got
 
+    def test_warm_row_finds_each_ket_once(self, monkeypatch):
+        # the row's state is fixed, so each fast path diagonalizes it once
+        optimize._fig6_alpha_row((np.pi / 4, "ad", 0.5, TINY))
+        found = []
+        monkeypatch.setattr(optimize, "_pure_ket", _logging(found, optimize._pure_ket))
+        optimize._fig6_alpha_row((np.pi / 4, "ad", 0.9, TINY))
+        assert len(found) == 2
+
     def test_warm_calls_build_no_rotations(self, monkeypatch):
         made = []
         monkeypatch.setattr(optimize, "rotation", _logging(made, optimize.rotation))
@@ -363,3 +377,60 @@ class TestFastPathProperties:
             check = run_qffc_rot(rho, noise, p=ff.params["p"], eta=ff.params["eta"],
                                  signs=ff.params["signs"])
             assert abs(check.fidelity - ff.f_opt) < 1e-12
+
+
+def _loop_channels(kind):
+    """Every channel a loop kind accepts, at r in {0, 0.45, 0.999}; identity
+    for the kinds that take any channel."""
+    kinds = ("ad",) if kind in ("wmqmr", "qffc_ps", "composite") else ("ad", "pd")
+    chans = [make_channel(k, r) for k in kinds for r in (0.0, 0.45, 0.999)]
+    return chans if kinds == ("ad",) else chans + [identity_channel()]
+
+
+_LOOP_INPUTS = (tuple(a_state(alpha, 0.6) for alpha in (0.0, np.pi / 2, 0.8))
+                + tuple(bloch_to_density(b) for b in MIXED_BLOCH))
+
+
+class TestScreenedSearch:
+    """The kernel only screens: the screened search returns exactly what the
+    exhaustive loop through run_scheme returns."""
+
+    @pytest.mark.parametrize("grid", (TINY, SMALL), ids=("tiny", "small"))
+    @pytest.mark.parametrize("kind", optimize.OPTIMIZABLE_KINDS)
+    def test_screened_equals_exhaustive(self, kind, grid):
+        for noise in _loop_channels(kind):
+            n = len(list(optimize._search_space(kind, noise, grid)))
+            assert len(optimize._kraus_stack(kind, noise, grid)) == n
+            for rho in _LOOP_INPUTS:
+                exhaustive = optimize._optimize_by_loop(
+                    rho, kind, noise, optimize._search_space(kind, noise, grid))
+                assert optimize._optimize_screened(rho, kind, noise, grid) == exhaustive
+
+
+_BLOCH = st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi),
+                   st.one_of(st.just(1.0), st.floats(0.0, 1 - 1e-9)))
+
+
+class TestScreenKernelAccuracy:
+    """The margin the screen's exactness rests on: every kernel score is within
+    SCREEN_ATOL / 100 of its run_scheme fidelity."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(st.sampled_from(optimize.OPTIMIZABLE_KINDS), _BLOCH,
+           st.sampled_from(("ad", "pd", "identity")), st.floats(0.0, 1.0),
+           st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=6))
+    def test_kernel_matches_pipeline(self, kind, bloch, channel, r, picks):
+        polar, azimuth, radius = bloch
+        rho = bloch_to_density(radius * np.array([np.sin(polar) * np.cos(azimuth),
+                                                  np.sin(polar) * np.sin(azimuth),
+                                                  np.cos(polar)]))
+        if kind in ("wmqmr", "qffc_ps", "composite"):
+            channel = "ad"
+        noise = make_channel(channel, r)
+        candidates = list(optimize._search_space(kind, noise, SMALL))
+        fid, success = optimize._screen_scores(rho, optimize._kraus_stack(kind, noise, SMALL))
+        for pick in picks:
+            i = pick % len(candidates)
+            res = run_scheme(rho, SchemeSpec(kind=kind, noise=noise, params=candidates[i][1]))
+            assert abs(fid[i] - res.fidelity) <= optimize.SCREEN_ATOL / 100
+            assert abs(success[i] - res.success_prob) <= 1e-12
