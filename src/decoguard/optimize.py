@@ -12,7 +12,14 @@ For pure inputs the qfbc and qffc_rot outputs are evaluated in closed
 vectorized form and agree with the scheme pipelines run point by point
 (cross-checked in the test suite); the qfbc search optimizes the two outcome
 rotation angles independently. These fast paths take the first maximum of
-the rounded scores, so round-off, not candidate order, settles exact ties.
+the rounded scores of fixed einsums, so round-off, not candidate order,
+settles exact ties. They screen, then verify: a cheap score in any summation
+order (for qfbc the real Pauli vectors of the ket products against the one
+of the noisy state, the affine Bloch map) rates every candidate, and the
+einsums run only on the theta slices whose best screen score is within
+SCREEN_ATOL of the maximum. An einsum over a theta slice gives the bits of
+the same rows of the full einsum, and the tie key starts with (-F^2, theta
+index), so the winner, tie-break included, is the unscreened one.
 Their operator tables are built once per grid; their ket products are kept for
 the last input state of each path, so a fig6 alpha row finds its ket and builds
 them once. Each cached array holds the bits a cell would compute, so every
@@ -119,6 +126,12 @@ class OptResult:
 # vectorized evaluation tables (pure-state fast path)
 # ---------------------------------------------------------------------------
 
+# Every search screens, then verifies: a candidate (a theta slice on the pure
+# fast paths) is scored exactly when its screen score is within SCREEN_ATOL
+# of the best screen score. Each screen agrees with the exact score to far
+# less than SCREEN_ATOL / 2, so the exact winner is always among those scored.
+SCREEN_ATOL = 1e-6
+
 _TABLE_CACHE: dict[tuple, dict] = {}
 _KET_MEMO: dict[str, tuple] = {}  # fast path -> ((table key, rho bytes), ket tables)
 
@@ -164,9 +177,17 @@ def _qffc_tables(grid: GridSpec) -> dict:
     return _TABLE_CACHE[key]
 
 
-def _qfbc_ket(tables: dict, psi) -> dict:
-    """Per ket: v = conj(K) psi for every axis pair."""
-    return {pair: np.einsum("tmeji,j->tmei", k, psi) for pair, k in tables["blocks"].items()}
+def _qfbc_ket(tables: dict, psi) -> tuple:
+    """Per ket: v = conj(K) psi for every axis pair, and their real Pauli
+    4-vectors n = <v|(I, X, Y, Z)|v> / 2, (4, pair, t, m, e) with pairs in
+    blocks order, so F^2 = <v|rho|v> = _pauli(rho) . n scores a cell at once."""
+    vs = {pair: np.einsum("tmeji,j->tmei", k, psi) for pair, k in tables["blocks"].items()}
+    n = np.empty((4, len(vs)) + next(iter(vs.values())).shape[:-1])
+    for p, v in enumerate(vs.values()):
+        up, down = np.abs(v[..., 0]) ** 2, np.abs(v[..., 1]) ** 2
+        cross = v[..., 0].conj() * v[..., 1]
+        n[:, p] = (up + down) / 2, cross.real, cross.imag, (up - down) / 2
+    return vs, n
 
 
 def _qffc_ket(tables: dict, psi) -> tuple:
@@ -190,27 +211,40 @@ def _pure_ket(rho: np.ndarray) -> np.ndarray:
     return v[:, 0]
 
 
+def _pauli(rho) -> np.ndarray:
+    """r with rho = (r_0 I + r_1 X + r_2 Y + r_3 Z) / 2."""
+    return np.array([np.real(rho[0, 0] + rho[1, 1]), 2 * rho[0, 1].real,
+                     -2 * rho[0, 1].imag, np.real(rho[0, 0] - rho[1, 1])])
+
+
+def _qfbc_scores(v, rho_e) -> np.ndarray:
+    """F^2 = <v|rho_e|v> of one axis pair, (t, m, e): the einsum whose
+    round-off settles the qfbc tie-breaks."""
+    return np.real(np.einsum("tmei,ij,tmej->tme", v.conj(), rho_e, v))
+
+
 def _optimize_qfbc_pure(rho_in, rho_e, grid: GridSpec):
     tables = _qfbc_tables(grid)
-    vs = _ket_tables(tables, rho_in, _qfbc_ket)
+    vs, n = _ket_tables(tables, rho_in, _qfbc_ket)
     se = tables["signed_etas"]
+    approx = np.tensordot(_pauli(rho_e), n, axes=1).max(axis=3).sum(axis=2)  # (pair, t)
+    shortlist = approx >= approx.max() - SCREEN_ATOL
+    pairs = list(vs)
     best_key = None
     best = None
-    for ra_i, ra in enumerate(grid.axes):
-        for ma_i, ma in enumerate(grid.axes):
-            v = vs[(ma, ra)]
-            f = np.real(np.einsum("tmei,ij,tmej->tme", v.conj(), rho_e, v))
-            e_best = np.argmax(f, axis=2)                        # (t, m)
-            vals = np.take_along_axis(f, e_best[:, :, None], axis=2)[:, :, 0]
-            tot = vals.sum(axis=1)                               # (t,)
-            t_best = int(np.argmax(tot))
-            key = (-tot[t_best], t_best, int(e_best[t_best, 0]),
-                   int(e_best[t_best, 1]), ma_i, ra_i)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (tot[t_best], grid.theta[t_best],
-                        (float(se[e_best[t_best, 0]]), float(se[e_best[t_best, 1]])),
-                        ma, ra)
+    for p in np.flatnonzero(shortlist.any(axis=1)):
+        (ma, ra), ts = pairs[p], np.flatnonzero(shortlist[p])
+        f = _qfbc_scores(vs[(ma, ra)][ts], rho_e)
+        e_best = np.argmax(f, axis=2)                        # (t, m)
+        vals = np.take_along_axis(f, e_best[:, :, None], axis=2)[:, :, 0]
+        tot = vals.sum(axis=1)                               # (t,)
+        j = int(np.argmax(tot))
+        key = (-tot[j], int(ts[j]), int(e_best[j, 0]), int(e_best[j, 1]),
+               grid.axes.index(ma), grid.axes.index(ra))
+        if best_key is None or key < best_key:
+            best_key = key
+            best = (tot[j], grid.theta[ts[j]],
+                    (float(se[e_best[j, 0]]), float(se[e_best[j, 1]])), ma, ra)
     f2, theta, etas, ma, ra = best
     f_opt = float(np.sqrt(np.clip(f2, 0.0, 1.0)))
     params = {"theta": float(theta), "etas": etas, "meas_axis": ma, "rot_axis": ra}
@@ -230,30 +264,42 @@ def optimize_qfbc(rho_in, noise: KrausChannel, grid: GridSpec) -> OptResult:
     return _optimize_screened(rho_in, "qfbc", noise, grid)
 
 
+def _qffc_screen(u, w, t_ops) -> np.ndarray:
+    """The branch fidelities of every (branch i, sign, p, e), summed in any
+    order: sum_k |<psi| R_y(sign e) F_i A_k F_i M_i(p) |psi>|^2."""
+    ws = np.stack([w[+1], w[-1]])
+    return np.stack([sum(np.abs(ws @ a @ u[i].T) ** 2 for a in t_ops[i])
+                     for i in (0, 1)]).swapaxes(2, 3)
+
+
+def _qffc_scores(u_i, w_sign, ops) -> np.ndarray:
+    """The same branch fidelity for one (i, sign) over the rows of u_i, (p, e):
+    the einsums whose round-off settles the qffc_rot tie-breaks."""
+    acc = np.zeros((len(u_i), len(w_sign)))
+    for a in ops:
+        acc += np.abs(np.einsum("ei,ij,pj->pe", w_sign, a, u_i)) ** 2
+    return acc
+
+
 def _optimize_qffc_pure(rho_in, noise: KrausChannel, grid: GridSpec):
     tables = _qffc_tables(grid)
     u, w = _ket_tables(tables, rho_in, _qffc_ket)
     strengths, eta = tables["strengths"], tables["eta"]
     t_ops = [[f @ a @ f for a in noise.ops] for f in tables["flips"]]
-    # amplitude for branch i, kraus k: <psi| R F_i A_k F_i M_i(p) |psi>
-    branch_f2 = {}
-    for i in (0, 1):
-        for sign in (+1, -1):
-            acc = np.zeros((len(strengths), len(eta)))
-            for a in t_ops[i]:
-                amp = np.einsum("ei,ij,pj->pe", w[sign], a, u[i])
-                acc += np.abs(amp) ** 2
-            branch_f2[(i, sign)] = acc
+    approx = _qffc_screen(u, w, t_ops)
+    row = (approx[0][:, None] + approx[1][None]).max(axis=(0, 1, 3))  # (p,)
+    ts = np.flatnonzero(row >= row.max() - SCREEN_ATOL)
+    branch_f2 = {(i, sign): _qffc_scores(u[i][ts], w[sign], t_ops[i])
+                 for i in (0, 1) for sign in (+1, -1)}
     best_key = None
     best = None
     for c_i, (s1, s2) in enumerate(_SIGN_COMBOS):
         tot = branch_f2[(0, s1)] + branch_f2[(1, s2)]
-        flat = int(np.argmax(tot))
-        t_best, e_best = divmod(flat, tot.shape[1])
-        key = (-tot[t_best, e_best], t_best, e_best, c_i)
+        j, e_best = divmod(int(np.argmax(tot)), tot.shape[1])
+        key = (-tot[j, e_best], int(ts[j]), e_best, c_i)
         if best_key is None or key < best_key:
             best_key = key
-            best = (tot[t_best, e_best], t_best, e_best, (s1, s2))
+            best = (tot[j, e_best], int(ts[j]), e_best, (s1, s2))
     f2, t_best, e_best, signs = best
     params = {"p": strengths[t_best], "theta_pre": grid.theta[t_best],
               "eta": float(eta[e_best]), "signs": signs}
@@ -272,9 +318,10 @@ def optimize_qffc_rot(rho_in, noise: KrausChannel, grid: GridSpec) -> OptResult:
 OPTIMIZABLE_KINDS = ("qfbc", "qffc_rot", "wmppf", "wmqmr", "qffc_ps", "composite")
 
 
-def _search_space(kind: str, noise: KrausChannel | None, grid: GridSpec):
+def _search_space(kind: str, noise: KrausChannel | None, grid: GridSpec, flat=None):
     """The exhaustive candidates of one scheme kind as (tie key, params) pairs;
-    params are run_* keyword arguments plus any reported-only entries.
+    params are run_* keyword arguments plus any reported-only entries. With
+    flat (ascending candidate indices) only those candidates are built.
 
     qfbc: tied +/- eta over axes, theta and binding; qffc_rot: p in theta
     order, eta and the branch signs; wmppf: p; wmqmr: (p1, p2); qffc_ps:
@@ -288,45 +335,34 @@ def _search_space(kind: str, noise: KrausChannel | None, grid: GridSpec):
             raise ValueError(f"{kind} optimization needs a noise channel")
     elif noise is None or noise.r is None or noise.kind != "ad":
         raise ValueError(f"{kind} optimization needs an amplitude-damping channel")
-    ps = sorted(grid.strengths)
-    if kind == "qfbc":
-        return (((t_i, e_i, ma_i, ra_i, s_i),
-                 {"theta": theta, "etas": (binding * eta, -binding * eta),
-                  "meas_axis": ma, "rot_axis": ra})
-                for ra_i, ra in enumerate(grid.axes)
-                for ma_i, ma in enumerate(grid.axes)
-                for t_i, theta in enumerate(grid.theta)
-                for e_i, eta in enumerate(grid.eta)
-                for s_i, binding in enumerate((+1, -1)))
-    if kind == "qffc_rot":
-        return (((t_i, e_i, c_i),
-                 {"p": p, "theta_pre": grid.theta[t_i], "eta": eta, "signs": signs})
-                for t_i, p in enumerate(grid.strengths)
-                for e_i, eta in enumerate(grid.eta)
-                for c_i, signs in enumerate(_SIGN_COMBOS))
-    if kind == "wmppf":
-        return (((i,), {"p": p}) for i, p in enumerate(ps))
-    r = noise.r
-    if kind == "wmqmr":
-        return (((i, j), {"r": r, "p1": p1, "p2": p2})
-                for i, p1 in enumerate(ps) for j, p2 in enumerate(ps))
-    if kind == "qffc_ps":
-        return (((i, j, k), {"r": r, "p": p, "p_u": pu, "p_v": pv})
-                for i, p in enumerate(ps) for j, pu in enumerate(ps)
-                for k, pv in enumerate(ps))
-    return (((i, j, c), {"r": r, "p": p, "eta": e, "signs": signs})  # composite
-            for i, p in enumerate(ps) for j, e in enumerate(grid.eta)
-            for c, signs in enumerate(_SIGN_COMBOS))
+    theta, eta, axes, r = grid.theta, grid.eta, grid.axes, noise.r
+    strengths, ps = grid.strengths, sorted(grid.strengths)
+    n, m, a, c = len(theta), len(eta), len(axes), len(_SIGN_COMBOS)
+    # the shape of the candidate grid, and the candidate at one index of it
+    shape, make = {
+        "qfbc": ((a, a, n, m, 2), lambda ra, ma, t, e, s: (
+            (t, e, ma, ra, s), {"theta": theta[t], "etas": ((+1, -1)[s] * eta[e],
+                                                            (-1, +1)[s] * eta[e]),
+                                "meas_axis": axes[ma], "rot_axis": axes[ra]})),
+        "qffc_rot": ((n, m, c), lambda t, e, k: (
+            (t, e, k), {"p": strengths[t], "theta_pre": theta[t], "eta": eta[e],
+                        "signs": _SIGN_COMBOS[k]})),
+        "wmppf": ((n,), lambda i: ((i,), {"p": ps[i]})),
+        "wmqmr": ((n, n), lambda i, j: ((i, j), {"r": r, "p1": ps[i], "p2": ps[j]})),
+        "qffc_ps": ((n, n, n), lambda i, j, k: (
+            (i, j, k), {"r": r, "p": ps[i], "p_u": ps[j], "p_v": ps[k]})),
+        "composite": ((n, m, c), lambda i, j, k: (
+            (i, j, k), {"r": r, "p": ps[i], "eta": eta[j], "signs": _SIGN_COMBOS[k]})),
+    }[kind]
+    indices = (itertools.product(*map(range, shape)) if flat is None
+               else zip(*(i.tolist() for i in np.unravel_index(flat, shape))))
+    return (make(*index) for index in indices)
 
 
 # ---------------------------------------------------------------------------
 # batched screening of the loop searches
 # ---------------------------------------------------------------------------
 
-# A candidate is run through run_scheme when its kernel fidelity is within
-# SCREEN_ATOL of the best one. The kernel agrees with run_scheme to far less
-# than SCREEN_ATOL / 2, so the loop's winner is always among those run.
-SCREEN_ATOL = 1e-6
 # Accepted weights where the pipelines' fidelity-0 cutoff (success <= 1e-15)
 # may fall on the other side for the kernel; such candidates are always run.
 _CUTOFF_BAND = (1e-16, 1e-14)
@@ -471,7 +507,7 @@ def _optimize_screened(rho_in, kind: str, noise: KrausChannel, grid: GridSpec) -
     top = np.max(fid, where=~band, initial=-np.inf)
     keep = band | (fid >= top - SCREEN_ATOL)
     return _optimize_by_loop(rho_in, kind, noise,
-                             itertools.compress(_search_space(kind, noise, grid), keep))
+                             _search_space(kind, noise, grid, np.flatnonzero(keep)))
 
 
 def _optimize_by_loop(rho_in, kind: str, noise: KrausChannel | None,

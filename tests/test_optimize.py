@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decoguard import optimize
-from decoguard.channels import ad_kraus, identity_channel, make_channel, pd_kraus
+from decoguard.channels import (
+    ad_kraus,
+    apply_channel,
+    identity_channel,
+    make_channel,
+    pd_kraus,
+)
 from decoguard.optimize import (
     GridSpec,
     f_diff,
@@ -434,3 +440,124 @@ class TestScreenKernelAccuracy:
             res = run_scheme(rho, SchemeSpec(kind=kind, noise=noise, params=candidates[i][1]))
             assert abs(fid[i] - res.fidelity) <= optimize.SCREEN_ATOL / 100
             assert abs(success[i] - res.success_prob) <= 1e-12
+
+
+# tie-heavy pure inputs: every eta ties at p = 1/2 for the y eigenstate;
+# |+> (alpha = 0) and |0> sit on symmetry axes of the grids; at
+# (pi/3, pi/2) under ad noise, (p, eta) and the swapped pair tie on TINY
+_PURE_INPUTS = (a_state(np.pi / 2, np.pi / 2), a_state(0.0, 0.0),
+                projector(np.array([1.0, 0.0])), a_state(np.pi / 3, np.pi / 2), a_state())
+_DEFAULT = GridSpec.default()
+
+
+def _unscreened(rho, noise, grid):
+    """Both pure searches without a screen, written out from the einsums
+    whose round-off the fast paths' tie-breaks follow: every theta slice is
+    scored, and the smallest (-F^2, t, ...) key wins."""
+    rho_e = apply_channel(rho, noise)
+    tables = optimize._qfbc_tables(grid)
+    vs, _ = optimize._ket_tables(tables, rho, optimize._qfbc_ket)
+    se, keys = tables["signed_etas"], []
+    for (ma, ra), v in vs.items():
+        f = np.real(np.einsum("tmei,ij,tmej->tme", v.conj(), rho_e, v))
+        e = np.argmax(f, axis=2)
+        tot = np.take_along_axis(f, e[:, :, None], axis=2)[:, :, 0].sum(axis=1)
+        t = int(np.argmax(tot))
+        keys.append((-tot[t], t, e[t, 0], e[t, 1], grid.axes.index(ma), grid.axes.index(ra)))
+    f2, t, e0, e1, ma, ra = min(keys)
+    fb = optimize.OptResult(
+        f_opt=float(np.sqrt(np.clip(-f2, 0.0, 1.0))), success_prob=1.0,
+        params={"theta": grid.theta[t], "etas": (float(se[e0]), float(se[e1])),
+                "meas_axis": grid.axes[ma], "rot_axis": grid.axes[ra]})
+    tables = optimize._qffc_tables(grid)
+    u, w = optimize._ket_tables(tables, rho, optimize._qffc_ket)
+    branch = {}
+    for i, flip in enumerate(tables["flips"]):
+        for sign in (+1, -1):
+            branch[(i, sign)] = sum(
+                np.abs(np.einsum("ei,ij,pj->pe", w[sign], flip @ a @ flip, u[i])) ** 2
+                for a in noise.ops)
+    keys = []
+    for c, (s1, s2) in enumerate(optimize._SIGN_COMBOS):
+        tot = branch[(0, s1)] + branch[(1, s2)]
+        t, e = divmod(int(np.argmax(tot)), tot.shape[1])
+        keys.append((-tot[t, e], t, e, c))
+    f2, t, e, c = min(keys)
+    ff = optimize.OptResult(
+        f_opt=float(np.sqrt(np.clip(-f2, 0.0, 1.0))), success_prob=1.0,
+        params={"p": grid.strengths[t], "theta_pre": grid.theta[t],
+                "eta": float(tables["eta"][e]), "signs": optimize._SIGN_COMBOS[c]})
+    return fb, ff
+
+
+def _pure_optima(cells, grid):
+    return [(optimize_qfbc(rho, noise, grid), optimize_qffc_rot(rho, noise, grid))
+            for rho, noise in cells]
+
+
+class TestPureScreen:
+    """The pure fast paths score exactly only the theta slices their screen
+    shortlists; the result is the unscreened one, tie-breaks included.
+    SCREEN_ATOL = inf shortlists every slice."""
+
+    @pytest.mark.parametrize("grid", (TINY, SMALL), ids=("tiny", "small"))
+    def test_screened_equals_exhaustive(self, grid, monkeypatch):
+        cells = [(rho, make_channel(kind, r)) for rho in _PURE_INPUTS
+                 for kind in ("ad", "pd") for r in (0.0, 0.45, 0.75, 0.999)]
+        screened = _pure_optima(cells, grid)
+        assert screened == [_unscreened(rho, noise, grid) for rho, noise in cells]
+        monkeypatch.setattr(optimize, "SCREEN_ATOL", np.inf)
+        assert screened == _pure_optima(cells, grid)
+
+    @pytest.mark.parametrize("angles", ((np.pi / 2, np.pi / 2), (np.pi / 3, np.pi / 2)))
+    def test_default_grid_row_equals_exhaustive(self, angles, monkeypatch):
+        rho = a_state(*angles)
+        cells = [(rho, make_channel(kind, r)) for kind in ("ad", "pd") for r in _DEFAULT.rs]
+        screened = _pure_optima(cells, _DEFAULT)
+        assert screened == [_unscreened(rho, noise, _DEFAULT) for rho, noise in cells]
+        monkeypatch.setattr(optimize, "SCREEN_ATOL", np.inf)
+        assert screened == _pure_optima(cells, _DEFAULT)
+
+
+def _pure_tables(rho, noise, grid):
+    """The ket tables of both fast paths and the feed-forward F_i A_k F_i."""
+    ff = optimize._qffc_tables(grid)
+    t_ops = [[f @ a @ f for a in noise.ops] for f in ff["flips"]]
+    return (optimize._ket_tables(optimize._qfbc_tables(grid), rho, optimize._qfbc_ket),
+            optimize._ket_tables(ff, rho, optimize._qffc_ket), t_ops)
+
+
+class TestPureScreenProperties:
+    """What the screen's exactness rests on: every screen score is within
+    SCREEN_ATOL / 100 of its exact score, and an exact score computed on a
+    theta slice has the bits of the same rows of the full computation."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(_ANGLES, st.sampled_from(("ad", "pd")), st.floats(0.0, 1.0))
+    def test_screen_matches_exact_scores(self, angles, kind, r):
+        rho, noise = a_state(*angles), make_channel(kind, r)
+        rho_e = apply_channel(rho, noise)
+        (vs, n), (u, w), t_ops = _pure_tables(rho, noise, SMALL)
+        exact = np.stack([optimize._qfbc_scores(v, rho_e) for v in vs.values()])
+        approx = np.tensordot(optimize._pauli(rho_e), n, axes=1)
+        assert np.abs(approx - exact).max() <= optimize.SCREEN_ATOL / 100
+        exact = np.stack([np.stack([optimize._qffc_scores(u[i], w[sign], t_ops[i])
+                                    for sign in (+1, -1)]) for i in (0, 1)])
+        approx = optimize._qffc_screen(u, w, t_ops)
+        assert np.abs(approx - exact).max() <= optimize.SCREEN_ATOL / 100
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(_ANGLES, st.sampled_from(("ad", "pd")), st.floats(0.0, 1.0),
+           st.sampled_from((SMALL, _DEFAULT)), st.sets(st.integers(0, 30), min_size=1))
+    def test_slice_scores_equal_full_rows(self, angles, kind, r, grid, picked):
+        rho, noise = a_state(*angles), make_channel(kind, r)
+        rho_e = apply_channel(rho, noise)
+        ts = np.array(sorted({k % len(grid.theta) for k in picked}))
+        (vs, _), (u, w), t_ops = _pure_tables(rho, noise, grid)
+        for v in vs.values():
+            assert np.array_equal(optimize._qfbc_scores(v[ts], rho_e),
+                                  optimize._qfbc_scores(v, rho_e)[ts])
+        for i in (0, 1):
+            for sign in (+1, -1):
+                assert np.array_equal(optimize._qffc_scores(u[i][ts], w[sign], t_ops[i]),
+                                      optimize._qffc_scores(u[i], w[sign], t_ops[i])[ts])
