@@ -20,10 +20,10 @@ einsums run only on the theta slices whose best screen score is within
 SCREEN_ATOL of the maximum. An einsum over a theta slice gives the bits of
 the same rows of the full einsum, and the tie key starts with (-F^2, theta
 index), so the winner, tie-break included, is the unscreened one.
-Their operator tables are built once per grid; their ket products are kept for
-the last input state of each path, so a fig6 alpha row finds its ket and builds
-them once. Each cached array holds the bits a cell would compute, so every
-score is unchanged.
+Their operator tables are functools caches of the GridSpec, and their ket
+products an lru_cache of the last (grid, rho bytes) of each path, so a fig6
+alpha row finds its ket and builds them once. Each cached array holds the bits
+a cell would compute, so every score is unchanged.
 Every other search (mixed-input qfbc, with tied +/- eta, and qffc_rot; wmppf,
 wmqmr, qffc_ps, composite) screens, then verifies. One batched kernel scores
 every candidate from its stack of accepted Kraus operators and the
@@ -36,6 +36,7 @@ are run_scheme's, and equal scores still go to the smallest candidate index.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -83,7 +84,6 @@ class GridSpec:
     eta: tuple[float, ...]
     alphas: tuple[float, ...]
     rs: tuple[float, ...]
-    phis: tuple[float, ...] = (0.0, np.pi / 4, np.pi / 2)
     axes: tuple[str, ...] = ("x", "y", "z")
 
     def __post_init__(self):
@@ -132,9 +132,6 @@ class OptResult:
 # less than SCREEN_ATOL / 2, so the exact winner is always among those scored.
 SCREEN_ATOL = 1e-6
 
-_TABLE_CACHE: dict[tuple, dict] = {}
-_KET_MEMO: dict[str, tuple] = {}  # fast path -> ((table key, rho bytes), ket tables)
-
 
 def _signed_etas(eta_grid) -> np.ndarray:
     """Candidates 0, +d, -d, +2d, ...; this order settles only bitwise-equal
@@ -146,42 +143,69 @@ def _signed_etas(eta_grid) -> np.ndarray:
     return np.array(out)
 
 
+@functools.cache
 def _qfbc_tables(grid: GridSpec) -> dict:
     """Per grid: signed etas and, per axis pair, conj(K[t, m, e] = R(e) @ M(t)[m])."""
-    key = ("qfbc", grid.theta, grid.eta, grid.axes)
-    if key in _TABLE_CACHE:
-        return _TABLE_CACHE[key]
     se = _signed_etas(grid.eta)
-    tables = {"key": key, "signed_etas": se, "blocks": {}}
+    tables = {"signed_etas": se, "blocks": {}}
     for ma in grid.axes:
         m_ops = np.stack([np.stack(povm_axis(ma, t).ops) for t in grid.theta])
         for ra in grid.axes:
             r_ops = np.stack([rotation(ra, abs(e), +1 if e >= 0 else -1).matrix
                               for e in se])
             tables["blocks"][(ma, ra)] = np.einsum("eij,tmjk->tmeik", r_ops, m_ops).conj()
-    _TABLE_CACHE[key] = tables
     return tables
 
 
+def _diag(a, b) -> np.ndarray:
+    """The stack of diag(a_j, b_j)."""
+    out = np.zeros((len(a), 2, 2), dtype=complex)
+    out[:, 0, 0], out[:, 1, 1] = a, b
+    return out
+
+
+@functools.cache
 def _qffc_tables(grid: GridSpec) -> dict:
-    """Per grid: strengths, eta, the flips, M_i(p) and R_y(sign eta)."""
-    key = ("qffc", grid.theta, grid.eta)
-    if key not in _TABLE_CACHE:
-        strengths, eta = grid.strengths, np.asarray(grid.eta)
-        m1 = np.stack([np.diag([np.sqrt(p), np.sqrt(1 - p)]) for p in strengths]).astype(complex)
-        m2 = np.stack([np.diag([np.sqrt(1 - p), np.sqrt(p)]) for p in strengths]).astype(complex)
-        _TABLE_CACHE[key] = {
-            "key": key, "strengths": strengths, "eta": eta, "flips": flips(), "m": (m1, m2),
-            "r": {sign: np.stack([rotation("y", e, sign).matrix for e in eta])
-                  for sign in (+1, -1)}}
-    return _TABLE_CACHE[key]
+    """Per grid: the noise-free factors of the feed-forward and wmqmr searches.
+
+    strengths and eta; flips (F1, F2); m: the (M_1(p), M_2(p)) stacks in theta
+    order, m_stack: the same as (p, i, 2, 2), m_asc: with p ascending; r:
+    R_y(sign eta) per sign; wm, qmr: diag(1, sqrt(1-p)), diag(sqrt(1-p), 1)
+    and post: composite's matched N_1, W_1, all with p ascending; rot:
+    R_y(s_i eta) per (eta, sign combination, branch i).
+    """
+    strengths, eta = grid.strengths, np.asarray(grid.eta)
+    m1 = np.stack([np.diag([np.sqrt(p), np.sqrt(1 - p)]) for p in strengths]).astype(complex)
+    m2 = np.stack([np.diag([np.sqrt(1 - p), np.sqrt(p)]) for p in strengths]).astype(complex)
+    r = {sign: np.stack([rotation("y", e, sign).matrix for e in eta]) for sign in (+1, -1)}
+    asc = np.argsort(strengths, kind="stable")
+    ps = np.asarray(strengths)[asc]
+    m = np.stack((m1, m2), axis=1)
+    one, matched = np.ones_like(ps), np.maximum(0.0, (2 * ps - 1) / ps)
+    return {
+        "strengths": strengths, "eta": eta, "flips": np.stack(flips()), "m": (m1, m2), "r": r,
+        "m_stack": m, "m_asc": m[asc],
+        "wm": _diag(one, np.sqrt(1 - ps)), "qmr": _diag(np.sqrt(1 - ps), one),
+        "post": np.stack([_diag(np.sqrt(1 - matched), one),
+                          _diag(one, np.sqrt(1 - matched))], axis=1),
+        "rot": np.stack([np.stack([r[s] for s in signs], axis=1)
+                         for signs in _SIGN_COMBOS], axis=1)}
 
 
-def _qfbc_ket(tables: dict, psi) -> tuple:
-    """Per ket: v = conj(K) psi for every axis pair, and their real Pauli
-    4-vectors n = <v|(I, X, Y, Z)|v> / 2, (4, pair, t, m, e) with pairs in
-    blocks order, so F^2 = <v|rho|v> = _pauli(rho) . n scores a cell at once."""
-    vs = {pair: np.einsum("tmeji,j->tmei", k, psi) for pair, k in tables["blocks"].items()}
+def _pure_ket(rho_bytes: bytes) -> np.ndarray:
+    w, v = eig_hermitian(np.frombuffer(rho_bytes, dtype=complex).reshape(2, 2))
+    return v[:, 0]
+
+
+@functools.lru_cache(maxsize=1)
+def _qfbc_ket(grid: GridSpec, rho_bytes: bytes) -> tuple:
+    """Per ket of the pure rho with these bytes: v = conj(K) psi for every axis
+    pair, and their real Pauli 4-vectors n = <v|(I, X, Y, Z)|v> / 2, (4, pair,
+    t, m, e) with pairs in blocks order, so F^2 = <v|rho|v> = _pauli(rho) . n
+    scores a cell at once."""
+    psi = _pure_ket(rho_bytes)
+    vs = {pair: np.einsum("tmeji,j->tmei", k, psi)
+          for pair, k in _qfbc_tables(grid)["blocks"].items()}
     n = np.empty((4, len(vs)) + next(iter(vs.values())).shape[:-1])
     for p, v in enumerate(vs.values()):
         up, down = np.abs(v[..., 0]) ** 2, np.abs(v[..., 1]) ** 2
@@ -190,25 +214,14 @@ def _qfbc_ket(tables: dict, psi) -> tuple:
     return vs, n
 
 
-def _qffc_ket(tables: dict, psi) -> tuple:
-    """Per ket: u[i] = M_i(p) |psi> and w[sign][e] = <psi| R_y(sign e)."""
+@functools.lru_cache(maxsize=1)
+def _qffc_ket(grid: GridSpec, rho_bytes: bytes) -> tuple:
+    """Per ket of the pure rho with these bytes: u[i] = M_i(p) |psi> and
+    w[sign][e] = <psi| R_y(sign e)."""
+    psi, tables = _pure_ket(rho_bytes), _qffc_tables(grid)
     u = tuple(np.einsum("pij,j->pi", m, psi) for m in tables["m"])
     w = {sign: np.einsum("j,eji->ei", psi.conj(), r) for sign, r in tables["r"].items()}
     return u, w
-
-
-def _ket_tables(tables: dict, rho, build):
-    """build(tables, ket of the pure rho), kept for the last (grid, rho) of each
-    fast path, so a hit also skips the eigensolve that finds the ket."""
-    kind, key = tables["key"][0], (tables["key"], rho.tobytes())
-    if kind not in _KET_MEMO or _KET_MEMO[kind][0] != key:
-        _KET_MEMO[kind] = (key, build(tables, _pure_ket(rho)))
-    return _KET_MEMO[kind][1]
-
-
-def _pure_ket(rho: np.ndarray) -> np.ndarray:
-    w, v = eig_hermitian(rho)
-    return v[:, 0]
 
 
 def _pauli(rho) -> np.ndarray:
@@ -224,9 +237,8 @@ def _qfbc_scores(v, rho_e) -> np.ndarray:
 
 
 def _optimize_qfbc_pure(rho_in, rho_e, grid: GridSpec):
-    tables = _qfbc_tables(grid)
-    vs, n = _ket_tables(tables, rho_in, _qfbc_ket)
-    se = tables["signed_etas"]
+    vs, n = _qfbc_ket(grid, rho_in.tobytes())
+    se = _qfbc_tables(grid)["signed_etas"]
     approx = np.tensordot(_pauli(rho_e), n, axes=1).max(axis=3).sum(axis=2)  # (pair, t)
     shortlist = approx >= approx.max() - SCREEN_ATOL
     pairs = list(vs)
@@ -283,7 +295,7 @@ def _qffc_scores(u_i, w_sign, ops) -> np.ndarray:
 
 def _optimize_qffc_pure(rho_in, noise: KrausChannel, grid: GridSpec):
     tables = _qffc_tables(grid)
-    u, w = _ket_tables(tables, rho_in, _qffc_ket)
+    u, w = _qffc_ket(grid, rho_in.tobytes())
     strengths, eta = tables["strengths"], tables["eta"]
     t_ops = [[f @ a @ f for a in noise.ops] for f in tables["flips"]]
     approx = _qffc_screen(u, w, t_ops)
@@ -368,52 +380,18 @@ def _search_space(kind: str, noise: KrausChannel | None, grid: GridSpec, flat=No
 _CUTOFF_BAND = (1e-16, 1e-14)
 
 
-def _diag(a, b) -> np.ndarray:
-    """The stack of diag(a_j, b_j)."""
-    out = np.zeros((len(a), 2, 2), dtype=complex)
-    out[:, 0, 0], out[:, 1, 1] = a, b
-    return out
-
-
-def _loop_tables(grid: GridSpec) -> dict:
-    """Per grid: the noise-free factors of the feed-forward and wmqmr stacks.
-
-    m: M_i(p) per strength in theta order, (p, i, 2, 2); m_asc the same with
-    strengths ascending; wm and qmr: diag(1, sqrt(1-p)) and diag(sqrt(1-p), 1)
-    with p ascending; post: the matched N_1 and W_1 of composite per ascending
-    p; rot: R_y(s_i eta) per (eta, sign combination, branch i).
-    """
-    key = ("loop", grid.theta, grid.eta)
-    if key not in _TABLE_CACHE:
-        ff = _qffc_tables(grid)
-        asc = np.argsort(ff["strengths"], kind="stable")
-        ps = np.asarray(ff["strengths"])[asc]
-        m = np.stack(ff["m"], axis=1)
-        one, matched = np.ones_like(ps), np.maximum(0.0, (2 * ps - 1) / ps)
-        _TABLE_CACHE[key] = {
-            "flips": np.stack(ff["flips"]), "m": m, "m_asc": m[asc],
-            "wm": _diag(one, np.sqrt(1 - ps)), "qmr": _diag(np.sqrt(1 - ps), one),
-            "post": np.stack([_diag(np.sqrt(1 - matched), one),
-                              _diag(one, np.sqrt(1 - matched))], axis=1),
-            "rot": np.stack([np.stack([ff["r"][s] for s in signs], axis=1)
-                             for signs in _SIGN_COMBOS], axis=1)}
-    return _TABLE_CACHE[key]
-
-
+@functools.cache
 def _tied_qfbc_ops(grid: GridSpec) -> np.ndarray:
     """Per grid: R(+-eta) M_m(theta), (rot axis, meas axis, theta, eta, binding,
     outcome m, 2, 2); binding +1 rotates outcome '+' by +eta and '-' by -eta."""
-    key = ("qfbc_tied", grid.theta, grid.eta, grid.axes)
-    if key not in _TABLE_CACHE:
-        blocks = _qfbc_tables(grid)["blocks"]  # conj(R(e) M_m(theta)), (theta, m, e)
-        n = len(grid.eta)
-        # positions of +eta and -eta among _signed_etas: 0, +d, -d, +2d, ...
-        plus, minus = np.r_[0, 1:2 * n - 1:2], np.r_[0, 2:2 * n - 1:2]
-        signed = np.stack([np.stack([plus, minus], -1), np.stack([minus, plus], -1)], 1)
-        _TABLE_CACHE[key] = np.stack([
-            np.stack([blocks[(ma, ra)][:, np.arange(2), signed].conj() for ma in grid.axes])
-            for ra in grid.axes])
-    return _TABLE_CACHE[key]
+    blocks = _qfbc_tables(grid)["blocks"]  # conj(R(e) M_m(theta)), (theta, m, e)
+    n = len(grid.eta)
+    # positions of +eta and -eta among _signed_etas: 0, +d, -d, +2d, ...
+    plus, minus = np.r_[0, 1:2 * n - 1:2], np.r_[0, 2:2 * n - 1:2]
+    signed = np.stack([np.stack([plus, minus], -1), np.stack([minus, plus], -1)], 1)
+    return np.stack([
+        np.stack([blocks[(ma, ra)][:, np.arange(2), signed].conj() for ma in grid.axes])
+        for ra in grid.axes])
 
 
 def _kraus_stack(kind: str, noise: KrausChannel, grid: GridSpec) -> np.ndarray:
@@ -436,13 +414,13 @@ def _kraus_stack(kind: str, noise: KrausChannel, grid: GridSpec) -> np.ndarray:
     if kind == "qfbc":
         ops = np.einsum("...xy,kyz->...kxz", _tied_qfbc_ops(grid), a, optimize=True)
         return ops.reshape(-1, 2 * k, 2, 2)
-    t = _loop_tables(grid)
+    t = _qffc_tables(grid)
     if kind == "wmqmr":
         return np.einsum("jxy,kyz,izw->ijkxw", t["qmr"], a, t["wm"]).reshape(-1, k, 2, 2)
     fl = t["flips"]
     fa = np.einsum("ixy,kyz,izw->ikxw", fl, a, fl)       # F_i A_k F_i
     if kind == "qffc_rot":
-        front = np.einsum("ikxy,piyz->pikxz", fa, t["m"])
+        front = np.einsum("ikxy,piyz->pikxz", fa, t["m_stack"])
         return np.einsum("ecixy,pikyz->pecikxz", t["rot"], front).reshape(-1, 2 * k, 2, 2)
     front = np.einsum("ikxy,piyz->pikxz", fa, t["m_asc"])
     if kind == "wmppf":
@@ -538,13 +516,12 @@ def optimize_scheme(scheme_kind: str, rho_in, noise: KrausChannel | None,
     run_scheme, tie-break included (see _optimize_screened).
     """
     kind = scheme_kind.lower()
-    rho_in = check_density(rho_in)
     _search_space(kind, noise, grid)  # validates kind and noise
     if kind == "qfbc":
         return optimize_qfbc(rho_in, noise, grid)
     if kind == "qffc_rot":
         return optimize_qffc_rot(rho_in, noise, grid)
-    return _optimize_screened(rho_in, kind, noise, grid)
+    return _optimize_screened(check_density(rho_in), kind, noise, grid)
 
 
 def f_diff(rho_in, noise: KrausChannel, grid: GridSpec) -> float:
@@ -600,56 +577,49 @@ def resolve_workers(workers: int | None, n_tasks: int) -> int:
     return min(workers, max(1, n_tasks))
 
 
-def _fig6_alpha_row(args) -> list[tuple]:
-    phi, noise_kind, alpha, grid = args
+def _fig6_cell(rho, noise: KrausChannel, grid: GridSpec) -> tuple:
+    fb = optimize_qfbc(rho, noise, grid)
+    ff = optimize_qffc_rot(rho, noise, grid)
+    return (fb.f_opt, ff.f_opt, fb.f_opt - ff.f_opt, fb.params["theta"], fb.params["etas"][0],
+            fb.params["meas_axis"], fb.params["rot_axis"], ff.params["p"])
+
+
+def _sweep_cell(scheme_kind: str, rho, noise: KrausChannel, grid: GridSpec) -> tuple:
+    opt = optimize_scheme(scheme_kind, rho, noise, grid)
+    packed = ";".join(f"{k}={_fmt(v)}" for k, v in sorted(opt.params.items()))
+    return (scheme_kind, opt.f_opt, opt.success_prob, packed)
+
+
+def _alpha_row(args) -> list[tuple]:
+    """The rows of one alpha, r ascending: (alpha, phi, r, noise kind, *cell(...))."""
+    cell, phi, noise_kind, alpha, grid = args
     rho = state_from_angles(InitialState(alpha=alpha, phi=phi))
-    rows = []
-    for r in grid.rs:
-        noise = make_channel(noise_kind, r)
-        fb = optimize_qfbc(rho, noise, grid)
-        ff = optimize_qffc_rot(rho, noise, grid)
-        rows.append((alpha, phi, r, noise_kind,
-                     fb.f_opt, ff.f_opt, fb.f_opt - ff.f_opt,
-                     fb.params["theta"], fb.params["etas"][0],
-                     fb.params["meas_axis"], fb.params["rot_axis"],
-                     ff.params["p"]))
-    return rows
+    return [(alpha, phi, r, noise_kind, *cell(rho, make_channel(noise_kind, r), grid))
+            for r in grid.rs]
 
 
-def _sweep_alpha_row(args) -> list[tuple]:
-    scheme_kind, phi, noise_kind, alpha, grid = args
-    rho = state_from_angles(InitialState(alpha=alpha, phi=phi))
-    rows = []
-    for r in grid.rs:
-        noise = make_channel(noise_kind, r)
-        opt = optimize_scheme(scheme_kind, rho, noise, grid)
-        packed = ";".join(f"{k}={_fmt(v)}" for k, v in sorted(opt.params.items()))
-        rows.append((alpha, phi, r, noise_kind, scheme_kind,
-                     opt.f_opt, opt.success_prob, packed))
-    return rows
-
-
-def _run_rows(task_fn, tasks, workers: int | None) -> tuple[tuple, ...]:
+def _run_rows(cell, phi: float, noise_kind: str, grid: GridSpec,
+              workers: int | None) -> tuple[tuple, ...]:
+    tasks = [(cell, phi, noise_kind, alpha, grid) for alpha in grid.alphas]
     n = resolve_workers(workers, len(tasks))
     if n == 1:
-        chunks = [task_fn(t) for t in tasks]
+        chunks = [_alpha_row(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=n) as pool:
-            chunks = list(pool.map(task_fn, tasks))
+            chunks = list(pool.map(_alpha_row, tasks))
     return tuple(row for chunk in chunks for row in chunk)
 
 
 def sweep_fig6(phi: float, noise_kind: str, grid: GridSpec,
                workers: int | None = None) -> SweepResult:
     """Comparison table over the full (alpha, r) grid for one phi and channel."""
-    tasks = [(phi, noise_kind, alpha, grid) for alpha in grid.alphas]
     return SweepResult(columns=FIG6_COLUMNS,
-                       rows=_run_rows(_fig6_alpha_row, tasks, workers))
+                       rows=_run_rows(_fig6_cell, phi, noise_kind, grid, workers))
 
 
 def sweep_optimal(scheme_kind: str, phi: float, noise_kind: str, grid: GridSpec,
                   workers: int | None = None) -> SweepResult:
     """Per-scheme optimal-fidelity table over the full (alpha, r) grid."""
-    tasks = [(scheme_kind, phi, noise_kind, alpha, grid) for alpha in grid.alphas]
     return SweepResult(columns=SWEEP_COLUMNS,
-                       rows=_run_rows(_sweep_alpha_row, tasks, workers))
+                       rows=_run_rows(functools.partial(_sweep_cell, scheme_kind),
+                                      phi, noise_kind, grid, workers))

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,6 +168,15 @@ class TestOptimizers:
         with pytest.raises(ValueError):
             optimize_scheme("unknown", rho, noise, TINY)
 
+    def test_optimize_scheme_validates_rho_once(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(optimize, "check_density", _logging(seen, optimize.check_density))
+        for kind in ("qfbc", "qffc_rot", "wmqmr"):
+            for rho in (a_state(0.6, 0.2), bloch_to_density(MIXED_BLOCH[0])):
+                seen.clear()
+                optimize_scheme(kind, rho, ad_kraus(0.4), TINY)
+                assert len(seen) == 1, kind
+
     def test_wmqmr_optimum_at_zero_noise_is_perfect(self):
         res = optimize_scheme("wmqmr", a_state(0.5, 0.5), ad_kraus(0.0), TINY)
         assert res.f_opt == pytest.approx(1.0, abs=1e-9)
@@ -314,11 +325,15 @@ def _logging(log, fn):
     return wrapper
 
 
+_GRID_CACHES = (optimize._qfbc_tables, optimize._qffc_tables, optimize._tied_qfbc_ops)
+_KET_CACHES = (optimize._qfbc_ket, optimize._qffc_ket)
+
+
 class TestGridAndKetTables:
     """The pure fast paths keep grid tables per grid and ket products for the
     last ket; neither may leak into a result computed for other inputs."""
 
-    def test_memo_results_equal_fresh_results(self, monkeypatch):
+    def test_memo_results_equal_fresh_results(self):
         kets = (a_state(0.8, 0.6), a_state(0.3, 2.1))
         # runs of one (ket, grid) with the channel changing, then another ket,
         # grid or both, so the ket memo both hits and misses
@@ -329,24 +344,37 @@ class TestGridAndKetTables:
         misses = sum(i == 0 or cells[i][:2] != cells[i - 1][:2] for i in range(len(cells)))
         calls = [(fn, kets[k], make_channel(kind, r), grid)
                  for k, grid, kind, r in cells for fn in (optimize_qfbc, optimize_qffc_rot)]
-        builds = []
-        for name in ("_qfbc_ket", "_qffc_ket"):
-            monkeypatch.setattr(optimize, name, _logging(builds, getattr(optimize, name)))
-        optimize._KET_MEMO.clear()
+        for cache in _KET_CACHES:
+            cache.cache_clear()
         memoized = [fn(rho, noise, grid) for fn, rho, noise, grid in calls]
-        assert len(builds) == 2 * misses and misses < len(cells)
+        builds = sum(cache.cache_info().misses for cache in _KET_CACHES)
+        assert builds == 2 * misses and misses < len(cells)
         for (fn, rho, noise, grid), got in zip(calls, memoized):
-            optimize._TABLE_CACHE.clear()
-            optimize._KET_MEMO.clear()
+            for cache in _GRID_CACHES + _KET_CACHES:
+                cache.cache_clear()
             assert fn(rho, noise, grid) == got
 
     def test_warm_row_finds_each_ket_once(self, monkeypatch):
         # the row's state is fixed, so each fast path diagonalizes it once
-        optimize._fig6_alpha_row((np.pi / 4, "ad", 0.5, TINY))
+        optimize._alpha_row((optimize._fig6_cell, np.pi / 4, "ad", 0.5, TINY))
         found = []
         monkeypatch.setattr(optimize, "_pure_ket", _logging(found, optimize._pure_ket))
-        optimize._fig6_alpha_row((np.pi / 4, "ad", 0.9, TINY))
+        optimize._alpha_row((optimize._fig6_cell, np.pi / 4, "ad", 0.9, TINY))
         assert len(found) == 2
+
+    def test_pickled_grid_and_equal_rho_hit_the_caches(self):
+        # pool workers receive each task's GridSpec pickled and build their
+        # row's rho afresh; both must find what the last cell cached
+        grid = pickle.loads(pickle.dumps(SMALL))
+        assert grid is not SMALL
+        for cache in _GRID_CACHES:
+            assert cache(grid) is cache(SMALL)
+        optimize_qfbc(a_state(0.4, 1.3), ad_kraus(0.2), SMALL)
+        optimize_qffc_rot(a_state(0.4, 1.3), ad_kraus(0.2), SMALL)
+        misses = [cache.cache_info().misses for cache in _KET_CACHES]
+        optimize_qfbc(a_state(0.4, 1.3), pd_kraus(0.7), grid)
+        optimize_qffc_rot(a_state(0.4, 1.3), pd_kraus(0.7), grid)
+        assert [cache.cache_info().misses for cache in _KET_CACHES] == misses
 
     def test_warm_calls_build_no_rotations(self, monkeypatch):
         made = []
@@ -455,9 +483,8 @@ def _unscreened(rho, noise, grid):
     whose round-off the fast paths' tie-breaks follow: every theta slice is
     scored, and the smallest (-F^2, t, ...) key wins."""
     rho_e = apply_channel(rho, noise)
-    tables = optimize._qfbc_tables(grid)
-    vs, _ = optimize._ket_tables(tables, rho, optimize._qfbc_ket)
-    se, keys = tables["signed_etas"], []
+    vs, _ = optimize._qfbc_ket(grid, rho.tobytes())
+    se, keys = optimize._qfbc_tables(grid)["signed_etas"], []
     for (ma, ra), v in vs.items():
         f = np.real(np.einsum("tmei,ij,tmej->tme", v.conj(), rho_e, v))
         e = np.argmax(f, axis=2)
@@ -470,7 +497,7 @@ def _unscreened(rho, noise, grid):
         params={"theta": grid.theta[t], "etas": (float(se[e0]), float(se[e1])),
                 "meas_axis": grid.axes[ma], "rot_axis": grid.axes[ra]})
     tables = optimize._qffc_tables(grid)
-    u, w = optimize._ket_tables(tables, rho, optimize._qffc_ket)
+    u, w = optimize._qffc_ket(grid, rho.tobytes())
     branch = {}
     for i, flip in enumerate(tables["flips"]):
         for sign in (+1, -1):
@@ -523,8 +550,8 @@ def _pure_tables(rho, noise, grid):
     """The ket tables of both fast paths and the feed-forward F_i A_k F_i."""
     ff = optimize._qffc_tables(grid)
     t_ops = [[f @ a @ f for a in noise.ops] for f in ff["flips"]]
-    return (optimize._ket_tables(optimize._qfbc_tables(grid), rho, optimize._qfbc_ket),
-            optimize._ket_tables(ff, rho, optimize._qffc_ket), t_ops)
+    return (optimize._qfbc_ket(grid, rho.tobytes()), optimize._qffc_ket(grid, rho.tobytes()),
+            t_ops)
 
 
 class TestPureScreenProperties:
