@@ -8,22 +8,22 @@ cells are independent pure computations and may be evaluated in parallel
 (DECO_GUARD_THREADS limits the worker count), with rows always assembled in
 alpha-major, r-minor order.
 
-For pure inputs the qfbc and qffc_rot outputs are evaluated in closed
-vectorized form and agree with the scheme pipelines run point by point
-(cross-checked in the test suite); the qfbc search optimizes the two outcome
-rotation angles independently. These fast paths take the first maximum of
-the rounded scores of fixed einsums, so round-off, not candidate order,
-settles exact ties. They screen, then verify: a cheap score in any summation
-order (for qfbc the real Pauli vectors of the ket products against the one
-of the noisy state, the affine Bloch map) rates every candidate, and the
-einsums run only on the theta slices whose best screen score is within
-SCREEN_ATOL of the maximum. An einsum over a theta slice gives the bits of
-the same rows of the full einsum, and the tie key starts with (-F^2, theta
-index), so the winner, tie-break included, is the unscreened one.
-Their operator tables are functools caches of the GridSpec, and their ket
-products an lru_cache of the last (grid, rho bytes) of each path, so a fig6
-alpha row finds its ket and builds them once. Each cached array holds the bits
-a cell would compute, so every score is unchanged.
+For pure inputs one row kernel (_optimize_row) finds the qfbc and qffc_rot
+optima of a state under a row of channels: a fig6 alpha row, or one channel
+for the public optimizers. It validates the state and finds its ket once.
+Its closed vectorized scores agree with the scheme pipelines run point by
+point (cross-checked in the test suite); the qfbc search optimizes the two
+outcome rotation angles independently. It screens, then verifies. Each
+candidate's F^2 is a sinusoid A + B cos(eta) + C sin(eta) of its rotation
+angle (the affine Bloch map): the ket products' Pauli vectors at eta = 0 and
++-pi/2 give its coefficients, one product with the row's noisy states scores
+every cell, and the maximum over the eta grid has a closed form. Only the
+theta slices (p rows) within SCREEN_ATOL of a cell's best go through fixed
+einsums, whose first maximum of the rounded scores settles exact ties. An
+einsum over a slice gives the bits of the same rows of the full einsum and
+the tie key starts with (-F^2, theta index), so the winner, tie-break
+included, is the unscreened one. Grid tables are functools caches of the
+GridSpec, ket products lru_caches of the last ket.
 Every other search (mixed-input qfbc, with tied +/- eta, and qffc_rot; wmppf,
 wmqmr, qffc_ps, composite) screens, then verifies. One batched kernel scores
 every candidate from its stack of accepted Kraus operators and the
@@ -192,42 +192,68 @@ def _qffc_tables(grid: GridSpec) -> dict:
                          for signs in _SIGN_COMBOS], axis=1)}
 
 
+@functools.lru_cache(maxsize=1)
 def _pure_ket(rho_bytes: bytes) -> np.ndarray:
     w, v = eig_hermitian(np.frombuffer(rho_bytes, dtype=complex).reshape(2, 2))
     return v[:, 0]
 
 
+def _pauli(rho) -> np.ndarray:
+    """r with rho = (r_0 I + r_1 X + r_2 Y + r_3 Z) / 2, (..., 4) for a stack (..., 2, 2)."""
+    d0, d1, off = rho[..., 0, 0], rho[..., 1, 1], rho[..., 0, 1]
+    return np.stack([np.real(d0 + d1), 2 * off.real, -2 * off.imag, np.real(d0 - d1)], axis=-1)
+
+
+def _ket_sinusoid(kets, h: float) -> np.ndarray:
+    """(a, b, c), (3, ..., 4), with n(eta) = a + b cos(eta) + c sin(eta) for the
+    real Pauli 4-vectors n = <v|(I, X, Y, Z)|v> / 2 of kets rotated by eta,
+    from a stack (..., 3, 2) of the kets at eta = 0, +h and -h."""
+    n = _pauli(kets[..., :, None] * kets[..., None, :].conj()) / 2
+    n0, n_plus, n_minus = np.moveaxis(n, -2, 0)
+    b = (n0 - (n_plus + n_minus) / 2) / (1 - np.cos(h))
+    return np.stack([n0 - b, b, (n_plus - n_minus) / (2 * np.sin(h))])
+
+
+def _eta_max(coef, eta) -> np.ndarray:
+    """max over the sorted grid eta of a + b cos(eta) + c sin(eta), (a, b, c) =
+    coef. On an interval at most pi long the sinusoid rises to its peak
+    atan2(c, b) and falls after it, or is largest at an end; so its grid
+    maximum is at a grid neighbour of the peak or an end, for any spacing."""
+    a, b, c = coef
+    k = np.searchsorted(eta, np.arctan2(c, b))
+    cos, sin = np.cos(eta), np.sin(eta)
+    return functools.reduce(np.maximum, (a + b * cos[at] + c * sin[at] for at in (
+        np.maximum(k - 1, 0), np.minimum(k, len(eta) - 1), 0, len(eta) - 1)))
+
+
 @functools.lru_cache(maxsize=1)
 def _qfbc_ket(grid: GridSpec, rho_bytes: bytes) -> tuple:
     """Per ket of the pure rho with these bytes: v = conj(K) psi for every axis
-    pair, and their real Pauli 4-vectors n = <v|(I, X, Y, Z)|v> / 2, (4, pair,
-    t, m, e) with pairs in blocks order, so F^2 = <v|rho|v> = _pauli(rho) . n
-    scores a cell at once."""
+    pair, and the sinusoids (3, pair, t, m, 4) of their Pauli 4-vectors n in
+    the signed eta, pairs in blocks order: F^2 = <v|rho|v> = _pauli(rho) . n."""
     psi = _pure_ket(rho_bytes)
     vs = {pair: np.einsum("tmeji,j->tmei", k, psi)
           for pair, k in _qfbc_tables(grid)["blocks"].items()}
-    n = np.empty((4, len(vs)) + next(iter(vs.values())).shape[:-1])
-    for p, v in enumerate(vs.values()):
-        up, down = np.abs(v[..., 0]) ** 2, np.abs(v[..., 1]) ** 2
-        cross = v[..., 0].conj() * v[..., 1]
-        n[:, p] = (up + down) / 2, cross.real, cross.imag, (up - down) / 2
-    return vs, n
+    kets = np.stack([v[:, :, [0, -2, -1]] for v in vs.values()])  # signed etas 0, +-eta[-1]
+    return vs, _ket_sinusoid(kets, grid.eta[-1])
 
 
 @functools.lru_cache(maxsize=1)
 def _qffc_ket(grid: GridSpec, rho_bytes: bytes) -> tuple:
-    """Per ket of the pure rho with these bytes: u[i] = M_i(p) |psi> and
-    w[sign][e] = <psi| R_y(sign e)."""
+    """Per ket of the pure rho with these bytes: u[i] = M_i(p) |psi>,
+    w[sign][e] = <psi| R_y(sign e), and the sinusoid coefficients (3, 4) of the
+    Pauli 4-vector of R_y(sign e)^dagger |psi> in sign e."""
     psi, tables = _pure_ket(rho_bytes), _qffc_tables(grid)
     u = tuple(np.einsum("pij,j->pi", m, psi) for m in tables["m"])
     w = {sign: np.einsum("j,eji->ei", psi.conj(), r) for sign, r in tables["r"].items()}
-    return u, w
+    kets = np.stack([w[+1][0], w[+1][-1], w[-1][-1]]).conj()
+    return u, w, _ket_sinusoid(kets, grid.eta[-1])
 
 
-def _pauli(rho) -> np.ndarray:
-    """r with rho = (r_0 I + r_1 X + r_2 Y + r_3 Z) / 2."""
-    return np.array([np.real(rho[0, 0] + rho[1, 1]), 2 * rho[0, 1].real,
-                     -2 * rho[0, 1].imag, np.real(rho[0, 0] - rho[1, 1])])
+def _qfbc_row_screen(coef, rho_es, signed_etas) -> np.ndarray:
+    """max over signed eta of every (axis pair, t, m) F^2 per noisy state, (state, pair, t, m)."""
+    return _eta_max(np.einsum("xptmk,ck->xcptm", coef, _pauli(np.stack(rho_es))),
+                    np.sort(signed_etas))
 
 
 def _qfbc_scores(v, rho_e) -> np.ndarray:
@@ -236,31 +262,93 @@ def _qfbc_scores(v, rho_e) -> np.ndarray:
     return np.real(np.einsum("tmei,ij,tmej->tme", v.conj(), rho_e, v))
 
 
-def _optimize_qfbc_pure(rho_in, rho_e, grid: GridSpec):
-    vs, n = _qfbc_ket(grid, rho_in.tobytes())
+def _qfbc_row(rho_in, noises, grid: GridSpec) -> list[OptResult]:
+    vs, coef = _qfbc_ket(grid, rho_in.tobytes())
     se = _qfbc_tables(grid)["signed_etas"]
-    approx = np.tensordot(_pauli(rho_e), n, axes=1).max(axis=3).sum(axis=2)  # (pair, t)
-    shortlist = approx >= approx.max() - SCREEN_ATOL
-    pairs = list(vs)
-    best_key = None
-    best = None
-    for p in np.flatnonzero(shortlist.any(axis=1)):
-        (ma, ra), ts = pairs[p], np.flatnonzero(shortlist[p])
-        f = _qfbc_scores(vs[(ma, ra)][ts], rho_e)
-        e_best = np.argmax(f, axis=2)                        # (t, m)
-        vals = np.take_along_axis(f, e_best[:, :, None], axis=2)[:, :, 0]
-        tot = vals.sum(axis=1)                               # (t,)
-        j = int(np.argmax(tot))
-        key = (-tot[j], int(ts[j]), int(e_best[j, 0]), int(e_best[j, 1]),
-               grid.axes.index(ma), grid.axes.index(ra))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (tot[j], grid.theta[ts[j]],
-                    (float(se[e_best[j, 0]]), float(se[e_best[j, 1]])), ma, ra)
-    f2, theta, etas, ma, ra = best
-    f_opt = float(np.sqrt(np.clip(f2, 0.0, 1.0)))
-    params = {"theta": float(theta), "etas": etas, "meas_axis": ma, "rot_axis": ra}
-    return OptResult(f_opt=f_opt, params=params, success_prob=1.0)
+    rho_es = [apply_channel(rho_in, noise) for noise in noises]
+    pairs, results = list(vs), []
+    for rho_e, approx in zip(rho_es, _qfbc_row_screen(coef, rho_es, se).sum(axis=3)):
+        shortlist = approx >= approx.max() - SCREEN_ATOL   # (pair, t)
+        best_key = best = None
+        for p in np.flatnonzero(shortlist.any(axis=1)):
+            (ma, ra), ts = pairs[p], np.flatnonzero(shortlist[p])
+            f = _qfbc_scores(vs[(ma, ra)][ts], rho_e)
+            e_best = np.argmax(f, axis=2)                        # (t, m)
+            vals = np.take_along_axis(f, e_best[:, :, None], axis=2)[:, :, 0]
+            tot = vals.sum(axis=1)                               # (t,)
+            j = int(np.argmax(tot))
+            key = (-tot[j], int(ts[j]), int(e_best[j, 0]), int(e_best[j, 1]),
+                   grid.axes.index(ma), grid.axes.index(ra))
+            if best_key is None or key < best_key:
+                best_key = key
+                best = (tot[j], grid.theta[ts[j]],
+                        (float(se[e_best[j, 0]]), float(se[e_best[j, 1]])), ma, ra)
+        f2, theta, etas, ma, ra = best
+        params = {"theta": float(theta), "etas": etas, "meas_axis": ma, "rot_axis": ra}
+        results.append(OptResult(f_opt=float(np.sqrt(np.clip(f2, 0.0, 1.0))),
+                                 params=params, success_prob=1.0))
+    return results
+
+
+def _qffc_row_screen(u, coef, noises, grid: GridSpec) -> np.ndarray:
+    """max over eta of the F^2 of every (sign combination, p) for each channel,
+    (channel, combination, p): branch i's state sigma_i = sum_k T_k u_i u_i^dagger
+    T_k^dagger, T_k = F_i A_k F_i, scores A_i + B_i cos e + s_i C_i sin e."""
+    ops = np.stack([np.stack(noise.ops) for noise in noises])  # a row's channels are of one kind
+    fl = _qffc_tables(grid)["flips"]
+    tu = fl[:, None] @ ops[:, None] @ fl[:, None] @ np.stack(u).swapaxes(1, 2)[:, None]
+    a, b, c = np.einsum("xn,cipn->xcip", coef,
+                        _pauli(np.einsum("cikxp,cikyp->cipxy", tu, tu.conj())))
+    c = np.einsum("ki,cip->ckp", np.array(_SIGN_COMBOS), c)
+    return _eta_max((a.sum(axis=1)[:, None], b.sum(axis=1)[:, None], c), np.sort(grid.eta))
+
+
+def _qffc_scores(u_i, w_sign, ops) -> np.ndarray:
+    """The branch fidelity sum_k |<psi| R_y(sign e) F_i A_k F_i M_i(p) |psi>|^2
+    for one (i, sign) over the rows of u_i, (p, e): the einsums whose round-off
+    settles the qffc_rot tie-breaks."""
+    acc = np.zeros((len(u_i), len(w_sign)))
+    for a in ops:
+        acc += np.abs(np.einsum("ei,ij,pj->pe", w_sign, a, u_i)) ** 2
+    return acc
+
+
+def _qffc_row(rho_in, noises, grid: GridSpec) -> list[OptResult]:
+    tables = _qffc_tables(grid)
+    u, w, coef = _qffc_ket(grid, rho_in.tobytes())
+    strengths, eta = tables["strengths"], tables["eta"]
+    results = []
+    for noise, approx in zip(noises, _qffc_row_screen(u, coef, noises, grid).max(axis=1)):
+        t_ops = [[f @ a @ f for a in noise.ops] for f in tables["flips"]]
+        ts = np.flatnonzero(approx >= approx.max() - SCREEN_ATOL)
+        branch_f2 = {(i, sign): _qffc_scores(u[i][ts], w[sign], t_ops[i])
+                     for i in (0, 1) for sign in (+1, -1)}
+        best_key = best = None
+        for c_i, (s1, s2) in enumerate(_SIGN_COMBOS):
+            tot = branch_f2[(0, s1)] + branch_f2[(1, s2)]
+            j, e_best = divmod(int(np.argmax(tot)), tot.shape[1])
+            key = (-tot[j, e_best], int(ts[j]), e_best, c_i)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = (tot[j, e_best], int(ts[j]), e_best, (s1, s2))
+        f2, t_best, e_best, signs = best
+        params = {"p": strengths[t_best], "theta_pre": grid.theta[t_best],
+                  "eta": float(eta[e_best]), "signs": signs}
+        results.append(OptResult(f_opt=float(np.sqrt(np.clip(f2, 0.0, 1.0))),
+                                 params=params, success_prob=1.0))
+    return results
+
+
+def _optimize_row(rho_in, noises, grid: GridSpec,
+                  kinds=("qfbc", "qffc_rot")) -> list[list[OptResult]]:
+    """The optima of each kind for one state under each channel, per kind in
+    channel order; a mixed state searches cell by cell (_optimize_screened)."""
+    rho_in = check_density(rho_in)
+    if purity(rho_in) < PURITY_PURE_THRESHOLD:
+        return [[_optimize_screened(rho_in, kind, noise, grid) for noise in noises]
+                for kind in kinds]
+    rows = {"qfbc": _qfbc_row, "qffc_rot": _qffc_row}
+    return [rows[kind](rho_in, noises, grid) for kind in kinds]
 
 
 def optimize_qfbc(rho_in, noise: KrausChannel, grid: GridSpec) -> OptResult:
@@ -270,61 +358,12 @@ def optimize_qfbc(rho_in, noise: KrausChannel, grid: GridSpec) -> OptResult:
     and the two outcome rotation angles optimized independently over the
     signed eta grid. Mixed inputs fall back to the tied +/- eta form.
     """
-    rho_in = check_density(rho_in)
-    if purity(rho_in) >= 1 - 1e-10:
-        return _optimize_qfbc_pure(rho_in, apply_channel(rho_in, noise), grid)
-    return _optimize_screened(rho_in, "qfbc", noise, grid)
-
-
-def _qffc_screen(u, w, t_ops) -> np.ndarray:
-    """The branch fidelities of every (branch i, sign, p, e), summed in any
-    order: sum_k |<psi| R_y(sign e) F_i A_k F_i M_i(p) |psi>|^2."""
-    ws = np.stack([w[+1], w[-1]])
-    return np.stack([sum(np.abs(ws @ a @ u[i].T) ** 2 for a in t_ops[i])
-                     for i in (0, 1)]).swapaxes(2, 3)
-
-
-def _qffc_scores(u_i, w_sign, ops) -> np.ndarray:
-    """The same branch fidelity for one (i, sign) over the rows of u_i, (p, e):
-    the einsums whose round-off settles the qffc_rot tie-breaks."""
-    acc = np.zeros((len(u_i), len(w_sign)))
-    for a in ops:
-        acc += np.abs(np.einsum("ei,ij,pj->pe", w_sign, a, u_i)) ** 2
-    return acc
-
-
-def _optimize_qffc_pure(rho_in, noise: KrausChannel, grid: GridSpec):
-    tables = _qffc_tables(grid)
-    u, w = _qffc_ket(grid, rho_in.tobytes())
-    strengths, eta = tables["strengths"], tables["eta"]
-    t_ops = [[f @ a @ f for a in noise.ops] for f in tables["flips"]]
-    approx = _qffc_screen(u, w, t_ops)
-    row = (approx[0][:, None] + approx[1][None]).max(axis=(0, 1, 3))  # (p,)
-    ts = np.flatnonzero(row >= row.max() - SCREEN_ATOL)
-    branch_f2 = {(i, sign): _qffc_scores(u[i][ts], w[sign], t_ops[i])
-                 for i in (0, 1) for sign in (+1, -1)}
-    best_key = None
-    best = None
-    for c_i, (s1, s2) in enumerate(_SIGN_COMBOS):
-        tot = branch_f2[(0, s1)] + branch_f2[(1, s2)]
-        j, e_best = divmod(int(np.argmax(tot)), tot.shape[1])
-        key = (-tot[j, e_best], int(ts[j]), e_best, c_i)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (tot[j, e_best], int(ts[j]), e_best, (s1, s2))
-    f2, t_best, e_best, signs = best
-    params = {"p": strengths[t_best], "theta_pre": grid.theta[t_best],
-              "eta": float(eta[e_best]), "signs": signs}
-    return OptResult(f_opt=float(np.sqrt(np.clip(f2, 0.0, 1.0))),
-                     params=params, success_prob=1.0)
+    return _optimize_row(rho_in, (noise,), grid, ("qfbc",))[0][0]
 
 
 def optimize_qffc_rot(rho_in, noise: KrausChannel, grid: GridSpec) -> OptResult:
     """Best deterministic feed-forward fidelity over p, eta and branch signs."""
-    rho_in = check_density(rho_in)
-    if purity(rho_in) >= 1 - 1e-10:
-        return _optimize_qffc_pure(rho_in, noise, grid)
-    return _optimize_screened(rho_in, "qffc_rot", noise, grid)
+    return _optimize_row(rho_in, (noise,), grid, ("qffc_rot",))[0][0]
 
 
 OPTIMIZABLE_KINDS = ("qfbc", "qffc_rot", "wmppf", "wmqmr", "qffc_ps", "composite")
@@ -526,8 +565,8 @@ def optimize_scheme(scheme_kind: str, rho_in, noise: KrausChannel | None,
 
 def f_diff(rho_in, noise: KrausChannel, grid: GridSpec) -> float:
     """Optimal feedback fidelity minus optimal feed-forward fidelity."""
-    return (optimize_qfbc(rho_in, noise, grid).f_opt
-            - optimize_qffc_rot(rho_in, noise, grid).f_opt)
+    (fb,), (ff,) = _optimize_row(rho_in, (noise,), grid)
+    return fb.f_opt - ff.f_opt
 
 
 # ---------------------------------------------------------------------------
@@ -577,49 +616,48 @@ def resolve_workers(workers: int | None, n_tasks: int) -> int:
     return min(workers, max(1, n_tasks))
 
 
-def _fig6_cell(rho, noise: KrausChannel, grid: GridSpec) -> tuple:
-    fb = optimize_qfbc(rho, noise, grid)
-    ff = optimize_qffc_rot(rho, noise, grid)
-    return (fb.f_opt, ff.f_opt, fb.f_opt - ff.f_opt, fb.params["theta"], fb.params["etas"][0],
-            fb.params["meas_axis"], fb.params["rot_axis"], ff.params["p"])
+def _fig6_row(rho, noises, grid: GridSpec) -> list[tuple]:
+    return [(fb.f_opt, ff.f_opt, fb.f_opt - ff.f_opt, fb.params["theta"], fb.params["etas"][0],
+             fb.params["meas_axis"], fb.params["rot_axis"], ff.params["p"])
+            for fb, ff in zip(*_optimize_row(rho, noises, grid))]
 
 
-def _sweep_cell(scheme_kind: str, rho, noise: KrausChannel, grid: GridSpec) -> tuple:
-    opt = optimize_scheme(scheme_kind, rho, noise, grid)
-    packed = ";".join(f"{k}={_fmt(v)}" for k, v in sorted(opt.params.items()))
-    return (scheme_kind, opt.f_opt, opt.success_prob, packed)
+def _sweep_row(scheme_kind: str, rho, noises, grid: GridSpec) -> list[tuple]:
+    opts = [optimize_scheme(scheme_kind, rho, noise, grid) for noise in noises]
+    return [(scheme_kind, opt.f_opt, opt.success_prob,
+             ";".join(f"{k}={_fmt(v)}" for k, v in sorted(opt.params.items()))) for opt in opts]
 
 
 def _alpha_row(args) -> list[tuple]:
-    """The rows of one alpha, r ascending: (alpha, phi, r, noise kind, *cell(...))."""
-    cell, phi, noise_kind, alpha, grid = args
+    """The rows of one alpha, r ascending: (alpha, phi, r, noise kind, *row(...)[i])."""
+    row, phi, noise_kind, alpha, grid = args
     rho = state_from_angles(InitialState(alpha=alpha, phi=phi))
-    return [(alpha, phi, r, noise_kind, *cell(rho, make_channel(noise_kind, r), grid))
-            for r in grid.rs]
+    cells = row(rho, [make_channel(noise_kind, r) for r in grid.rs], grid)
+    return [(alpha, phi, r, noise_kind, *cell) for r, cell in zip(grid.rs, cells)]
 
 
-def _run_rows(cell, phi: float, noise_kind: str, grid: GridSpec,
+def _run_rows(row, phi: float, noise_kind: str, grid: GridSpec,
               workers: int | None) -> tuple[tuple, ...]:
-    tasks = [(cell, phi, noise_kind, alpha, grid) for alpha in grid.alphas]
+    tasks = [(row, phi, noise_kind, alpha, grid) for alpha in grid.alphas]
     n = resolve_workers(workers, len(tasks))
     if n == 1:
         chunks = [_alpha_row(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=n) as pool:
             chunks = list(pool.map(_alpha_row, tasks))
-    return tuple(row for chunk in chunks for row in chunk)
+    return tuple(line for chunk in chunks for line in chunk)
 
 
 def sweep_fig6(phi: float, noise_kind: str, grid: GridSpec,
                workers: int | None = None) -> SweepResult:
     """Comparison table over the full (alpha, r) grid for one phi and channel."""
     return SweepResult(columns=FIG6_COLUMNS,
-                       rows=_run_rows(_fig6_cell, phi, noise_kind, grid, workers))
+                       rows=_run_rows(_fig6_row, phi, noise_kind, grid, workers))
 
 
 def sweep_optimal(scheme_kind: str, phi: float, noise_kind: str, grid: GridSpec,
                   workers: int | None = None) -> SweepResult:
     """Per-scheme optimal-fidelity table over the full (alpha, r) grid."""
     return SweepResult(columns=SWEEP_COLUMNS,
-                       rows=_run_rows(functools.partial(_sweep_cell, scheme_kind),
+                       rows=_run_rows(functools.partial(_sweep_row, scheme_kind),
                                       phi, noise_kind, grid, workers))

@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from decoguard import optimize
 from decoguard.channels import (
+    KrausChannel,
     ad_kraus,
     apply_channel,
     identity_channel,
@@ -29,6 +31,10 @@ from test_golden import MIXED_BLOCH
 
 SMALL = GridSpec.default(angle_count=7, alpha_count=4, r_count=4)
 TINY = GridSpec.default(angle_count=4, alpha_count=2, r_count=3)
+_DEFAULT = GridSpec.default()
+# a non-uniform eta grid out of order, which GridSpec accepts
+_UNORDERED = GridSpec(theta=SMALL.theta, eta=(0.0, np.pi / 4, np.pi / 60, np.pi / 2),
+                      alphas=SMALL.alphas, rs=SMALL.rs)
 
 
 def a_state(alpha=0.8, phi=0.6):
@@ -355,12 +361,22 @@ class TestGridAndKetTables:
             assert fn(rho, noise, grid) == got
 
     def test_warm_row_finds_each_ket_once(self, monkeypatch):
-        # the row's state is fixed, so each fast path diagonalizes it once
-        optimize._alpha_row((optimize._fig6_cell, np.pi / 4, "ad", 0.5, TINY))
+        # the row's state is fixed, so the row kernel diagonalizes it once
+        # for both paths and every cell
+        optimize._alpha_row((optimize._fig6_row, np.pi / 4, "ad", 0.5, TINY))
         found = []
-        monkeypatch.setattr(optimize, "_pure_ket", _logging(found, optimize._pure_ket))
-        optimize._alpha_row((optimize._fig6_cell, np.pi / 4, "ad", 0.9, TINY))
-        assert len(found) == 2
+        monkeypatch.setattr(optimize, "eig_hermitian", _logging(found, optimize.eig_hermitian))
+        optimize._alpha_row((optimize._fig6_row, np.pi / 4, "ad", 0.9, TINY))
+        assert len(found) == 1
+
+    @pytest.mark.parametrize("grid", (SMALL, _DEFAULT), ids=("small", "default"))
+    def test_fig6_validates_each_row_state_once(self, grid, monkeypatch):
+        validated = []
+        monkeypatch.setattr(optimize, "check_density",
+                            _logging(validated, optimize.check_density))
+        sweep_fig6(np.pi / 2, "pd", dataclasses.replace(grid, alphas=grid.alphas[1:3]),
+                   workers=1)
+        assert len(validated) == 2
 
     def test_pickled_grid_and_equal_rho_hit_the_caches(self):
         # pool workers receive each task's GridSpec pickled and build their
@@ -475,7 +491,6 @@ class TestScreenKernelAccuracy:
 # (pi/3, pi/2) under ad noise, (p, eta) and the swapped pair tie on TINY
 _PURE_INPUTS = (a_state(np.pi / 2, np.pi / 2), a_state(0.0, 0.0),
                 projector(np.array([1.0, 0.0])), a_state(np.pi / 3, np.pi / 2), a_state())
-_DEFAULT = GridSpec.default()
 
 
 def _unscreened(rho, noise, grid):
@@ -497,7 +512,7 @@ def _unscreened(rho, noise, grid):
         params={"theta": grid.theta[t], "etas": (float(se[e0]), float(se[e1])),
                 "meas_axis": grid.axes[ma], "rot_axis": grid.axes[ra]})
     tables = optimize._qffc_tables(grid)
-    u, w = optimize._qffc_ket(grid, rho.tobytes())
+    u, w, _ = optimize._qffc_ket(grid, rho.tobytes())
     branch = {}
     for i, flip in enumerate(tables["flips"]):
         for sign in (+1, -1):
@@ -522,56 +537,98 @@ def _pure_optima(cells, grid):
             for rho, noise in cells]
 
 
-class TestPureScreen:
-    """The pure fast paths score exactly only the theta slices their screen
-    shortlists; the result is the unscreened one, tie-breaks included.
-    SCREEN_ATOL = inf shortlists every slice."""
+def _row_optima(rho, noises, grid):
+    """The row kernel's (qfbc, qffc_rot) optima, one pair per channel."""
+    return list(zip(*optimize._optimize_row(rho, noises, grid)))
 
-    @pytest.mark.parametrize("grid", (TINY, SMALL), ids=("tiny", "small"))
-    def test_screened_equals_exhaustive(self, grid, monkeypatch):
-        cells = [(rho, make_channel(kind, r)) for rho in _PURE_INPUTS
-                 for kind in ("ad", "pd") for r in (0.0, 0.45, 0.75, 0.999)]
-        screened = _pure_optima(cells, grid)
-        assert screened == [_unscreened(rho, noise, grid) for rho, noise in cells]
+
+class TestPureScreen:
+    """The row kernel screens every cell of a row at once and scores exactly
+    only the theta slices (p rows) it shortlists; each cell's result is the
+    one of the row-of-1 public calls and the unscreened one, tie-breaks
+    included. SCREEN_ATOL = inf shortlists every slice."""
+
+    @staticmethod
+    def _check_rows(rows, grid, monkeypatch):
+        kernel = [_row_optima(rho, noises, grid) for rho, noises in rows]
+        assert kernel == [_pure_optima([(rho, noise) for noise in noises], grid)
+                          for rho, noises in rows]
+        assert kernel == [[_unscreened(rho, noise, grid) for noise in noises]
+                          for rho, noises in rows]
         monkeypatch.setattr(optimize, "SCREEN_ATOL", np.inf)
-        assert screened == _pure_optima(cells, grid)
+        assert kernel == [_row_optima(rho, noises, grid) for rho, noises in rows]
+
+    @pytest.mark.parametrize("grid", (TINY, SMALL, _UNORDERED), ids=("tiny", "small", "unordered"))
+    def test_screened_equals_exhaustive(self, grid, monkeypatch):
+        rows = [(rho, [make_channel(kind, r) for r in (0.0, 0.45, 0.75, 0.999)])
+                for rho in _PURE_INPUTS for kind in ("ad", "pd")]
+        self._check_rows(rows, grid, monkeypatch)
 
     @pytest.mark.parametrize("angles", ((np.pi / 2, np.pi / 2), (np.pi / 3, np.pi / 2)))
     def test_default_grid_row_equals_exhaustive(self, angles, monkeypatch):
-        rho = a_state(*angles)
-        cells = [(rho, make_channel(kind, r)) for kind in ("ad", "pd") for r in _DEFAULT.rs]
-        screened = _pure_optima(cells, _DEFAULT)
-        assert screened == [_unscreened(rho, noise, _DEFAULT) for rho, noise in cells]
-        monkeypatch.setattr(optimize, "SCREEN_ATOL", np.inf)
-        assert screened == _pure_optima(cells, _DEFAULT)
+        rows = [(a_state(*angles), [make_channel(kind, r) for r in _DEFAULT.rs])
+                for kind in ("ad", "pd")]
+        self._check_rows(rows, _DEFAULT, monkeypatch)
 
 
 def _pure_tables(rho, noise, grid):
-    """The ket tables of both fast paths and the feed-forward F_i A_k F_i."""
+    """The ket tables of both paths and the feed-forward F_i A_k F_i."""
     ff = optimize._qffc_tables(grid)
     t_ops = [[f @ a @ f for a in noise.ops] for f in ff["flips"]]
     return (optimize._qfbc_ket(grid, rho.tobytes()), optimize._qffc_ket(grid, rho.tobytes()),
             t_ops)
 
 
+def _qffc_exact(rho, noise, grid) -> np.ndarray:
+    """The exact feed-forward F^2 of every (sign combination, p, eta), summed
+    by the einsums that settle the qffc_rot tie-breaks."""
+    _, (u, w, _), t_ops = _pure_tables(rho, noise, grid)
+    return np.stack([optimize._qffc_scores(u[0], w[s1], t_ops[0])
+                     + optimize._qffc_scores(u[1], w[s2], t_ops[1])
+                     for s1, s2 in optimize._SIGN_COMBOS])
+
+
+# a Y flip, the unitary channel rho -> Y rho Y
+_Y_FLIP = KrausChannel(ops=(np.array([[0, -1], [1, 0]], dtype=complex),))
+
+
 class TestPureScreenProperties:
-    """What the screen's exactness rests on: every screen score is within
-    SCREEN_ATOL / 100 of its exact score, and an exact score computed on a
-    theta slice has the bits of the same rows of the full computation."""
+    """What the screen's exactness rests on: each closed-form eta maximum of
+    the row screens is within SCREEN_ATOL / 100 of the maximum over eta of the
+    exact scores, on any eta grid, and an exact score computed on a theta
+    slice has the bits of the same rows of the full computation."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
-    @given(_ANGLES, st.sampled_from(("ad", "pd")), st.floats(0.0, 1.0))
-    def test_screen_matches_exact_scores(self, angles, kind, r):
-        rho, noise = a_state(*angles), make_channel(kind, r)
-        rho_e = apply_channel(rho, noise)
-        (vs, n), (u, w), t_ops = _pure_tables(rho, noise, SMALL)
-        exact = np.stack([optimize._qfbc_scores(v, rho_e) for v in vs.values()])
-        approx = np.tensordot(optimize._pauli(rho_e), n, axes=1)
-        assert np.abs(approx - exact).max() <= optimize.SCREEN_ATOL / 100
-        exact = np.stack([np.stack([optimize._qffc_scores(u[i], w[sign], t_ops[i])
-                                    for sign in (+1, -1)]) for i in (0, 1)])
-        approx = optimize._qffc_screen(u, w, t_ops)
-        assert np.abs(approx - exact).max() <= optimize.SCREEN_ATOL / 100
+    @given(_ANGLES, st.lists(st.tuples(st.sampled_from(("ad", "pd")), st.floats(0.0, 1.0)),
+                             min_size=1, max_size=3),
+           st.sampled_from((SMALL, _DEFAULT, _UNORDERED)))
+    def test_screen_matches_exact_scores(self, angles, cells, grid):
+        rho = a_state(*angles)
+        noises = [make_channel(kind, r) for kind, r in cells]
+        rho_es = [apply_channel(rho, noise) for noise in noises]
+        (vs, coef), (u, _, ff_coef), _ = _pure_tables(rho, noises[0], grid)
+        fb = optimize._qfbc_row_screen(coef, rho_es, optimize._qfbc_tables(grid)["signed_etas"])
+        ff = optimize._qffc_row_screen(u, ff_coef, noises, grid)
+        for noise, rho_e, fb_max, ff_max in zip(noises, rho_es, fb, ff):
+            exact = np.stack([optimize._qfbc_scores(v, rho_e).max(axis=2) for v in vs.values()])
+            assert np.abs(fb_max - exact).max() <= optimize.SCREEN_ATOL / 100
+            exact = _qffc_exact(rho, noise, grid).max(axis=2)
+            assert np.abs(ff_max - exact).max() <= optimize.SCREEN_ATOL / 100
+
+    def test_feedforward_peak_behind_the_grid_start(self):
+        # under a Y flip some (signs, p) sinusoids of |+> peak in (-pi, -3pi/4):
+        # on the circle pi/2 is the nearer end of [0, pi/2], and it is the
+        # grid maximum; clamping the peak to [0, pi/2] would pick eta = 0
+        rho = a_state(0.0, 0.0)
+        exact = _qffc_exact(rho, _Y_FLIP, SMALL)
+        design = np.stack([np.ones(len(SMALL.eta)), np.cos(SMALL.eta), np.sin(SMALL.eta)], 1)
+        _, b, c = np.linalg.lstsq(design, exact.reshape(-1, len(SMALL.eta)).T, rcond=None)[0]
+        peak = np.arctan2(c, b).reshape(exact.shape[:2])
+        behind = (peak > -np.pi) & (peak < -3 * np.pi / 4)
+        assert (behind & (exact[:, :, -1] > exact[:, :, 0] + 0.1)).any()
+        u, _, ff_coef = optimize._qffc_ket(SMALL, rho.tobytes())
+        screen = optimize._qffc_row_screen(u, ff_coef, [_Y_FLIP], SMALL)[0]
+        assert np.abs(screen - exact.max(axis=2)).max() <= optimize.SCREEN_ATOL / 100
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(_ANGLES, st.sampled_from(("ad", "pd")), st.floats(0.0, 1.0),
@@ -580,7 +637,7 @@ class TestPureScreenProperties:
         rho, noise = a_state(*angles), make_channel(kind, r)
         rho_e = apply_channel(rho, noise)
         ts = np.array(sorted({k % len(grid.theta) for k in picked}))
-        (vs, _), (u, w), t_ops = _pure_tables(rho, noise, grid)
+        (vs, _), (u, w, _), t_ops = _pure_tables(rho, noise, grid)
         for v in vs.values():
             assert np.array_equal(optimize._qfbc_scores(v[ts], rho_e),
                                   optimize._qfbc_scores(v, rho_e)[ts])
