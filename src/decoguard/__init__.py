@@ -47,6 +47,7 @@ from .optimize import (
     optimize_qffc_rot,
     optimize_scheme,
     sweep_fig6,
+    sweep_fig6_surfaces,
     sweep_optimal,
 )
 from .qmath import (

@@ -252,16 +252,16 @@ def cmd_fig6(args) -> int:
     grid = _grid_from_args(args)
     outdir = Path(args.outdir)
     noise_kinds = (args.noise,) if args.noise is not None else ("ad", "pd")
+    surfaces = [(noise_kind, phi, tag) for noise_kind in noise_kinds for phi, tag in _PHI_TAGS]
+    tables = optimize.sweep_fig6_surfaces([(phi, noise_kind) for noise_kind, phi, _ in surfaces],
+                                          grid, workers=args.workers)
     wrote = []
-    for noise_kind in noise_kinds:
-        for phi, tag in _PHI_TAGS:
-            table = optimize.sweep_fig6(phi, noise_kind, grid, workers=args.workers)
-            expected = len(grid.alphas) * len(grid.rs)
-            if len(table.rows) != expected:
-                raise RuntimeError("fig6 sweep produced an unexpected row count")
-            path = outdir / f"fig6_{noise_kind}_phi{tag}.csv"
-            _write_text(path, table.to_csv())
-            wrote.append(path)
+    for (noise_kind, _, tag), table in zip(surfaces, tables):
+        if len(table.rows) != len(grid.alphas) * len(grid.rs):
+            raise RuntimeError("fig6 sweep produced an unexpected row count")
+        path = outdir / f"fig6_{noise_kind}_phi{tag}.csv"
+        _write_text(path, table.to_csv())
+        wrote.append(path)
     sys.stdout.write("".join(f"wrote {p}\n" for p in wrote))
     return 0
 

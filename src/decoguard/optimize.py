@@ -4,9 +4,12 @@ The feedback (qfbc) and feed-forward (qffc_rot) schemes are optimized over
 their full control grids for each (initial state, noise) cell; the fidelity
 difference of the two optima builds the comparison surfaces over the
 (alpha, r) plane for fixed phi. All grid evaluation is deterministic; sweep
-cells are independent pure computations and may be evaluated in parallel
-(DECO_GUARD_THREADS limits the worker count), with rows always assembled in
-alpha-major, r-minor order.
+alpha rows are independent pure computations and may be evaluated in
+parallel (DECO_GUARD_THREADS limits the worker count), with rows always
+assembled in alpha-major, r-minor order. A run starts at most one process
+pool: every alpha row of every surface it asks for goes to that pool
+(sweep_fig6_surfaces), and each process builds a row's channels once per
+(noise kind, r grid).
 
 For pure inputs one row kernel (_optimize_row) finds the qfbc and qffc_rot
 optima of a state under a row of channels: a fig6 alpha row, or one channel
@@ -19,19 +22,23 @@ angle (the affine Bloch map): the ket products' Pauli vectors at eta = 0 and
 +-pi/2 give its coefficients, one product with the row's noisy states scores
 every cell, and the maximum over the eta grid has a closed form. Only the
 theta slices (p rows) within SCREEN_ATOL of a cell's best go through fixed
-einsums, whose first maximum of the rounded scores settles exact ties. An
-einsum over a slice gives the bits of the same rows of the full einsum and
-the tie key starts with (-F^2, theta index), so the winner, tie-break
-included, is the unscreened one. Grid tables are functools caches of the
-GridSpec, ket products lru_caches of the last ket.
+einsums, whose first maximum of the rounded scores settles exact ties. The
+qfbc kets v = conj(K) psi are built only on the slices some cell of the row
+shortlists. A ket slice and an einsum over a slice give the bits of the same
+rows of the full computation and the tie key starts with (-F^2, theta
+index), so the winner, tie-break included, is the unscreened one. Grid
+tables are functools caches of the GridSpec, ket products lru_caches of the
+last ket.
 Every other search (mixed-input qfbc, with tied +/- eta, and qffc_rot; wmppf,
 wmqmr, qffc_ps, composite) screens, then verifies. One batched kernel scores
 every candidate from its stack of accepted Kraus operators and the
-closed-form qubit fidelity; only the candidates within SCREEN_ATOL of the
-best score go through run_scheme, in candidate order. The kernel is within
-far less than SCREEN_ATOL / 2 of run_scheme, so the exhaustive loop's winner
-is always among them: the optimum, its success probability and its params
-are run_scheme's, and equal scores still go to the smallest candidate index.
+closed-form qubit fidelity (qffc_ps from two branch tables, as its branches
+depend on (p, p_u) and (p, p_v) only); only the candidates within
+SCREEN_ATOL of the best score go through run_scheme, in candidate order.
+The kernel is within far less than SCREEN_ATOL / 2 of run_scheme, so the
+exhaustive loop's winner is always among them: the optimum, its success
+probability and its params are run_scheme's, and equal scores still go to
+the smallest candidate index.
 """
 
 from __future__ import annotations
@@ -145,7 +152,8 @@ def _signed_etas(eta_grid) -> np.ndarray:
 
 @functools.cache
 def _qfbc_tables(grid: GridSpec) -> dict:
-    """Per grid: signed etas and, per axis pair, conj(K[t, m, e] = R(e) @ M(t)[m])."""
+    """Per grid: signed etas; per axis pair, conj(K[t, m, e] = R(e) @ M(t)[m]);
+    ends: the blocks at the signed etas 0 and +-eta[-1], (pair, t, m, 3, 2, 2)."""
     se = _signed_etas(grid.eta)
     tables = {"signed_etas": se, "blocks": {}}
     for ma in grid.axes:
@@ -154,6 +162,7 @@ def _qfbc_tables(grid: GridSpec) -> dict:
             r_ops = np.stack([rotation(ra, abs(e), +1 if e >= 0 else -1).matrix
                               for e in se])
             tables["blocks"][(ma, ra)] = np.einsum("eij,tmjk->tmeik", r_ops, m_ops).conj()
+    tables["ends"] = np.stack([k[:, :, [0, -2, -1]] for k in tables["blocks"].values()])
     return tables
 
 
@@ -226,16 +235,20 @@ def _eta_max(coef, eta) -> np.ndarray:
         np.maximum(k - 1, 0), np.minimum(k, len(eta) - 1), 0, len(eta) - 1)))
 
 
+def _qfbc_kets(k, psi) -> np.ndarray:
+    """v = conj(K) psi for a block slice k = conj(K), (t, m, e, 2, 2) -> (t, m, e, 2).
+    Each entry is a two-term sum, so a slice of a block gives the bits of the
+    same rows of the whole block's kets."""
+    return np.einsum("tmeji,j->tmei", k, psi)
+
+
 @functools.lru_cache(maxsize=1)
-def _qfbc_ket(grid: GridSpec, rho_bytes: bytes) -> tuple:
-    """Per ket of the pure rho with these bytes: v = conj(K) psi for every axis
-    pair, and the sinusoids (3, pair, t, m, 4) of their Pauli 4-vectors n in
-    the signed eta, pairs in blocks order: F^2 = <v|rho|v> = _pauli(rho) . n."""
-    psi = _pure_ket(rho_bytes)
-    vs = {pair: np.einsum("tmeji,j->tmei", k, psi)
-          for pair, k in _qfbc_tables(grid)["blocks"].items()}
-    kets = np.stack([v[:, :, [0, -2, -1]] for v in vs.values()])  # signed etas 0, +-eta[-1]
-    return vs, _ket_sinusoid(kets, grid.eta[-1])
+def _qfbc_ket(grid: GridSpec, rho_bytes: bytes) -> np.ndarray:
+    """Per ket of the pure rho with these bytes: the sinusoids (3, pair, t, m, 4)
+    in the signed eta of the Pauli 4-vectors n of v = conj(K) psi, pairs in
+    blocks order: F^2 = <v|rho|v> = _pauli(rho) . n."""
+    kets = np.einsum("xtmeji,j->xtmei", _qfbc_tables(grid)["ends"], _pure_ket(rho_bytes))
+    return _ket_sinusoid(kets, grid.eta[-1])
 
 
 @functools.lru_cache(maxsize=1)
@@ -252,8 +265,9 @@ def _qffc_ket(grid: GridSpec, rho_bytes: bytes) -> tuple:
 
 def _qfbc_row_screen(coef, rho_es, signed_etas) -> np.ndarray:
     """max over signed eta of every (axis pair, t, m) F^2 per noisy state, (state, pair, t, m)."""
-    return _eta_max(np.einsum("xptmk,ck->xcptm", coef, _pauli(np.stack(rho_es))),
-                    np.sort(signed_etas))
+    abc = coef.reshape(-1, 4) @ _pauli(np.stack(rho_es)).T
+    return np.moveaxis(_eta_max(abc.reshape(*coef.shape[:-1], len(rho_es)),
+                                np.sort(signed_etas)), -1, 0)
 
 
 def _qfbc_scores(v, rho_e) -> np.ndarray:
@@ -263,16 +277,24 @@ def _qfbc_scores(v, rho_e) -> np.ndarray:
 
 
 def _qfbc_row(rho_in, noises, grid: GridSpec) -> list[OptResult]:
-    vs, coef = _qfbc_ket(grid, rho_in.tobytes())
-    se = _qfbc_tables(grid)["signed_etas"]
+    tables, rho_bytes = _qfbc_tables(grid), rho_in.tobytes()
+    se, pairs = tables["signed_etas"], list(tables["blocks"])
     rho_es = [apply_channel(rho_in, noise) for noise in noises]
-    pairs, results = list(vs), []
-    for rho_e, approx in zip(rho_es, _qfbc_row_screen(coef, rho_es, se).sum(axis=3)):
-        shortlist = approx >= approx.max() - SCREEN_ATOL   # (pair, t)
+    approx = _qfbc_row_screen(_qfbc_ket(grid, rho_bytes), rho_es, se).sum(axis=3)
+    shortlists = approx >= approx.max(axis=(1, 2), keepdims=True) - SCREEN_ATOL  # (cell, pair, t)
+    # kets only for the (pair, t) slices some cell shortlists; at[p, t] is
+    # slice t's row among those built for pair p
+    built = shortlists.any(axis=0)
+    at = np.cumsum(built, axis=1) - 1
+    psi = _pure_ket(rho_bytes)
+    vs = {p: _qfbc_kets(tables["blocks"][pairs[p]][built[p]], psi)
+          for p in np.flatnonzero(built.any(axis=1))}
+    results = []
+    for rho_e, shortlist in zip(rho_es, shortlists):
         best_key = best = None
         for p in np.flatnonzero(shortlist.any(axis=1)):
             (ma, ra), ts = pairs[p], np.flatnonzero(shortlist[p])
-            f = _qfbc_scores(vs[(ma, ra)][ts], rho_e)
+            f = _qfbc_scores(vs[p][at[p, ts]], rho_e)
             e_best = np.argmax(f, axis=2)                        # (t, m)
             vals = np.take_along_axis(f, e_best[:, :, None], axis=2)[:, :, 0]
             tot = vals.sum(axis=1)                               # (t,)
@@ -433,9 +455,10 @@ def _tied_qfbc_ops(grid: GridSpec) -> np.ndarray:
         for ra in grid.axes])
 
 
-def _kraus_stack(kind: str, noise: KrausChannel, grid: GridSpec) -> np.ndarray:
+def _kraus_stack(kind: str, noise: KrausChannel, grid: GridSpec) -> np.ndarray | tuple:
     """The accepted Kraus operators of every candidate of a loop search,
-    (candidate, K, 2, 2) with candidates in _search_space order.
+    (candidate, K, 2, 2) with candidates in _search_space order; for qffc_ps
+    the two branch stacks (p, p_u, K, 2, 2) and (p, p_v, K, 2, 2) instead.
 
     They follow each run_* pipeline, for the noise Kraus operators A_k:
       wmqmr      qmr(p2) A_k wm(p1)
@@ -467,31 +490,42 @@ def _kraus_stack(kind: str, noise: KrausChannel, grid: GridSpec) -> np.ndarray:
     if kind == "composite":
         kept = np.einsum("pixy,pikyz->pikxz", t["post"], front)
         return np.einsum("ecixy,pikyz->pecikxz", t["rot"], kept).reshape(-1, 2 * k, 2, 2)
-    n = len(front)  # qffc_ps: candidates (p, p_u, p_v)
-    n1 = np.einsum("jxy,pkyz->pjkxz", t["qmr"], front[:, 0])
-    w1 = np.einsum("jxy,pkyz->pjkxz", t["wm"], front[:, 1])
-    shape = (n, n, n, k, 2, 2)
-    return np.concatenate([np.broadcast_to(n1[:, :, None], shape),
-                           np.broadcast_to(w1[:, None], shape)], axis=3).reshape(-1, 2 * k, 2, 2)
+    # qffc_ps: branch 1 depends on (p, p_u) only and branch 2 on (p, p_v) only
+    return (np.einsum("jxy,pkyz->pjkxz", t["qmr"], front[:, 0]),
+            np.einsum("jxy,pkyz->pjkxz", t["wm"], front[:, 1]))
 
 
-def _screen_scores(rho, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(fidelity, success) of every candidate of a Kraus stack.
+def _sigma(rho, stack: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(s00, s11, s01) of sigma = sum_K K rho K^dagger for each Kraus set of a
+    stack (..., K, 2, 2). Written out entrywise, as batched 2x2 matmul is slower."""
+    a, b, c, d = (stack[..., i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    ka, kb = a * rho[0, 0] + b * rho[1, 0], a * rho[0, 1] + b * rho[1, 1]  # rows of K rho
+    kc, kd = c * rho[0, 0] + d * rho[1, 0], c * rho[0, 1] + d * rho[1, 1]
+    return (np.real(ka * a.conj() + kb * b.conj()).sum(axis=-1),
+            np.real(kc * c.conj() + kd * d.conj()).sum(axis=-1),
+            (ka * c.conj() + kb * d.conj()).sum(axis=-1))
+
+
+def _screen_scores(rho, kind: str, noise: KrausChannel,
+                   grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(fidelity, success) of every candidate of a loop search, in
+    _search_space order, from its Kraus stack (_kraus_stack).
 
     sigma = sum_K K rho K^dagger, success = Tr sigma, and the closed-form qubit
     fidelity F^2 = Tr rho s + 2 sqrt(det rho det s) of s = sigma / success
     (Hubner 1992; Jozsa 1994), clipped as qmath.fidelity clips: the overlap
     alone for a pure rho, zeroed spectrum below 1e-14, F <= 1, and F = 0 when
-    success <= 1e-15. Written out entrywise, as batched 2x2 matmul is slower.
+    success <= 1e-15. qffc_ps sums sigma(p, p_u, p_v) = sigma_1(p, p_u) +
+    sigma_2(p, p_v) from its two n^2 branch tables.
     """
-    a, b, c, d = (stack[:, :, i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    ka, kb = a * rho[0, 0] + b * rho[1, 0], a * rho[0, 1] + b * rho[1, 1]  # rows of K rho
-    kc, kd = c * rho[0, 0] + d * rho[1, 0], c * rho[0, 1] + d * rho[1, 1]
-    s00 = np.real(ka * a.conj() + kb * b.conj()).sum(axis=1)
-    s11 = np.real(kc * c.conj() + kd * d.conj()).sum(axis=1)
-    s01 = (ka * c.conj() + kb * d.conj()).sum(axis=1)
+    stack = _kraus_stack(kind, noise, grid)
+    if kind == "qffc_ps":
+        n1, w1 = (_sigma(rho, branch) for branch in stack)
+        s00, s11, s01 = ((x[:, :, None] + y[:, None]).ravel() for x, y in zip(n1, w1))
+    else:
+        s00, s11, s01 = _sigma(rho, stack)
     success = s00 + s11
-    fid = np.zeros(len(stack))
+    fid = np.zeros(len(success))
     kept = success > 1e-15
     s00, s11, s01 = (v[kept] / success[kept] for v in (s00, s11, s01))
     overlap = rho[0, 0].real * s00 + rho[1, 1].real * s11 + 2 * np.real(rho[1, 0] * s01)
@@ -519,7 +553,7 @@ def _optimize_screened(rho_in, kind: str, noise: KrausChannel, grid: GridSpec) -
     exhaustive loop's winner is among them, so the result is the same
     OptResult, tie-breaks included.
     """
-    fid, success = _screen_scores(rho_in, _kraus_stack(kind, noise, grid))
+    fid, success = _screen_scores(rho_in, kind, noise, grid)
     band = (success >= _CUTOFF_BAND[0]) & (success <= _CUTOFF_BAND[1])
     top = np.max(fid, where=~band, initial=-np.inf)
     keep = band | (fid >= top - SCREEN_ATOL)
@@ -628,36 +662,53 @@ def _sweep_row(scheme_kind: str, rho, noises, grid: GridSpec) -> list[tuple]:
              ";".join(f"{k}={_fmt(v)}" for k, v in sorted(opt.params.items()))) for opt in opts]
 
 
+@functools.cache
+def _channels(noise_kind: str, rs: tuple[float, ...]) -> tuple[KrausChannel, ...]:
+    """Per process: the channels of one noise kind at each r of a row."""
+    return tuple(make_channel(noise_kind, r) for r in rs)
+
+
 def _alpha_row(args) -> list[tuple]:
     """The rows of one alpha, r ascending: (alpha, phi, r, noise kind, *row(...)[i])."""
     row, phi, noise_kind, alpha, grid = args
     rho = state_from_angles(InitialState(alpha=alpha, phi=phi))
-    cells = row(rho, [make_channel(noise_kind, r) for r in grid.rs], grid)
+    cells = row(rho, _channels(noise_kind, grid.rs), grid)
     return [(alpha, phi, r, noise_kind, *cell) for r, cell in zip(grid.rs, cells)]
 
 
-def _run_rows(row, phi: float, noise_kind: str, grid: GridSpec,
-              workers: int | None) -> tuple[tuple, ...]:
-    tasks = [(row, phi, noise_kind, alpha, grid) for alpha in grid.alphas]
+def _run_surfaces(row, surfaces, grid: GridSpec, workers: int | None) -> list[tuple[tuple, ...]]:
+    """The rows of each (phi, noise kind) surface. Every alpha row of every
+    surface goes to one pool, in surface order, so a run starts one pool."""
+    tasks = [(row, phi, noise_kind, alpha, grid)
+             for phi, noise_kind in surfaces for alpha in grid.alphas]
     n = resolve_workers(workers, len(tasks))
     if n == 1:
         chunks = [_alpha_row(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=n) as pool:
             chunks = list(pool.map(_alpha_row, tasks))
-    return tuple(line for chunk in chunks for line in chunk)
+    k = len(grid.alphas)
+    return [tuple(line for chunk in chunks[i:i + k] for line in chunk)
+            for i in range(0, len(chunks), k)]
+
+
+def sweep_fig6_surfaces(surfaces, grid: GridSpec,
+                        workers: int | None = None) -> list[SweepResult]:
+    """Comparison tables over the full (alpha, r) grid, one per (phi, channel
+    kind) in surfaces, all computed on one process pool."""
+    return [SweepResult(columns=FIG6_COLUMNS, rows=rows)
+            for rows in _run_surfaces(_fig6_row, surfaces, grid, workers)]
 
 
 def sweep_fig6(phi: float, noise_kind: str, grid: GridSpec,
                workers: int | None = None) -> SweepResult:
     """Comparison table over the full (alpha, r) grid for one phi and channel."""
-    return SweepResult(columns=FIG6_COLUMNS,
-                       rows=_run_rows(_fig6_row, phi, noise_kind, grid, workers))
+    return sweep_fig6_surfaces(((phi, noise_kind),), grid, workers)[0]
 
 
 def sweep_optimal(scheme_kind: str, phi: float, noise_kind: str, grid: GridSpec,
                   workers: int | None = None) -> SweepResult:
     """Per-scheme optimal-fidelity table over the full (alpha, r) grid."""
-    return SweepResult(columns=SWEEP_COLUMNS,
-                       rows=_run_rows(functools.partial(_sweep_row, scheme_kind),
-                                      phi, noise_kind, grid, workers))
+    rows, = _run_surfaces(functools.partial(_sweep_row, scheme_kind),
+                          ((phi, noise_kind),), grid, workers)
+    return SweepResult(columns=SWEEP_COLUMNS, rows=rows)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from decoguard import optimize
 from decoguard.cli import load_config, main, parse_angle, parse_signs
 
 
@@ -216,6 +217,28 @@ class TestFig6Command:
         assert code == 0
         for f in files:
             assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
+
+    def test_one_pool_per_run(self, capsys, tmp_path, monkeypatch):
+        # all six surfaces share one process pool, and the pooled run writes
+        # the bytes of the serial one
+        pools = []
+
+        class SpyPool(optimize.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "ProcessPoolExecutor", SpyPool)
+        args = ["fig6", "--angle-count", "4", "--alpha-count", "2", "--r-count", "3"]
+        for workers in ("2", "1"):
+            code, _, _ = run_cli(capsys, *args, "--workers", workers,
+                                 "--outdir", str(tmp_path / workers))
+            assert code == 0
+        assert pools == [2]
+        files = sorted((tmp_path / "1").glob("*.csv"))
+        assert len(files) == 6
+        for f in files:
+            assert (tmp_path / "2" / f.name).read_bytes() == f.read_bytes()
 
     def test_single_noise_restriction(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "fig6", "--outdir", str(tmp_path), "--noise",

@@ -450,8 +450,8 @@ class TestScreenedSearch:
     def test_screened_equals_exhaustive(self, kind, grid):
         for noise in _loop_channels(kind):
             n = len(list(optimize._search_space(kind, noise, grid)))
-            assert len(optimize._kraus_stack(kind, noise, grid)) == n
             for rho in _LOOP_INPUTS:
+                assert len(optimize._screen_scores(rho, kind, noise, grid)[0]) == n
                 exhaustive = optimize._optimize_by_loop(
                     rho, kind, noise, optimize._search_space(kind, noise, grid))
                 assert optimize._optimize_screened(rho, kind, noise, grid) == exhaustive
@@ -478,7 +478,7 @@ class TestScreenKernelAccuracy:
             channel = "ad"
         noise = make_channel(channel, r)
         candidates = list(optimize._search_space(kind, noise, SMALL))
-        fid, success = optimize._screen_scores(rho, optimize._kraus_stack(kind, noise, SMALL))
+        fid, success = optimize._screen_scores(rho, kind, noise, SMALL)
         for pick in picks:
             i = pick % len(candidates)
             res = run_scheme(rho, SchemeSpec(kind=kind, noise=noise, params=candidates[i][1]))
@@ -493,12 +493,20 @@ _PURE_INPUTS = (a_state(np.pi / 2, np.pi / 2), a_state(0.0, 0.0),
                 projector(np.array([1.0, 0.0])), a_state(np.pi / 3, np.pi / 2), a_state())
 
 
+def _full_qfbc_kets(rho, grid):
+    """v = conj(K) psi of every (t, m, e), per axis pair: the whole table, of
+    which the row kernel builds only the shortlisted theta slices."""
+    psi = optimize._pure_ket(rho.tobytes())
+    return {pair: np.einsum("tmeji,j->tmei", k, psi)
+            for pair, k in optimize._qfbc_tables(grid)["blocks"].items()}
+
+
 def _unscreened(rho, noise, grid):
     """Both pure searches without a screen, written out from the einsums
     whose round-off the fast paths' tie-breaks follow: every theta slice is
     scored, and the smallest (-F^2, t, ...) key wins."""
     rho_e = apply_channel(rho, noise)
-    vs, _ = optimize._qfbc_ket(grid, rho.tobytes())
+    vs = _full_qfbc_kets(rho, grid)
     se, keys = optimize._qfbc_tables(grid)["signed_etas"], []
     for (ma, ra), v in vs.items():
         f = np.real(np.einsum("tmei,ij,tmej->tme", v.conj(), rho_e, v))
@@ -572,11 +580,12 @@ class TestPureScreen:
 
 
 def _pure_tables(rho, noise, grid):
-    """The ket tables of both paths and the feed-forward F_i A_k F_i."""
+    """The ket tables of both paths, the full qfbc kets with them, and the
+    feed-forward F_i A_k F_i."""
     ff = optimize._qffc_tables(grid)
     t_ops = [[f @ a @ f for a in noise.ops] for f in ff["flips"]]
-    return (optimize._qfbc_ket(grid, rho.tobytes()), optimize._qffc_ket(grid, rho.tobytes()),
-            t_ops)
+    return ((_full_qfbc_kets(rho, grid), optimize._qfbc_ket(grid, rho.tobytes())),
+            optimize._qffc_ket(grid, rho.tobytes()), t_ops)
 
 
 def _qffc_exact(rho, noise, grid) -> np.ndarray:
@@ -638,10 +647,59 @@ class TestPureScreenProperties:
         rho_e = apply_channel(rho, noise)
         ts = np.array(sorted({k % len(grid.theta) for k in picked}))
         (vs, _), (u, w, _), t_ops = _pure_tables(rho, noise, grid)
-        for v in vs.values():
-            assert np.array_equal(optimize._qfbc_scores(v[ts], rho_e),
-                                  optimize._qfbc_scores(v, rho_e)[ts])
+        psi, blocks = optimize._pure_ket(rho.tobytes()), optimize._qfbc_tables(grid)["blocks"]
+        for pair, v in vs.items():
+            full = optimize._qfbc_scores(v, rho_e)[ts]
+            assert np.array_equal(optimize._qfbc_scores(v[ts], rho_e), full)
+            # the row kernel builds kets only on the slices it shortlists
+            sliced = optimize._qfbc_kets(blocks[pair][ts], psi)
+            assert np.array_equal(sliced, v[ts])
+            assert np.array_equal(optimize._qfbc_scores(sliced, rho_e), full)
         for i in (0, 1):
             for sign in (+1, -1):
                 assert np.array_equal(optimize._qffc_scores(u[i][ts], w[sign], t_ops[i]),
                                       optimize._qffc_scores(u[i], w[sign], t_ops[i])[ts])
+
+
+# nested angle grids: every angle of a coarser grid is one of the next finer
+# grid, up to the rounding of linspace
+_NESTED = tuple(GridSpec.default(angle_count=n, alpha_count=2, r_count=2) for n in (4, 7, 31))
+
+
+class TestRowKernelProperties:
+    """Properties of the row kernel's qfbc and qffc_rot optima on random pure
+    states under both channels."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(_ANGLES, st.sampled_from(("ad", "pd")),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    def test_idle_floor_and_refinement(self, angles, kind, rs):
+        rho = a_state(*angles)
+        noises = [make_channel(kind, r) for r in rs]
+        previous = None
+        for grid in _NESTED:
+            fb, ff = optimize._optimize_row(rho, noises, grid)
+            for noise, fb_opt, ff_opt in zip(noises, fb, ff):
+                # theta = pi/2 with both etas 0 leaves the noisy state as it is
+                do_nothing = fidelity(rho, apply_channel(rho, noise))
+                assert fb_opt.f_opt >= do_nothing - 1e-12
+                # p = 1/2, eta = 0 keeps both branches, the second one flipped
+                # around the channel: do-nothing under dephasing, which commutes
+                # with the flip, but not under damping (see the test below)
+                idle = run_qffc_rot(rho, noise, p=grid.strengths[-1], eta=0.0,
+                                    signs=(+1, +1)).fidelity
+                assert ff_opt.f_opt >= idle - 1e-12
+                if kind == "pd":
+                    assert ff_opt.f_opt >= do_nothing - 1e-12
+            optima = [res.f_opt for res in fb + ff]
+            if previous is not None:
+                assert all(f >= g - 1e-12 for f, g in zip(optima, previous))
+            previous = optima
+
+    def test_feedforward_can_fall_below_do_nothing_under_damping(self):
+        # deterministic feed-forward always flips one branch around the
+        # channel, so under damping its optimum can lie below doing nothing
+        rho, noise = a_state(1.2, 0.3), make_channel("ad", 0.5)
+        do_nothing = fidelity(rho, apply_channel(rho, noise))
+        for grid in _NESTED:
+            assert optimize_qffc_rot(rho, noise, grid).f_opt < do_nothing - 1e-3
