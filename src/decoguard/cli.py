@@ -140,10 +140,8 @@ def _resolve_r(args) -> float:
 
 
 def _grid_from_args(args) -> GridSpec:
-    return GridSpec.default(
-        angle_count=args.angle_count if args.angle_count is not None else 31,
-        alpha_count=args.alpha_count if args.alpha_count is not None else 30,
-        r_count=args.r_count if args.r_count is not None else 31)
+    counts = {name: getattr(args, name) for name in ("angle_count", "alpha_count", "r_count")}
+    return GridSpec.default(**{name: n for name, n in counts.items() if n is not None})
 
 
 def _write_text(path: Path, text: str):
@@ -201,14 +199,14 @@ def cmd_scheme(args) -> int:
     noise_kind = args.noise if args.noise is not None else "ad"
     params: dict = {}
     rho_in = None
-    if kind in ("wmqmr", "qffc_ps", "composite"):
-        params["r"] = r
-    elif kind == "ent_wmqmr":
+    if kind == "ent_wmqmr":
         params["r1"] = args.r1 if args.r1 is not None else r
         params["r2"] = args.r2 if args.r2 is not None else r
         params["side"] = args.side if args.side is not None else "one"
         rho_in = np.zeros((4, 4), dtype=complex)  # the Bell state (|00> + |11>)/sqrt(2)
         rho_in[0, 0] = rho_in[0, 3] = rho_in[3, 0] = rho_in[3, 3] = 0.5
+    elif kind in schemes.AD_ONLY_KINDS:
+        params["r"] = r
     for name in ("p", "p1", "p2", "p_u", "p_v", "theta", "eta", "beta",
                  "meas_axis", "rot_axis", "signs"):
         value = getattr(args, name)
@@ -292,8 +290,7 @@ def _add_grid_flags(p: argparse.ArgumentParser):
     p.add_argument("--r-count", type=int, dest="r_count",
                    help="r grid points incl. endpoints 0 and 0.999 (default 31)")
     p.add_argument("--workers", type=int,
-                   help=f"parallel sweep processes (default ${optimize.ENV_THREADS} "
-                        "or CPU count)")
+                   help="parallel sweep processes (default CPU count)")
 
 
 def build_parser() -> argparse.ArgumentParser:

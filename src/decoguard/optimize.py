@@ -5,46 +5,46 @@ their full control grids for each (initial state, noise) cell; the fidelity
 difference of the two optima builds the comparison surfaces over the
 (alpha, r) plane for fixed phi. All grid evaluation is deterministic; sweep
 alpha rows are independent pure computations and may be evaluated in
-parallel (DECO_GUARD_THREADS limits the worker count), with rows always
+parallel (the workers argument limits the process count), with rows always
 assembled in alpha-major, r-minor order. A run starts at most one process
 pool: every alpha row of every surface it asks for goes to that pool
 (sweep_fig6_surfaces), and each process builds a row's channels once per
 (noise kind, r grid).
 
-For pure inputs one row kernel (_optimize_row) finds the qfbc and qffc_rot
-optima of a state under a row of channels: a fig6 alpha row, or one channel
-for the public optimizers. It validates the state and finds its ket once.
-Its closed vectorized scores agree with the scheme pipelines run point by
-point (cross-checked in the test suite); the qfbc search optimizes the two
-outcome rotation angles independently. It screens, then verifies. Each
-candidate's F^2 is a sinusoid A + B cos(eta) + C sin(eta) of its rotation
-angle (the affine Bloch map): the ket products' Pauli vectors at eta = 0 and
-+-pi/2 give its coefficients, one product with the row's noisy states scores
-every cell, and the maximum over the eta grid has a closed form. Only the
-theta slices (p rows) within SCREEN_ATOL of a cell's best go through fixed
-einsums, whose first maximum of the rounded scores settles exact ties. The
-qfbc kets v = conj(K) psi are built only on the slices some cell of the row
-shortlists. A ket slice and an einsum over a slice give the bits of the same
-rows of the full computation and the tie key starts with (-F^2, theta
-index), so the winner, tie-break included, is the unscreened one. Grid
-tables are functools caches of the GridSpec, ket products lru_caches of the
-last ket.
-Every other search (mixed-input qfbc, with tied +/- eta, and qffc_rot; wmppf,
-wmqmr, qffc_ps, composite) screens, then verifies. One batched kernel scores
+Every search goes through one row function (_optimize_row): the optima of
+one state, validated once, under a row of channels (a fig6 alpha row, or one
+channel). Each screens, then verifies, and equal scores go to the first
+candidate in a fixed order.
+
+Pure qfbc and qffc_rot rows go to row kernels; the qfbc one optimizes the
+two outcome rotation angles independently. Each candidate's F^2 is a
+sinusoid A + B cos(eta) + C sin(eta) of its rotation angle (the affine Bloch
+map): the ket products' Pauli vectors at eta = 0 and +-pi/2 give its
+coefficients, one product with the row's noisy states scores every cell, and
+the maximum over the eta grid has a closed form. Only the theta slices
+(p rows) within SCREEN_ATOL of a cell's best go through fixed einsums, whose
+first maximum of the rounded scores in (theta, eta, axis pair or signs)
+order settles exact ties. qfbc kets v = conj(K) psi are built only on the
+slices some cell shortlists, and F_i A_k F_i once per row. A slice gives the
+bits of the same rows of the full computation, so the winner, tie-break
+included, is the unscreened one. Grid tables are functools caches of the
+GridSpec, ket products lru_caches of the last ket.
+
+Every other search (mixed-input qfbc, with tied +/- eta, and qffc_rot;
+wmppf, wmqmr, qffc_ps, composite) runs per cell over a candidate grid
+(_search_space) whose C order is its tie order. One batched kernel scores
 every candidate from its stack of accepted Kraus operators and the
 closed-form qubit fidelity (qffc_ps from two branch tables, as its branches
-depend on (p, p_u) and (p, p_v) only); only the candidates within
-SCREEN_ATOL of the best score go through run_scheme, in candidate order.
-The kernel is within far less than SCREEN_ATOL / 2 of run_scheme, so the
-exhaustive loop's winner is always among them: the optimum, its success
-probability and its params are run_scheme's, and equal scores still go to
-the smallest candidate index.
+depend on (p, p_u) and (p, p_v) only). The candidates within SCREEN_ATOL of
+the best score go through run_scheme in grid order, and the first highest
+fidelity wins. The kernel is within far less than SCREEN_ATOL / 2 of
+run_scheme, so the exhaustive loop's winner, with its success probability
+and params, is always among them.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -63,10 +63,10 @@ from .qmath import (
     state_from_angles,
 )
 # run_qfbc is unused here but stays importable from this module for existing callers
-from .schemes import SchemeSpec, run_qfbc, run_scheme  # noqa: F401
+from .schemes import AD_ONLY_KINDS, SchemeSpec, run_qfbc, run_scheme  # noqa: F401
 
-ENV_THREADS = "DECO_GUARD_THREADS"
-
+# the measurement and rotation axes of the qfbc searches
+AXES = ("x", "y", "z")
 _SIGN_COMBOS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
 
 
@@ -91,7 +91,6 @@ class GridSpec:
     eta: tuple[float, ...]
     alphas: tuple[float, ...]
     rs: tuple[float, ...]
-    axes: tuple[str, ...] = ("x", "y", "z")
 
     def __post_init__(self):
         for name, grid in (("theta", self.theta), ("eta", self.eta)):
@@ -152,18 +151,15 @@ def _signed_etas(eta_grid) -> np.ndarray:
 
 @functools.cache
 def _qfbc_tables(grid: GridSpec) -> dict:
-    """Per grid: signed etas; per axis pair, conj(K[t, m, e] = R(e) @ M(t)[m]);
+    """Per grid: signed etas; blocks: conj(K[t, m, e] = R(e) @ M(t)[m]) per
+    (meas axis, rot axis) pair, pair = 3 meas + rot in AXES, (pair, t, m, e, 2, 2);
     ends: the blocks at the signed etas 0 and +-eta[-1], (pair, t, m, 3, 2, 2)."""
     se = _signed_etas(grid.eta)
-    tables = {"signed_etas": se, "blocks": {}}
-    for ma in grid.axes:
-        m_ops = np.stack([np.stack(povm_axis(ma, t).ops) for t in grid.theta])
-        for ra in grid.axes:
-            r_ops = np.stack([rotation(ra, abs(e), +1 if e >= 0 else -1).matrix
-                              for e in se])
-            tables["blocks"][(ma, ra)] = np.einsum("eij,tmjk->tmeik", r_ops, m_ops).conj()
-    tables["ends"] = np.stack([k[:, :, [0, -2, -1]] for k in tables["blocks"].values()])
-    return tables
+    meas = [np.stack([np.stack(povm_axis(ma, t).ops) for t in grid.theta]) for ma in AXES]
+    rots = [np.stack([rotation(ra, abs(e), +1 if e >= 0 else -1).matrix for e in se])
+            for ra in AXES]
+    blocks = np.stack([np.einsum("eij,tmjk->tmeik", r, m) for m in meas for r in rots]).conj()
+    return {"signed_etas": se, "blocks": blocks, "ends": blocks[:, :, :, [0, -2, -1]]}
 
 
 def _diag(a, b) -> np.ndarray:
@@ -177,7 +173,7 @@ def _diag(a, b) -> np.ndarray:
 def _qffc_tables(grid: GridSpec) -> dict:
     """Per grid: the noise-free factors of the feed-forward and wmqmr searches.
 
-    strengths and eta; flips (F1, F2); m: the (M_1(p), M_2(p)) stacks in theta
+    strengths and eta; m: the (M_1(p), M_2(p)) stacks in theta
     order, m_stack: the same as (p, i, 2, 2), m_asc: with p ascending; r:
     R_y(sign eta) per sign; wm, qmr: diag(1, sqrt(1-p)), diag(sqrt(1-p), 1)
     and post: composite's matched N_1, W_1, all with p ascending; rot:
@@ -192,7 +188,7 @@ def _qffc_tables(grid: GridSpec) -> dict:
     m = np.stack((m1, m2), axis=1)
     one, matched = np.ones_like(ps), np.maximum(0.0, (2 * ps - 1) / ps)
     return {
-        "strengths": strengths, "eta": eta, "flips": np.stack(flips()), "m": (m1, m2), "r": r,
+        "strengths": strengths, "eta": eta, "m": (m1, m2), "r": r,
         "m_stack": m, "m_asc": m[asc],
         "wm": _diag(one, np.sqrt(1 - ps)), "qmr": _diag(np.sqrt(1 - ps), one),
         "post": np.stack([_diag(np.sqrt(1 - matched), one),
@@ -245,8 +241,8 @@ def _qfbc_kets(k, psi) -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def _qfbc_ket(grid: GridSpec, rho_bytes: bytes) -> np.ndarray:
     """Per ket of the pure rho with these bytes: the sinusoids (3, pair, t, m, 4)
-    in the signed eta of the Pauli 4-vectors n of v = conj(K) psi, pairs in
-    blocks order: F^2 = <v|rho|v> = _pauli(rho) . n."""
+    in the signed eta of the Pauli 4-vectors n of v = conj(K) psi:
+    F^2 = <v|rho|v> = _pauli(rho) . n."""
     kets = np.einsum("xtmeji,j->xtmei", _qfbc_tables(grid)["ends"], _pure_ket(rho_bytes))
     return _ket_sinusoid(kets, grid.eta[-1])
 
@@ -276,9 +272,15 @@ def _qfbc_scores(v, rho_e) -> np.ndarray:
     return np.real(np.einsum("tmei,ij,tmej->tme", v.conj(), rho_e, v))
 
 
+def _pure_result(neg_f2, params: dict) -> OptResult:
+    """The OptResult of a pure row kernel's winner from its key's -F^2."""
+    return OptResult(f_opt=float(np.sqrt(np.clip(-neg_f2, 0.0, 1.0))), params=params,
+                     success_prob=1.0)
+
+
 def _qfbc_row(rho_in, noises, grid: GridSpec) -> list[OptResult]:
     tables, rho_bytes = _qfbc_tables(grid), rho_in.tobytes()
-    se, pairs = tables["signed_etas"], list(tables["blocks"])
+    se, blocks = tables["signed_etas"], tables["blocks"]
     rho_es = [apply_channel(rho_in, noise) for noise in noises]
     approx = _qfbc_row_screen(_qfbc_ket(grid, rho_bytes), rho_es, se).sum(axis=3)
     shortlists = approx >= approx.max(axis=(1, 2), keepdims=True) - SCREEN_ATOL  # (cell, pair, t)
@@ -287,38 +289,40 @@ def _qfbc_row(rho_in, noises, grid: GridSpec) -> list[OptResult]:
     built = shortlists.any(axis=0)
     at = np.cumsum(built, axis=1) - 1
     psi = _pure_ket(rho_bytes)
-    vs = {p: _qfbc_kets(tables["blocks"][pairs[p]][built[p]], psi)
-          for p in np.flatnonzero(built.any(axis=1))}
+    vs = {p: _qfbc_kets(blocks[p][built[p]], psi) for p in np.flatnonzero(built.any(axis=1))}
     results = []
     for rho_e, shortlist in zip(rho_es, shortlists):
-        best_key = best = None
+        keys = []
         for p in np.flatnonzero(shortlist.any(axis=1)):
-            (ma, ra), ts = pairs[p], np.flatnonzero(shortlist[p])
+            ts = np.flatnonzero(shortlist[p])
             f = _qfbc_scores(vs[p][at[p, ts]], rho_e)
             e_best = np.argmax(f, axis=2)                        # (t, m)
             vals = np.take_along_axis(f, e_best[:, :, None], axis=2)[:, :, 0]
             tot = vals.sum(axis=1)                               # (t,)
             j = int(np.argmax(tot))
-            key = (-tot[j], int(ts[j]), int(e_best[j, 0]), int(e_best[j, 1]),
-                   grid.axes.index(ma), grid.axes.index(ra))
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (tot[j], grid.theta[ts[j]],
-                        (float(se[e_best[j, 0]]), float(se[e_best[j, 1]])), ma, ra)
-        f2, theta, etas, ma, ra = best
-        params = {"theta": float(theta), "etas": etas, "meas_axis": ma, "rot_axis": ra}
-        results.append(OptResult(f_opt=float(np.sqrt(np.clip(f2, 0.0, 1.0))),
-                                 params=params, success_prob=1.0))
+            keys.append((-tot[j], int(ts[j]), int(e_best[j, 0]), int(e_best[j, 1]), int(p)))
+        f2, t, e0, e1, p = min(keys)
+        ma, ra = divmod(p, len(AXES))
+        results.append(_pure_result(f2, {
+            "theta": float(grid.theta[t]), "etas": (float(se[e0]), float(se[e1])),
+            "meas_axis": AXES[ma], "rot_axis": AXES[ra]}))
     return results
 
 
-def _qffc_row_screen(u, coef, noises, grid: GridSpec) -> np.ndarray:
-    """max over eta of the F^2 of every (sign combination, p) for each channel,
-    (channel, combination, p): branch i's state sigma_i = sum_k T_k u_i u_i^dagger
-    T_k^dagger, T_k = F_i A_k F_i, scores A_i + B_i cos e + s_i C_i sin e."""
-    ops = np.stack([np.stack(noise.ops) for noise in noises])  # a row's channels are of one kind
-    fl = _qffc_tables(grid)["flips"]
-    tu = fl[:, None] @ ops[:, None] @ fl[:, None] @ np.stack(u).swapaxes(1, 2)[:, None]
+def _flipped(noises) -> np.ndarray:
+    """F_i A_k F_i for the Kraus operators A_k of each channel, (channel, i, k,
+    2, 2); the channels must be of one kind. The flips are I and X, so every
+    entry is exact."""
+    fl = np.stack(flips())
+    return fl[:, None] @ np.stack([np.stack(noise.ops) for noise in noises])[:, None] @ fl[:, None]
+
+
+def _qffc_row_screen(u, coef, fa, grid: GridSpec) -> np.ndarray:
+    """max over eta of the F^2 of every (sign combination, p) for each channel
+    of fa = _flipped(channels), (channel, combination, p): branch i's state
+    sigma_i = sum_k T_k u_i u_i^dagger T_k^dagger, T_k = F_i A_k F_i, scores
+    A_i + B_i cos e + s_i C_i sin e."""
+    tu = fa @ np.stack(u).swapaxes(1, 2)[:, None]
     a, b, c = np.einsum("xn,cipn->xcip", coef,
                         _pauli(np.einsum("cikxp,cikyp->cipxy", tu, tu.conj())))
     c = np.einsum("ki,cip->ckp", np.array(_SIGN_COMBOS), c)
@@ -336,41 +340,36 @@ def _qffc_scores(u_i, w_sign, ops) -> np.ndarray:
 
 
 def _qffc_row(rho_in, noises, grid: GridSpec) -> list[OptResult]:
-    tables = _qffc_tables(grid)
+    tables, fa = _qffc_tables(grid), _flipped(noises)
     u, w, coef = _qffc_ket(grid, rho_in.tobytes())
-    strengths, eta = tables["strengths"], tables["eta"]
     results = []
-    for noise, approx in zip(noises, _qffc_row_screen(u, coef, noises, grid).max(axis=1)):
-        t_ops = [[f @ a @ f for a in noise.ops] for f in tables["flips"]]
+    for fa_c, approx in zip(fa, _qffc_row_screen(u, coef, fa, grid).max(axis=1)):
         ts = np.flatnonzero(approx >= approx.max() - SCREEN_ATOL)
-        branch_f2 = {(i, sign): _qffc_scores(u[i][ts], w[sign], t_ops[i])
+        branch_f2 = {(i, sign): _qffc_scores(u[i][ts], w[sign], fa_c[i])
                      for i in (0, 1) for sign in (+1, -1)}
-        best_key = best = None
+        keys = []
         for c_i, (s1, s2) in enumerate(_SIGN_COMBOS):
             tot = branch_f2[(0, s1)] + branch_f2[(1, s2)]
-            j, e_best = divmod(int(np.argmax(tot)), tot.shape[1])
-            key = (-tot[j, e_best], int(ts[j]), e_best, c_i)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (tot[j, e_best], int(ts[j]), e_best, (s1, s2))
-        f2, t_best, e_best, signs = best
-        params = {"p": strengths[t_best], "theta_pre": grid.theta[t_best],
-                  "eta": float(eta[e_best]), "signs": signs}
-        results.append(OptResult(f_opt=float(np.sqrt(np.clip(f2, 0.0, 1.0))),
-                                 params=params, success_prob=1.0))
+            j, e = divmod(int(np.argmax(tot)), tot.shape[1])
+            keys.append((-tot[j, e], int(ts[j]), e, c_i))
+        f2, t, e, c_i = min(keys)
+        results.append(_pure_result(f2, {
+            "p": tables["strengths"][t], "theta_pre": grid.theta[t],
+            "eta": float(tables["eta"][e]), "signs": _SIGN_COMBOS[c_i]}))
     return results
 
 
 def _optimize_row(rho_in, noises, grid: GridSpec,
                   kinds=("qfbc", "qffc_rot")) -> list[list[OptResult]]:
     """The optima of each kind for one state under each channel, per kind in
-    channel order; a mixed state searches cell by cell (_optimize_screened)."""
+    channel order. Pure qfbc and qffc_rot rows go to their row kernels; every
+    other search goes cell by cell through _optimize_screened."""
     rho_in = check_density(rho_in)
-    if purity(rho_in) < PURITY_PURE_THRESHOLD:
-        return [[_optimize_screened(rho_in, kind, noise, grid) for noise in noises]
-                for kind in kinds]
+    pure = purity(rho_in) >= PURITY_PURE_THRESHOLD
     rows = {"qfbc": _qfbc_row, "qffc_rot": _qffc_row}
-    return [rows[kind](rho_in, noises, grid) for kind in kinds]
+    return [rows[kind](rho_in, noises, grid) if pure and kind in rows
+            else [_optimize_screened(rho_in, kind, noise, grid) for noise in noises]
+            for kind in kinds]
 
 
 def optimize_qfbc(rho_in, noise: KrausChannel, grid: GridSpec) -> OptResult:
@@ -391,45 +390,39 @@ def optimize_qffc_rot(rho_in, noise: KrausChannel, grid: GridSpec) -> OptResult:
 OPTIMIZABLE_KINDS = ("qfbc", "qffc_rot", "wmppf", "wmqmr", "qffc_ps", "composite")
 
 
-def _search_space(kind: str, noise: KrausChannel | None, grid: GridSpec, flat=None):
-    """The exhaustive candidates of one scheme kind as (tie key, params) pairs;
-    params are run_* keyword arguments plus any reported-only entries. With
-    flat (ascending candidate indices) only those candidates are built.
+def _search_space(kind: str, noise: KrausChannel | None, grid: GridSpec):
+    """The exhaustive candidates of one scheme kind: the shape of their grid
+    and the params of the candidate at an index of it, run_* keyword
+    arguments plus any reported-only entries. C order is the tie order.
 
-    qfbc: tied +/- eta over axes, theta and binding; qffc_rot: p in theta
-    order, eta and the branch signs; wmppf: p; wmqmr: (p1, p2); qffc_ps:
-    (p, p_u, p_v); composite: (p, eta, signs) with matched post-measurements.
-    The last four run strengths in ascending order, so ties prefer the weakest.
+    qfbc: tied +/- eta over (theta, eta, meas axis, rot axis, binding);
+    qffc_rot: (p in theta order, eta, branch signs); wmppf: p; wmqmr:
+    (p1, p2); qffc_ps: (p, p_u, p_v); composite: (p, eta, signs) with matched
+    post-measurements. The last four run strengths in ascending order, so
+    ties prefer the weakest.
     """
     if kind not in OPTIMIZABLE_KINDS:
         raise ValueError(f"cannot optimize scheme kind {kind!r}")
-    if kind in ("qfbc", "qffc_rot", "wmppf"):
-        if noise is None:
-            raise ValueError(f"{kind} optimization needs a noise channel")
-    elif noise is None or noise.r is None or noise.kind != "ad":
-        raise ValueError(f"{kind} optimization needs an amplitude-damping channel")
-    theta, eta, axes, r = grid.theta, grid.eta, grid.axes, noise.r
+    if kind in AD_ONLY_KINDS:
+        if noise is None or noise.r is None or noise.kind != "ad":
+            raise ValueError(f"{kind} optimization needs an amplitude-damping channel")
+    elif noise is None:
+        raise ValueError(f"{kind} optimization needs a noise channel")
+    theta, eta, r = grid.theta, grid.eta, noise.r
     strengths, ps = grid.strengths, sorted(grid.strengths)
-    n, m, a, c = len(theta), len(eta), len(axes), len(_SIGN_COMBOS)
-    # the shape of the candidate grid, and the candidate at one index of it
-    shape, make = {
-        "qfbc": ((a, a, n, m, 2), lambda ra, ma, t, e, s: (
-            (t, e, ma, ra, s), {"theta": theta[t], "etas": ((+1, -1)[s] * eta[e],
-                                                            (-1, +1)[s] * eta[e]),
-                                "meas_axis": axes[ma], "rot_axis": axes[ra]})),
-        "qffc_rot": ((n, m, c), lambda t, e, k: (
-            (t, e, k), {"p": strengths[t], "theta_pre": theta[t], "eta": eta[e],
-                        "signs": _SIGN_COMBOS[k]})),
-        "wmppf": ((n,), lambda i: ((i,), {"p": ps[i]})),
-        "wmqmr": ((n, n), lambda i, j: ((i, j), {"r": r, "p1": ps[i], "p2": ps[j]})),
-        "qffc_ps": ((n, n, n), lambda i, j, k: (
-            (i, j, k), {"r": r, "p": ps[i], "p_u": ps[j], "p_v": ps[k]})),
-        "composite": ((n, m, c), lambda i, j, k: (
-            (i, j, k), {"r": r, "p": ps[i], "eta": eta[j], "signs": _SIGN_COMBOS[k]})),
+    n, m, a, c = len(theta), len(eta), len(AXES), len(_SIGN_COMBOS)
+    return {
+        "qfbc": ((n, m, a, a, 2), lambda t, e, ma, ra, s: {
+            "theta": theta[t], "etas": ((+1, -1)[s] * eta[e], (-1, +1)[s] * eta[e]),
+            "meas_axis": AXES[ma], "rot_axis": AXES[ra]}),
+        "qffc_rot": ((n, m, c), lambda t, e, k: {
+            "p": strengths[t], "theta_pre": theta[t], "eta": eta[e], "signs": _SIGN_COMBOS[k]}),
+        "wmppf": ((n,), lambda i: {"p": ps[i]}),
+        "wmqmr": ((n, n), lambda i, j: {"r": r, "p1": ps[i], "p2": ps[j]}),
+        "qffc_ps": ((n, n, n), lambda i, j, k: {"r": r, "p": ps[i], "p_u": ps[j], "p_v": ps[k]}),
+        "composite": ((n, m, c), lambda i, j, k: {
+            "r": r, "p": ps[i], "eta": eta[j], "signs": _SIGN_COMBOS[k]}),
     }[kind]
-    indices = (itertools.product(*map(range, shape)) if flat is None
-               else zip(*(i.tolist() for i in np.unravel_index(flat, shape))))
-    return (make(*index) for index in indices)
 
 
 # ---------------------------------------------------------------------------
@@ -443,16 +436,16 @@ _CUTOFF_BAND = (1e-16, 1e-14)
 
 @functools.cache
 def _tied_qfbc_ops(grid: GridSpec) -> np.ndarray:
-    """Per grid: R(+-eta) M_m(theta), (rot axis, meas axis, theta, eta, binding,
-    outcome m, 2, 2); binding +1 rotates outcome '+' by +eta and '-' by -eta."""
-    blocks = _qfbc_tables(grid)["blocks"]  # conj(R(e) M_m(theta)), (theta, m, e)
-    n = len(grid.eta)
+    """Per grid: R(+-eta) M_m(theta), (theta, eta, meas axis, rot axis, binding,
+    outcome m, 2, 2), C-contiguous; binding +1 rotates outcome '+' by +eta and
+    '-' by -eta."""
+    blocks = _qfbc_tables(grid)["blocks"]  # conj(R(e) M_m(theta)), (pair, theta, m, e)
+    a, n = len(AXES), len(grid.eta)
     # positions of +eta and -eta among _signed_etas: 0, +d, -d, +2d, ...
     plus, minus = np.r_[0, 1:2 * n - 1:2], np.r_[0, 2:2 * n - 1:2]
     signed = np.stack([np.stack([plus, minus], -1), np.stack([minus, plus], -1)], 1)
-    return np.stack([
-        np.stack([blocks[(ma, ra)][:, np.arange(2), signed].conj() for ma in grid.axes])
-        for ra in grid.axes])
+    tied = blocks.reshape(a, a, *blocks.shape[1:])[:, :, :, np.arange(2), signed]
+    return np.ascontiguousarray(tied.transpose(2, 3, 0, 1, 4, 5, 6, 7).conj())
 
 
 def _kraus_stack(kind: str, noise: KrausChannel, grid: GridSpec) -> np.ndarray | tuple:
@@ -479,8 +472,7 @@ def _kraus_stack(kind: str, noise: KrausChannel, grid: GridSpec) -> np.ndarray |
     t = _qffc_tables(grid)
     if kind == "wmqmr":
         return np.einsum("jxy,kyz,izw->ijkxw", t["qmr"], a, t["wm"]).reshape(-1, k, 2, 2)
-    fl = t["flips"]
-    fa = np.einsum("ixy,kyz,izw->ikxw", fl, a, fl)       # F_i A_k F_i
+    fa = _flipped((noise,))[0]                           # F_i A_k F_i
     if kind == "qffc_rot":
         front = np.einsum("ikxy,piyz->pikxz", fa, t["m_stack"])
         return np.einsum("ecixy,pikyz->pecikxz", t["rot"], front).reshape(-1, 2 * k, 2, 2)
@@ -557,44 +549,37 @@ def _optimize_screened(rho_in, kind: str, noise: KrausChannel, grid: GridSpec) -
     band = (success >= _CUTOFF_BAND[0]) & (success <= _CUTOFF_BAND[1])
     top = np.max(fid, where=~band, initial=-np.inf)
     keep = band | (fid >= top - SCREEN_ATOL)
-    return _optimize_by_loop(rho_in, kind, noise,
-                             _search_space(kind, noise, grid, np.flatnonzero(keep)))
+    shape, params = _search_space(kind, noise, grid)
+    return _optimize_by_loop(rho_in, kind, noise, (
+        params(*index) for index in np.argwhere(keep.reshape(shape)).tolist()))
 
 
-def _optimize_by_loop(rho_in, kind: str, noise: KrausChannel | None,
-                      candidates) -> OptResult:
-    """Run every (tie key, params) candidate given through run_scheme; the
-    highest fidelity wins and the smallest tie key breaks ties. The searches
-    pass it their screened shortlist (_optimize_screened), in _search_space
-    order, so the winner and its tie key are those of the exhaustive loop."""
-    best_key = None
+def _optimize_by_loop(rho_in, kind: str, noise: KrausChannel | None, candidates) -> OptResult:
+    """Run every params candidate given through run_scheme; the first highest
+    fidelity wins. The searches pass it their screened shortlist
+    (_optimize_screened) in _search_space order, so the winner is that of the
+    exhaustive loop."""
     best = None
-    for tie, params in candidates:
+    for params in candidates:
         res = run_scheme(rho_in, SchemeSpec(kind=kind, noise=noise, params=params))
-        key = (-res.fidelity, *tie)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (res.fidelity, params, res.success_prob)
-    return OptResult(f_opt=best[0], params=best[1], success_prob=best[2])
+        if best is None or res.fidelity > best.f_opt:
+            best = OptResult(f_opt=res.fidelity, params=params, success_prob=res.success_prob)
+    return best
 
 
 def optimize_scheme(scheme_kind: str, rho_in, noise: KrausChannel | None,
                     grid: GridSpec) -> OptResult:
     """Exhaustive grid optimization of one scheme's control parameters.
 
-    qfbc and qffc_rot go through optimize_qfbc and optimize_qffc_rot. The
-    other kinds search their whole space (see _search_space): a batched
-    kernel screens every candidate and run_scheme verifies the near-best
-    ones, which gives the result of running every candidate through
-    run_scheme, tie-break included (see _optimize_screened).
+    Pure-input qfbc and qffc_rot run through their row kernels. The other
+    searches cover their whole space (see _search_space): a batched kernel
+    screens every candidate and run_scheme verifies the near-best ones, which
+    gives the result of running every candidate through run_scheme,
+    tie-break included (see _optimize_screened).
     """
     kind = scheme_kind.lower()
     _search_space(kind, noise, grid)  # validates kind and noise
-    if kind == "qfbc":
-        return optimize_qfbc(rho_in, noise, grid)
-    if kind == "qffc_rot":
-        return optimize_qffc_rot(rho_in, noise, grid)
-    return _optimize_screened(check_density(rho_in), kind, noise, grid)
+    return _optimize_row(rho_in, (noise,), grid, (kind,))[0][0]
 
 
 def f_diff(rho_in, noise: KrausChannel, grid: GridSpec) -> float:
@@ -636,15 +621,9 @@ def _fmt(value) -> str:
 
 
 def resolve_workers(workers: int | None, n_tasks: int) -> int:
+    """workers (the CPU count when None), at most one per task."""
     if workers is None:
-        env = os.environ.get(ENV_THREADS)
-        if env is not None:
-            try:
-                workers = int(env)
-            except ValueError as exc:
-                raise ValueError(f"{ENV_THREADS} must be an integer, got {env!r}") from exc
-        else:
-            workers = os.cpu_count() or 1
+        workers = os.cpu_count() or 1
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     return min(workers, max(1, n_tasks))

@@ -323,13 +323,19 @@ def _keywords(runner) -> tuple[frozenset[str], tuple[str, ...]]:
             tuple(p.name for p in params if p.default is p.empty))
 
 
+# the kinds whose run_* takes no noise argument: each fixes its own amplitude damping
+AD_ONLY_KINDS = tuple(kind for kind in SCHEME_KINDS
+                      if "noise" not in _keywords(globals()[f"run_{kind}"])[0])
+
+
 def run_scheme(rho_in, spec: SchemeSpec) -> SchemeResult:
     """Dispatch a SchemeSpec to its run_* pipeline.
 
     spec.params are passed as the run_* keyword arguments of the same name;
     keys the runner does not take are ignored. spec.noise goes to runners
-    with a noise argument; the others fix their own amplitude damping and
-    reject any other channel.
+    with a noise argument, which need one; the others (AD_ONLY_KINDS) fix
+    their own amplitude damping and reject any other channel, or one whose r
+    differs from params["r"].
     """
     kind = spec.kind.lower()
     if kind not in SCHEME_KINDS:
@@ -338,11 +344,17 @@ def run_scheme(rho_in, spec: SchemeSpec) -> SchemeResult:
     runner = globals()[f"run_{kind}"]
     names, required = _keywords(runner)
     kwargs = {k: v for k, v in spec.params.items() if k in names}
-    if "noise" in names:
+    if kind not in AD_ONLY_KINDS:
+        if spec.noise is None:
+            raise ValueError(f"{kind} needs a noise channel")
         kwargs["noise"] = spec.noise
-    elif spec.noise is not None and spec.noise.kind != "ad":
-        raise ValueError(f"{kind} needs an amplitude-damping channel, "
-                         f"got {spec.noise.kind!r}")
+    elif spec.noise is not None:
+        if spec.noise.kind != "ad":
+            raise ValueError(f"{kind} needs an amplitude-damping channel, "
+                             f"got {spec.noise.kind!r}")
+        if "r" in kwargs and kwargs["r"] != spec.noise.r:
+            raise ValueError(f"{kind}: params r = {kwargs['r']} differs from the "
+                             f"channel's r = {spec.noise.r}")
     for name in required:
         if name not in kwargs:
             raise ValueError(f"missing required parameter {name!r}")

@@ -15,6 +15,7 @@ from decoguard.channels import (
     make_channel,
     pd_kraus,
 )
+from decoguard.measurements import flips
 from decoguard.optimize import (
     GridSpec,
     f_diff,
@@ -26,7 +27,7 @@ from decoguard.optimize import (
     sweep_optimal,
 )
 from decoguard.qmath import InitialState, bloch_to_density, fidelity, projector, state_from_angles
-from decoguard.schemes import SchemeSpec, run_qfbc, run_qffc_rot, run_scheme
+from decoguard.schemes import AD_ONLY_KINDS, SchemeSpec, run_qfbc, run_qffc_rot, run_scheme
 from test_golden import MIXED_BLOCH
 
 SMALL = GridSpec.default(angle_count=7, alpha_count=4, r_count=4)
@@ -111,8 +112,8 @@ class TestOptimizers:
         assert fb.params["theta"] in SMALL.theta
         assert abs(fb.params["etas"][0]) in SMALL.eta
         assert abs(fb.params["etas"][1]) in SMALL.eta
-        assert fb.params["meas_axis"] in SMALL.axes
-        assert fb.params["rot_axis"] in SMALL.axes
+        assert fb.params["meas_axis"] in optimize.AXES
+        assert fb.params["rot_axis"] in optimize.AXES
         ff = optimize_qffc_rot(rho, noise, SMALL)
         assert ff.params["p"] in SMALL.strengths
         assert ff.params["eta"] in SMALL.eta
@@ -151,17 +152,23 @@ class TestOptimizers:
         rho = 0.7 * a_state(0.4, 0.3) + 0.3 * np.eye(2) / 2
         noise = ad_kraus(0.5)
         got = optimize_qfbc(rho, noise, TINY)
-        best = -1.0
-        for ma in TINY.axes:
-            for ra in TINY.axes:
-                for theta in TINY.theta:
-                    for eta in TINY.eta:
+        # the documented tie order: the first maximum over (theta, eta, meas
+        # axis, rot axis, binding) wins
+        best, argmax = -1.0, None
+        for theta in TINY.theta:
+            for eta in TINY.eta:
+                for ma in optimize.AXES:
+                    for ra in optimize.AXES:
                         for binding in (+1, -1):
                             res = run_qfbc(rho, noise, theta=theta, eta=eta,
                                            meas_axis=ma, rot_axis=ra,
                                            sign_binding=binding)
-                            best = max(best, res.fidelity)
+                            if res.fidelity > best:
+                                best, argmax = res.fidelity, {
+                                    "theta": theta, "etas": (binding * eta, -binding * eta),
+                                    "meas_axis": ma, "rot_axis": ra}
         assert got.f_opt == pytest.approx(best, abs=1e-12)
+        assert got.params == argmax
 
     def test_optimize_scheme_dispatch(self):
         rho = a_state(0.6, 0.2)
@@ -281,13 +288,6 @@ class TestWorkers:
         assert resolve_workers(3, 100) == 3
         assert resolve_workers(8, 2) == 2
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("DECO_GUARD_THREADS", "5")
-        assert resolve_workers(None, 100) == 5
-        monkeypatch.setenv("DECO_GUARD_THREADS", "bogus")
-        with pytest.raises(ValueError):
-            resolve_workers(None, 100)
-
     def test_invalid_count(self):
         with pytest.raises(ValueError):
             resolve_workers(0, 10)
@@ -314,8 +314,8 @@ class TestSearchLoop:
         res = optimize_scheme("wmqmr", rho, noise, TINY)
         assert 1 <= len(seen) <= len(TINY.strengths) ** 2
         assert res.params in seen
-        assert res == optimize._optimize_by_loop(
-            rho, "wmqmr", noise, optimize._search_space("wmqmr", noise, TINY))
+        assert res == optimize._optimize_by_loop(rho, "wmqmr", noise,
+                                                 _candidates("wmqmr", noise, TINY))
 
     def test_noise_channel_required(self):
         for kind in ("qfbc", "qffc_rot", "wmppf"):
@@ -429,10 +429,16 @@ class TestFastPathProperties:
             assert abs(check.fidelity - ff.f_opt) < 1e-12
 
 
+def _candidates(kind, noise, grid):
+    """The params of every candidate of a loop search, in C order."""
+    shape, params = optimize._search_space(kind, noise, grid)
+    return [params(*index) for index in np.ndindex(shape)]
+
+
 def _loop_channels(kind):
     """Every channel a loop kind accepts, at r in {0, 0.45, 0.999}; identity
     for the kinds that take any channel."""
-    kinds = ("ad",) if kind in ("wmqmr", "qffc_ps", "composite") else ("ad", "pd")
+    kinds = ("ad",) if kind in AD_ONLY_KINDS else ("ad", "pd")
     chans = [make_channel(k, r) for k in kinds for r in (0.0, 0.45, 0.999)]
     return chans if kinds == ("ad",) else chans + [identity_channel()]
 
@@ -449,11 +455,10 @@ class TestScreenedSearch:
     @pytest.mark.parametrize("kind", optimize.OPTIMIZABLE_KINDS)
     def test_screened_equals_exhaustive(self, kind, grid):
         for noise in _loop_channels(kind):
-            n = len(list(optimize._search_space(kind, noise, grid)))
+            candidates = _candidates(kind, noise, grid)
             for rho in _LOOP_INPUTS:
-                assert len(optimize._screen_scores(rho, kind, noise, grid)[0]) == n
-                exhaustive = optimize._optimize_by_loop(
-                    rho, kind, noise, optimize._search_space(kind, noise, grid))
+                assert len(optimize._screen_scores(rho, kind, noise, grid)[0]) == len(candidates)
+                exhaustive = optimize._optimize_by_loop(rho, kind, noise, candidates)
                 assert optimize._optimize_screened(rho, kind, noise, grid) == exhaustive
 
 
@@ -474,14 +479,14 @@ class TestScreenKernelAccuracy:
         rho = bloch_to_density(radius * np.array([np.sin(polar) * np.cos(azimuth),
                                                   np.sin(polar) * np.sin(azimuth),
                                                   np.cos(polar)]))
-        if kind in ("wmqmr", "qffc_ps", "composite"):
+        if kind in AD_ONLY_KINDS:
             channel = "ad"
         noise = make_channel(channel, r)
-        candidates = list(optimize._search_space(kind, noise, SMALL))
+        candidates = _candidates(kind, noise, SMALL)
         fid, success = optimize._screen_scores(rho, kind, noise, SMALL)
         for pick in picks:
             i = pick % len(candidates)
-            res = run_scheme(rho, SchemeSpec(kind=kind, noise=noise, params=candidates[i][1]))
+            res = run_scheme(rho, SchemeSpec(kind=kind, noise=noise, params=candidates[i]))
             assert abs(fid[i] - res.fidelity) <= optimize.SCREEN_ATOL / 100
             assert abs(success[i] - res.success_prob) <= 1e-12
 
@@ -497,8 +502,7 @@ def _full_qfbc_kets(rho, grid):
     """v = conj(K) psi of every (t, m, e), per axis pair: the whole table, of
     which the row kernel builds only the shortlisted theta slices."""
     psi = optimize._pure_ket(rho.tobytes())
-    return {pair: np.einsum("tmeji,j->tmei", k, psi)
-            for pair, k in optimize._qfbc_tables(grid)["blocks"].items()}
+    return [np.einsum("tmeji,j->tmei", k, psi) for k in optimize._qfbc_tables(grid)["blocks"]]
 
 
 def _unscreened(rho, noise, grid):
@@ -508,21 +512,21 @@ def _unscreened(rho, noise, grid):
     rho_e = apply_channel(rho, noise)
     vs = _full_qfbc_kets(rho, grid)
     se, keys = optimize._qfbc_tables(grid)["signed_etas"], []
-    for (ma, ra), v in vs.items():
+    for pair, v in enumerate(vs):  # pairs run meas-major over AXES
         f = np.real(np.einsum("tmei,ij,tmej->tme", v.conj(), rho_e, v))
         e = np.argmax(f, axis=2)
         tot = np.take_along_axis(f, e[:, :, None], axis=2)[:, :, 0].sum(axis=1)
         t = int(np.argmax(tot))
-        keys.append((-tot[t], t, e[t, 0], e[t, 1], grid.axes.index(ma), grid.axes.index(ra)))
+        keys.append((-tot[t], t, e[t, 0], e[t, 1], *divmod(pair, len(optimize.AXES))))
     f2, t, e0, e1, ma, ra = min(keys)
     fb = optimize.OptResult(
         f_opt=float(np.sqrt(np.clip(-f2, 0.0, 1.0))), success_prob=1.0,
         params={"theta": grid.theta[t], "etas": (float(se[e0]), float(se[e1])),
-                "meas_axis": grid.axes[ma], "rot_axis": grid.axes[ra]})
+                "meas_axis": optimize.AXES[ma], "rot_axis": optimize.AXES[ra]})
     tables = optimize._qffc_tables(grid)
     u, w, _ = optimize._qffc_ket(grid, rho.tobytes())
     branch = {}
-    for i, flip in enumerate(tables["flips"]):
+    for i, flip in enumerate(flips()):
         for sign in (+1, -1):
             branch[(i, sign)] = sum(
                 np.abs(np.einsum("ei,ij,pj->pe", w[sign], flip @ a @ flip, u[i])) ** 2
@@ -582,8 +586,7 @@ class TestPureScreen:
 def _pure_tables(rho, noise, grid):
     """The ket tables of both paths, the full qfbc kets with them, and the
     feed-forward F_i A_k F_i."""
-    ff = optimize._qffc_tables(grid)
-    t_ops = [[f @ a @ f for a in noise.ops] for f in ff["flips"]]
+    t_ops = [[f @ a @ f for a in noise.ops] for f in flips()]
     return ((_full_qfbc_kets(rho, grid), optimize._qfbc_ket(grid, rho.tobytes())),
             optimize._qffc_ket(grid, rho.tobytes()), t_ops)
 
@@ -617,9 +620,9 @@ class TestPureScreenProperties:
         rho_es = [apply_channel(rho, noise) for noise in noises]
         (vs, coef), (u, _, ff_coef), _ = _pure_tables(rho, noises[0], grid)
         fb = optimize._qfbc_row_screen(coef, rho_es, optimize._qfbc_tables(grid)["signed_etas"])
-        ff = optimize._qffc_row_screen(u, ff_coef, noises, grid)
+        ff = optimize._qffc_row_screen(u, ff_coef, optimize._flipped(noises), grid)
         for noise, rho_e, fb_max, ff_max in zip(noises, rho_es, fb, ff):
-            exact = np.stack([optimize._qfbc_scores(v, rho_e).max(axis=2) for v in vs.values()])
+            exact = np.stack([optimize._qfbc_scores(v, rho_e).max(axis=2) for v in vs])
             assert np.abs(fb_max - exact).max() <= optimize.SCREEN_ATOL / 100
             exact = _qffc_exact(rho, noise, grid).max(axis=2)
             assert np.abs(ff_max - exact).max() <= optimize.SCREEN_ATOL / 100
@@ -636,7 +639,7 @@ class TestPureScreenProperties:
         behind = (peak > -np.pi) & (peak < -3 * np.pi / 4)
         assert (behind & (exact[:, :, -1] > exact[:, :, 0] + 0.1)).any()
         u, _, ff_coef = optimize._qffc_ket(SMALL, rho.tobytes())
-        screen = optimize._qffc_row_screen(u, ff_coef, [_Y_FLIP], SMALL)[0]
+        screen = optimize._qffc_row_screen(u, ff_coef, optimize._flipped([_Y_FLIP]), SMALL)[0]
         assert np.abs(screen - exact.max(axis=2)).max() <= optimize.SCREEN_ATOL / 100
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -648,7 +651,7 @@ class TestPureScreenProperties:
         ts = np.array(sorted({k % len(grid.theta) for k in picked}))
         (vs, _), (u, w, _), t_ops = _pure_tables(rho, noise, grid)
         psi, blocks = optimize._pure_ket(rho.tobytes()), optimize._qfbc_tables(grid)["blocks"]
-        for pair, v in vs.items():
+        for pair, v in enumerate(vs):
             full = optimize._qfbc_scores(v, rho_e)[ts]
             assert np.array_equal(optimize._qfbc_scores(v[ts], rho_e), full)
             # the row kernel builds kets only on the slices it shortlists

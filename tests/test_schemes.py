@@ -313,6 +313,23 @@ class TestRunScheme:
         with pytest.raises(ValueError, match=f"{kind} needs an amplitude-damping"):
             run_scheme(RHO_0, spec)
 
+    def test_params_r_must_match_the_channel(self):
+        spec = SchemeSpec(kind="wmqmr", noise=ad_kraus(0.9), params={"r": 0.1, "p1": 0.5})
+        with pytest.raises(ValueError, match="differs from the channel"):
+            run_scheme(RHO_0, spec)
+        rho = state_from_angles(InitialState(alpha=0.35, phi=0.15))
+        spec = SchemeSpec(kind="wmqmr", noise=ad_kraus(0.1), params={"r": 0.1, "p1": 0.5})
+        assert run_scheme(rho, spec).fidelity == run_wmqmr(rho, r=0.1, p1=0.5).fidelity
+
+    @pytest.mark.parametrize("kind,params", [
+        ("qfbc", {"theta": 0.3, "eta": 0.2}),
+        ("qffc_rot", {"p": 0.8, "eta": 0.2}),
+        ("wmppf", {"p": 0.8}),
+    ])
+    def test_noise_kinds_need_a_channel(self, kind, params):
+        with pytest.raises(ValueError, match=f"{kind} needs a noise channel"):
+            run_scheme(RHO_0, SchemeSpec(kind=kind, noise=None, params=params))
+
     def test_runner_looked_up_at_call_time(self, monkeypatch):
         # a rebound run_* (for example a tracing wrapper) must see the call
         from decoguard import schemes
