@@ -706,3 +706,20 @@ class TestRowKernelProperties:
         do_nothing = fidelity(rho, apply_channel(rho, noise))
         for grid in _NESTED:
             assert optimize_qffc_rot(rho, noise, grid).f_opt < do_nothing - 1e-3
+
+
+class TestOptimumRefinement:
+    """No search's optimum falls when its grid is refined, on random pure and
+    mixed inputs: the finer grid holds every candidate of the coarser one."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.sampled_from(optimize.OPTIMIZABLE_KINDS), _BLOCH,
+           st.sampled_from(("ad", "pd", "identity")), st.floats(0.0, 1.0))
+    def test_optimum_never_falls(self, kind, bloch, channel, r):
+        polar, azimuth, radius = bloch
+        rho = bloch_to_density(radius * np.array([np.sin(polar) * np.cos(azimuth),
+                                                  np.sin(polar) * np.sin(azimuth),
+                                                  np.cos(polar)]))
+        noise = make_channel("ad" if kind in AD_ONLY_KINDS else channel, r)
+        coarse, fine = (optimize_scheme(kind, rho, noise, grid).f_opt for grid in _NESTED[:2])
+        assert fine >= coarse - 1e-12

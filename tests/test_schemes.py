@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from decoguard.channels import ad_kraus, identity_channel, pd_kraus
-from decoguard.qmath import InitialState, projector, state_from_angles
+from decoguard.channels import ad_kraus, identity_channel, make_channel, pd_kraus
+from decoguard.qmath import InitialState, bloch_to_density, projector, state_from_angles
 from decoguard.schemes import (
+    AD_ONLY_KINDS,
     SchemeSpec,
     matched_post_wm_strength,
     matched_qmr_strength,
@@ -342,3 +345,55 @@ class TestRunScheme:
         monkeypatch.setattr(schemes, "run_wmppf", spy)
         run_scheme(RHO_0, SchemeSpec(kind="wmppf", noise=ad_kraus(0.4), params={"p": 0.8}))
         assert calls == [0.8]
+
+
+def _bloch_state(polar, azimuth, radius):
+    return bloch_to_density(radius * np.array([np.sin(polar) * np.cos(azimuth),
+                                               np.sin(polar) * np.sin(azimuth),
+                                               np.cos(polar)]))
+
+
+# pure (radius 1) and mixed states anywhere in the Bloch ball
+_STATES = st.builds(_bloch_state, st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi),
+                    st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+_PROB = st.floats(0.0, 1.0)
+_ANGLE = st.floats(0.0, np.pi / 2)
+_SIGNS = st.sampled_from(((+1, +1), (+1, -1), (-1, +1), (-1, -1)))
+# random run_* keyword arguments of each single-qubit scheme kind
+_PARAMS = {
+    "qfbc": st.fixed_dictionaries({
+        "theta": _ANGLE, "etas": st.tuples(st.floats(-np.pi / 2, np.pi / 2),
+                                           st.floats(-np.pi / 2, np.pi / 2)),
+        "meas_axis": st.sampled_from("xyz"), "rot_axis": st.sampled_from("xyz")}),
+    "qffc_rot": st.fixed_dictionaries({"p": _PROB, "eta": _ANGLE, "signs": _SIGNS}),
+    "wmppf": st.fixed_dictionaries({"p": _PROB}),
+    "wmqmr": st.fixed_dictionaries({"p1": _PROB, "p2": _PROB, "no_jump_only": st.booleans()}),
+    "qffc_ps": st.fixed_dictionaries({"p": _PROB, "p_u": _PROB, "p_v": _PROB}),
+    "composite": st.fixed_dictionaries({"p": _PROB, "eta": _ANGLE, "signs": _SIGNS,
+                                        "p_u": _PROB, "p_v": _PROB}),
+}
+
+
+class TestSchemeInvariantProperties:
+    """Physical invariants of every single-qubit scheme on random pure and
+    mixed states, channels and parameters."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.data(), _STATES, st.sampled_from(("ad", "pd", "identity")), _PROB)
+    @pytest.mark.parametrize("kind", sorted(_PARAMS))
+    def test_branch_weights_success_and_fidelity(self, kind, data, rho, channel, r):
+        params = data.draw(_PARAMS[kind])
+        if kind in AD_ONLY_KINDS:
+            channel, params["r"] = "ad", r
+        res = run_scheme(rho, SchemeSpec(kind=kind, noise=make_channel(channel, r),
+                                         params=params))
+        # every branch, discards included, accounts for the input's weight
+        assert abs(res.branches.total_weight - 1.0) <= 1e-12
+        # a sum of accepted weights may round one ulp past 1
+        assert 0.0 <= res.success_prob <= 1.0 + 1e-12
+        assert 0.0 <= res.fidelity <= 1.0
+        if kind not in AD_ONLY_KINDS:
+            # deterministic: a trace-preserving map with a PSD output
+            assert res.success_prob == 1.0
+            assert abs(np.trace(res.output_state).real - 1.0) <= 1e-12
+            assert np.linalg.eigvalsh(res.output_state).min() >= -1e-12
