@@ -254,7 +254,7 @@ def cmd_fig6(args) -> int:
     tables = optimize.sweep_fig6_surfaces([(phi, noise_kind) for noise_kind, phi, _ in surfaces],
                                           grid, workers=args.workers)
     wrote = []
-    for (noise_kind, _, tag), table in zip(surfaces, tables):
+    for (noise_kind, _, tag), table in zip(surfaces, tables, strict=True):
         if len(table.rows) != len(grid.alphas) * len(grid.rs):
             raise RuntimeError("fig6 sweep produced an unexpected row count")
         path = outdir / f"fig6_{noise_kind}_phi{tag}.csv"

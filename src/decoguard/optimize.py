@@ -31,20 +31,24 @@ included, is the unscreened one. Grid tables are functools caches of the
 GridSpec, ket products lru_caches of the last ket.
 
 Every other search (mixed-input qfbc, with tied +/- eta, and qffc_rot;
-wmppf, wmqmr, qffc_ps, composite) runs per cell over a candidate grid
-(_search_space) whose C order is its tie order. One batched kernel scores
-every candidate from its stack of accepted Kraus operators and the
-closed-form qubit fidelity (qffc_ps from two branch tables, as its branches
-depend on (p, p_u) and (p, p_v) only). The candidates within SCREEN_ATOL of
-the best score go through run_scheme in grid order, and the first highest
-fidelity wins. The kernel is within far less than SCREEN_ATOL / 2 of
-run_scheme, so the exhaustive loop's winner, with its success probability
-and params, is always among them.
+wmppf, wmqmr, qffc_ps, composite) is a loop row (_loop_row) over a
+candidate grid (_search_space) whose C order is its tie order. In the
+Pauli-transfer picture a channel is a real 4x4 matrix T, and every
+candidate is noise-free stages, T, noise-free stages; a per-grid table
+(_loop_tables) holds the noise-free stages' transfer matrices. A row takes
+its channels one at a time and scores every candidate from T and the
+closed-form qubit fidelity. The candidates within SCREEN_ATOL of the best
+score go through run_scheme in grid order, and the first highest fidelity
+wins. The kernel is within far less than SCREEN_ATOL / 2 of run_scheme, so
+the exhaustive loop's winner, with its success probability and params, is
+always among them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -55,6 +59,10 @@ import numpy as np
 from .channels import KrausChannel, apply_channel, make_channel
 from .measurements import flips, povm_axis, rotation
 from .qmath import (
+    ID2,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     PURITY_PURE_THRESHOLD,
     InitialState,
     check_density,
@@ -171,30 +179,17 @@ def _diag(a, b) -> np.ndarray:
 
 @functools.cache
 def _qffc_tables(grid: GridSpec) -> dict:
-    """Per grid: the noise-free factors of the feed-forward and wmqmr searches.
+    """Per grid: the noise-free factors of the pure feed-forward search.
 
-    strengths and eta; m: the (M_1(p), M_2(p)) stacks in theta
-    order, m_stack: the same as (p, i, 2, 2), m_asc: with p ascending; r:
-    R_y(sign eta) per sign; wm, qmr: diag(1, sqrt(1-p)), diag(sqrt(1-p), 1)
-    and post: composite's matched N_1, W_1, all with p ascending; rot:
-    R_y(s_i eta) per (eta, sign combination, branch i).
+    strengths and eta; m: the (M_1(p), M_2(p)) stacks in theta order; r:
+    R_y(sign eta) per sign.
     """
-    strengths, eta = grid.strengths, np.asarray(grid.eta)
-    m1 = np.stack([np.diag([np.sqrt(p), np.sqrt(1 - p)]) for p in strengths]).astype(complex)
-    m2 = np.stack([np.diag([np.sqrt(1 - p), np.sqrt(p)]) for p in strengths]).astype(complex)
-    r = {sign: np.stack([rotation("y", e, sign).matrix for e in eta]) for sign in (+1, -1)}
-    asc = np.argsort(strengths, kind="stable")
-    ps = np.asarray(strengths)[asc]
-    m = np.stack((m1, m2), axis=1)
-    one, matched = np.ones_like(ps), np.maximum(0.0, (2 * ps - 1) / ps)
-    return {
-        "strengths": strengths, "eta": eta, "m": (m1, m2), "r": r,
-        "m_stack": m, "m_asc": m[asc],
-        "wm": _diag(one, np.sqrt(1 - ps)), "qmr": _diag(np.sqrt(1 - ps), one),
-        "post": np.stack([_diag(np.sqrt(1 - matched), one),
-                          _diag(one, np.sqrt(1 - matched))], axis=1),
-        "rot": np.stack([np.stack([r[s] for s in signs], axis=1)
-                         for signs in _SIGN_COMBOS], axis=1)}
+    ps = np.asarray(grid.strengths)
+    sq, q = np.sqrt(ps), np.sqrt(1 - ps)
+    return {"strengths": grid.strengths, "eta": np.asarray(grid.eta),
+            "m": (_diag(sq, q), _diag(q, sq)),
+            "r": {sign: np.stack([rotation("y", e, sign).matrix for e in grid.eta])
+                  for sign in (+1, -1)}}
 
 
 @functools.lru_cache(maxsize=1)
@@ -361,15 +356,14 @@ def _qffc_row(rho_in, noises, grid: GridSpec) -> list[OptResult]:
 
 def _optimize_row(rho_in, noises, grid: GridSpec,
                   kinds=("qfbc", "qffc_rot")) -> list[list[OptResult]]:
-    """The optima of each kind for one state under each channel, per kind in
-    channel order. Pure qfbc and qffc_rot rows go to their row kernels; every
-    other search goes cell by cell through _optimize_screened."""
+    """The optima of each kind for one state, validated once, under each
+    channel, per kind in channel order. A pure qfbc or qffc_rot row goes to
+    its row kernel, every other row to _loop_row."""
     rho_in = check_density(rho_in)
     pure = purity(rho_in) >= PURITY_PURE_THRESHOLD
-    rows = {"qfbc": _qfbc_row, "qffc_rot": _qffc_row}
-    return [rows[kind](rho_in, noises, grid) if pure and kind in rows
-            else [_optimize_screened(rho_in, kind, noise, grid) for noise in noises]
-            for kind in kinds]
+    rows = {"qfbc": _qfbc_row, "qffc_rot": _qffc_row} if pure else {}
+    return [rows[kind](rho_in, noises, grid) if kind in rows
+            else _loop_row(rho_in, kind, noises, grid) for kind in kinds]
 
 
 def optimize_qfbc(rho_in, noise: KrausChannel, grid: GridSpec) -> OptResult:
@@ -426,107 +420,93 @@ def _search_space(kind: str, noise: KrausChannel | None, grid: GridSpec):
 
 
 # ---------------------------------------------------------------------------
-# batched screening of the loop searches
+# loop searches: Pauli-transfer screen, run_scheme verification
 # ---------------------------------------------------------------------------
 
 # Accepted weights where the pipelines' fidelity-0 cutoff (success <= 1e-15)
 # may fall on the other side for the kernel; such candidates are always run.
 _CUTOFF_BAND = (1e-16, 1e-14)
+_PAULIS = np.stack([ID2, PAULI_X, PAULI_Y, PAULI_Z])
+
+
+def _ptm(k) -> np.ndarray:
+    """The real Pauli transfer matrix T of rho -> K rho K^dagger for each K of
+    a stack (..., 2, 2), (..., 4, 4): _pauli(K rho K^dagger) = T @ _pauli(rho)."""
+    k = k[..., None, :, :]
+    return np.swapaxes(_pauli(k @ _PAULIS @ k.conj().swapaxes(-1, -2)), -1, -2) / 2
 
 
 @functools.cache
-def _tied_qfbc_ops(grid: GridSpec) -> np.ndarray:
-    """Per grid: R(+-eta) M_m(theta), (theta, eta, meas axis, rot axis, binding,
-    outcome m, 2, 2), C-contiguous; binding +1 rotates outcome '+' by +eta and
-    '-' by -eta."""
-    blocks = _qfbc_tables(grid)["blocks"]  # conj(R(e) M_m(theta)), (pair, theta, m, e)
-    a, n = len(AXES), len(grid.eta)
-    # positions of +eta and -eta among _signed_etas: 0, +d, -d, +2d, ...
-    plus, minus = np.r_[0, 1:2 * n - 1:2], np.r_[0, 2:2 * n - 1:2]
-    signed = np.stack([np.stack([plus, minus], -1), np.stack([minus, plus], -1)], 1)
-    tied = blocks.reshape(a, a, *blocks.shape[1:])[:, :, :, np.arange(2), signed]
-    return np.ascontiguousarray(tied.transpose(2, 3, 0, 1, 4, 5, 6, 7).conj())
-
-
-def _kraus_stack(kind: str, noise: KrausChannel, grid: GridSpec) -> np.ndarray | tuple:
-    """The accepted Kraus operators of every candidate of a loop search,
-    (candidate, K, 2, 2) with candidates in _search_space order; for qffc_ps
-    the two branch stacks (p, p_u, K, 2, 2) and (p, p_v, K, 2, 2) instead.
-
-    They follow each run_* pipeline, for the noise Kraus operators A_k:
-      wmqmr      qmr(p2) A_k wm(p1)
-      qffc_ps    N_i F_i A_k F_i M_i(p) per pre-measurement branch i, where
-                 N_1 = qmr(p_u) and N_2 = wm(p_v)
-      composite  R_y(s_i eta) N_i F_i A_k F_i M_i(p), N_i matched to p
-      qffc_rot   R_y(s_i eta) F_i A_k F_i M_i(p)
-      wmppf      F_i A_k F_i M_i(p)
-      qfbc       R(e_m) M_m(theta) A_k per outcome m, with e = (+eta, -eta)
-                 or, for binding -1, (-eta, +eta)
-    so sum_K K rho K^dagger is the pipeline's accepted, unnormalized output.
+def _loop_tables(kind: str, grid: GridSpec) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per loop kind and grid: (pre_i, post_i) per branch i, the transfer
+    matrices of a candidate's noise-free stages before and after the channel,
+    broadcastable to its _search_space shape. With the flips F_i, the
+    pre-measurements M_i(p), wm(p) = diag(1, sqrt(1-p)), qmr(p) =
+    diag(sqrt(1-p), 1), N_1 = qmr and N_2 = wm, they follow each run_*:
+      qfbc       I, and the sum over outcomes m of R(e_m) M_m(theta), with
+                 e = (+eta, -eta) or, for binding -1, (-eta, +eta)
+      wmqmr      wm(p1), qmr(p2)
+      wmppf      F_i M_i(p), F_i
+      qffc_rot   F_i M_i(p), R_y(s_i eta) F_i
+      qffc_ps    F_i M_i(p), N_i F_i at p_u (N_1) and p_v (N_2)
+      composite  F_i M_i(p), R_y(s_i eta) N_i F_i with N_i matched to p
     """
-    a = np.stack(noise.ops)
-    k = len(a)
     if kind == "qfbc":
-        ops = np.einsum("...xy,kyz->...kxz", _tied_qfbc_ops(grid), a, optimize=True)
-        return ops.reshape(-1, 2 * k, 2, 2)
-    t = _qffc_tables(grid)
+        blocks = _qfbc_tables(grid)["blocks"]  # conj(R(e) M_m(theta)), (pair, theta, m, e)
+        a, n = len(AXES), len(grid.eta)
+        # positions of +eta and -eta among _signed_etas: 0, +d, -d, +2d, ...
+        plus, minus = np.r_[0, 1:2 * n - 1:2], np.r_[0, 2:2 * n - 1:2]
+        signed = np.stack([np.stack([plus, minus], -1), np.stack([minus, plus], -1)], 1)
+        tied = blocks.reshape(a, a, *blocks.shape[1:])[:, :, :, np.arange(2), signed].conj()
+        post = _ptm(tied).sum(axis=5)  # (meas, rot, theta, eta, binding, 4, 4)
+        return ((np.eye(4), np.ascontiguousarray(post.transpose(2, 3, 0, 1, 4, 5, 6))),)
+    ps = np.asarray(grid.strengths)
+    if kind != "qffc_rot":
+        ps = np.sort(ps)
+    one, q = np.ones_like(ps), np.sqrt(1 - ps)
+    wm, qmr = _ptm(_diag(one, q)), _ptm(_diag(q, one))
     if kind == "wmqmr":
-        return np.einsum("jxy,kyz,izw->ijkxw", t["qmr"], a, t["wm"]).reshape(-1, k, 2, 2)
-    fa = _flipped((noise,))[0]                           # F_i A_k F_i
-    if kind == "qffc_rot":
-        front = np.einsum("ikxy,piyz->pikxz", fa, t["m_stack"])
-        return np.einsum("ecixy,pikyz->pecikxz", t["rot"], front).reshape(-1, 2 * k, 2, 2)
-    front = np.einsum("ikxy,piyz->pikxz", fa, t["m_asc"])
+        return ((wm[:, None], qmr),)
+    f = _ptm(np.stack(flips()))
+    pre = (f[0] @ _ptm(_diag(np.sqrt(ps), q)), f[1] @ _ptm(_diag(q, np.sqrt(ps))))
     if kind == "wmppf":
-        return front.reshape(-1, 2 * k, 2, 2)
-    if kind == "composite":
-        kept = np.einsum("pixy,pikyz->pikxz", t["post"], front)
-        return np.einsum("ecixy,pikyz->pecikxz", t["rot"], kept).reshape(-1, 2 * k, 2, 2)
-    # qffc_ps: branch 1 depends on (p, p_u) only and branch 2 on (p, p_v) only
-    return (np.einsum("jxy,pkyz->pjkxz", t["qmr"], front[:, 0]),
-            np.einsum("jxy,pkyz->pjkxz", t["wm"], front[:, 1]))
-
-
-def _sigma(rho, stack: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(s00, s11, s01) of sigma = sum_K K rho K^dagger for each Kraus set of a
-    stack (..., K, 2, 2). Written out entrywise, as batched 2x2 matmul is slower."""
-    a, b, c, d = (stack[..., i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    ka, kb = a * rho[0, 0] + b * rho[1, 0], a * rho[0, 1] + b * rho[1, 1]  # rows of K rho
-    kc, kd = c * rho[0, 0] + d * rho[1, 0], c * rho[0, 1] + d * rho[1, 1]
-    return (np.real(ka * a.conj() + kb * b.conj()).sum(axis=-1),
-            np.real(kc * c.conj() + kd * d.conj()).sum(axis=-1),
-            (ka * c.conj() + kb * d.conj()).sum(axis=-1))
-
-
-def _screen_scores(rho, kind: str, noise: KrausChannel,
-                   grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(fidelity, success) of every candidate of a loop search, in
-    _search_space order, from its Kraus stack (_kraus_stack).
-
-    sigma = sum_K K rho K^dagger, success = Tr sigma, and the closed-form qubit
-    fidelity F^2 = Tr rho s + 2 sqrt(det rho det s) of s = sigma / success
-    (Hubner 1992; Jozsa 1994), clipped as qmath.fidelity clips: the overlap
-    alone for a pure rho, zeroed spectrum below 1e-14, F <= 1, and F = 0 when
-    success <= 1e-15. qffc_ps sums sigma(p, p_u, p_v) = sigma_1(p, p_u) +
-    sigma_2(p, p_v) from its two n^2 branch tables.
-    """
-    stack = _kraus_stack(kind, noise, grid)
+        return tuple(zip(pre, f))
+    pre = tuple(p_i[:, None, None] for p_i in pre)
     if kind == "qffc_ps":
-        n1, w1 = (_sigma(rho, branch) for branch in stack)
-        s00, s11, s01 = ((x[:, :, None] + y[:, None]).ravel() for x, y in zip(n1, w1))
-    else:
-        s00, s11, s01 = _sigma(rho, stack)
-    success = s00 + s11
+        return (pre[0], (qmr @ f[0])[:, None]), (pre[1], wm @ f[1])
+    r = {sign: _ptm(m) for sign, m in _qffc_tables(grid)["r"].items()}
+    rot = [np.stack([r[signs[i]] for signs in _SIGN_COMBOS], axis=1) for i in (0, 1)]
+    if kind == "qffc_rot":
+        return tuple(zip(pre, (rot[i] @ f[i] for i in (0, 1))))
+    qm = np.sqrt(1 - np.maximum(0.0, (2 * ps - 1) / ps))  # composite's matched N_i
+    n = (_ptm(_diag(qm, one)), _ptm(_diag(one, qm)))
+    return tuple(zip(pre, (rot[i] @ (n[i] @ f[i])[:, None, None] for i in (0, 1))))
+
+
+def _loop_scores(rho, kind: str, noise: KrausChannel,
+                 grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(fidelity, success) of every candidate of a loop search, in
+    _search_space order, under one channel of transfer matrix T.
+
+    sigma = sum_i post_i T pre_i _pauli(rho) from _loop_tables, success = Tr
+    sigma, and the closed-form qubit fidelity F^2 = Tr rho s + 2 sqrt(det rho
+    det s) of s = sigma / success (Hubner 1992; Jozsa 1994), clipped as
+    qmath.fidelity clips: the overlap alone for a pure rho, zeroed spectrum
+    below 1e-14, F <= 1, and F = 0 when success <= 1e-15.
+    """
+    r, t = _pauli(rho), _ptm(np.stack(noise.ops)).sum(axis=0)
+    sigma = sum(post @ ((pre @ r) @ t.T)[..., None] for pre, post in _loop_tables(kind, grid))
+    sigma = sigma.reshape(-1, 4)
+    success = sigma[:, 0]
     fid = np.zeros(len(success))
     kept = success > 1e-15
-    s00, s11, s01 = (v[kept] / success[kept] for v in (s00, s11, s01))
-    overlap = rho[0, 0].real * s00 + rho[1, 1].real * s11 + 2 * np.real(rho[1, 0] * s01)
+    s = sigma[kept] / success[kept, None]
+    overlap = s @ r / 2
     if purity(rho) >= PURITY_PURE_THRESHOLD:
         f = np.sqrt(np.maximum(overlap, 0.0))
     else:
         # the eigenvalues of sqrt(rho) s sqrt(rho) have sum overlap and product det
-        det_rho = np.real(rho[0, 0] * rho[1, 1]) - abs(rho[0, 1]) ** 2
-        det = np.maximum(det_rho * (s00 * s11 - np.abs(s01) ** 2), 0.0)
+        det = np.maximum((r[0] ** 2 - r[1:] @ r[1:]) * (1 - (s[:, 1:] ** 2).sum(axis=1)) / 16, 0.0)
         hi = np.maximum(0.5 * (overlap + np.sqrt(np.maximum(overlap ** 2 - 4 * det, 0.0))), 0.0)
         lo = np.divide(det, hi, out=np.zeros_like(hi), where=hi > 0)
         lo[lo < 1e-14 * np.maximum(1.0, hi)] = 0.0
@@ -535,30 +515,30 @@ def _screen_scores(rho, kind: str, noise: KrausChannel,
     return fid, success
 
 
-def _optimize_screened(rho_in, kind: str, noise: KrausChannel, grid: GridSpec) -> OptResult:
-    """_optimize_by_loop over the candidates the batched kernel cannot rule out.
-
-    Scores every candidate of _search_space at once (_screen_scores) and runs
-    only those within SCREEN_ATOL of the best score, plus any in the success
-    band where the fidelity-0 cutoff is not continuous. If every score is
-    within delta of its run_scheme fidelity and 2 delta <= SCREEN_ATOL, the
-    exhaustive loop's winner is among them, so the result is the same
-    OptResult, tie-breaks included.
-    """
-    fid, success = _screen_scores(rho_in, kind, noise, grid)
-    band = (success >= _CUTOFF_BAND[0]) & (success <= _CUTOFF_BAND[1])
-    top = np.max(fid, where=~band, initial=-np.inf)
-    keep = band | (fid >= top - SCREEN_ATOL)
-    shape, params = _search_space(kind, noise, grid)
-    return _optimize_by_loop(rho_in, kind, noise, (
-        params(*index) for index in np.argwhere(keep.reshape(shape)).tolist()))
+def _loop_row(rho_in, kind: str, noises, grid: GridSpec) -> list[OptResult]:
+    """The optima of a loop search for one state under each channel, one
+    channel at a time: _loop_scores screens every candidate, and only those
+    within SCREEN_ATOL of the best score, plus any in the success band where
+    the fidelity-0 cutoff is not continuous, go through _optimize_by_loop. If
+    every score is within delta of its run_scheme fidelity and 2 delta <=
+    SCREEN_ATOL, the exhaustive loop's winner is among them, so the result is
+    its OptResult, tie-breaks included."""
+    results = []
+    for noise in noises:
+        shape, params = _search_space(kind, noise, grid)
+        fid, success = _loop_scores(rho_in, kind, noise, grid)
+        band = (success >= _CUTOFF_BAND[0]) & (success <= _CUTOFF_BAND[1])
+        top = np.max(fid, where=~band, initial=-np.inf)
+        keep = band | (fid >= top - SCREEN_ATOL)
+        results.append(_optimize_by_loop(rho_in, kind, noise, (
+            params(*index) for index in np.argwhere(keep.reshape(shape)).tolist())))
+    return results
 
 
 def _optimize_by_loop(rho_in, kind: str, noise: KrausChannel | None, candidates) -> OptResult:
     """Run every params candidate given through run_scheme; the first highest
-    fidelity wins. The searches pass it their screened shortlist
-    (_optimize_screened) in _search_space order, so the winner is that of the
-    exhaustive loop."""
+    fidelity wins. The loop rows pass it their screened shortlist in
+    _search_space order, so the winner is that of the exhaustive loop."""
     best = None
     for params in candidates:
         res = run_scheme(rho_in, SchemeSpec(kind=kind, noise=noise, params=params))
@@ -572,10 +552,10 @@ def optimize_scheme(scheme_kind: str, rho_in, noise: KrausChannel | None,
     """Exhaustive grid optimization of one scheme's control parameters.
 
     Pure-input qfbc and qffc_rot run through their row kernels. The other
-    searches cover their whole space (see _search_space): a batched kernel
-    screens every candidate and run_scheme verifies the near-best ones, which
-    gives the result of running every candidate through run_scheme,
-    tie-break included (see _optimize_screened).
+    searches cover their whole space (see _search_space): a transfer-matrix
+    kernel screens every candidate and run_scheme verifies the near-best
+    ones, which gives the result of running every candidate through
+    run_scheme, tie-break included (see _loop_row).
     """
     kind = scheme_kind.lower()
     _search_space(kind, noise, grid)  # validates kind and noise
@@ -621,9 +601,10 @@ def _fmt(value) -> str:
 
 
 def resolve_workers(workers: int | None, n_tasks: int) -> int:
-    """workers (the CPU count when None), at most one per task."""
+    """workers (when None, the CPUs this process may run on), at most one per task."""
     if workers is None:
-        workers = os.cpu_count() or 1
+        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+            else os.cpu_count() or 1
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     return min(workers, max(1, n_tasks))
@@ -636,7 +617,7 @@ def _fig6_row(rho, noises, grid: GridSpec) -> list[tuple]:
 
 
 def _sweep_row(scheme_kind: str, rho, noises, grid: GridSpec) -> list[tuple]:
-    opts = [optimize_scheme(scheme_kind, rho, noise, grid) for noise in noises]
+    opts, = _optimize_row(rho, noises, grid, (scheme_kind.lower(),))
     return [(scheme_kind, opt.f_opt, opt.success_prob,
              ";".join(f"{k}={_fmt(v)}" for k, v in sorted(opt.params.items()))) for opt in opts]
 
@@ -655,39 +636,39 @@ def _alpha_row(args) -> list[tuple]:
     return [(alpha, phi, r, noise_kind, *cell) for r, cell in zip(grid.rs, cells)]
 
 
-def _run_surfaces(row, surfaces, grid: GridSpec, workers: int | None) -> list[tuple[tuple, ...]]:
-    """The rows of each (phi, noise kind) surface. Every alpha row of every
-    surface goes to one pool, in surface order, so a run starts one pool."""
+def _run_surfaces(row, surfaces, grid: GridSpec, workers: int | None):
+    """The rows of each (phi, noise kind) surface, yielded once its last alpha
+    row is done. Every alpha row of every surface goes to one pool, in
+    surface order, so a run starts one pool."""
     tasks = [(row, phi, noise_kind, alpha, grid)
              for phi, noise_kind in surfaces for alpha in grid.alphas]
-    n = resolve_workers(workers, len(tasks))
-    if n == 1:
-        chunks = [_alpha_row(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=n) as pool:
-            chunks = list(pool.map(_alpha_row, tasks))
-    k = len(grid.alphas)
-    return [tuple(line for chunk in chunks[i:i + k] for line in chunk)
-            for i in range(0, len(chunks), k)]
+    n, k = resolve_workers(workers, len(tasks)), len(grid.alphas)
+    with ProcessPoolExecutor(max_workers=n) if n > 1 else contextlib.nullcontext() as pool:
+        chunks = (pool.map if pool else map)(_alpha_row, tasks)
+        for _ in range(len(tasks) // k):
+            yield tuple(line for chunk in itertools.islice(chunks, k) for line in chunk)
 
 
-def sweep_fig6_surfaces(surfaces, grid: GridSpec,
-                        workers: int | None = None) -> list[SweepResult]:
+def sweep_fig6_surfaces(surfaces, grid: GridSpec, workers: int | None = None):
     """Comparison tables over the full (alpha, r) grid, one per (phi, channel
-    kind) in surfaces, all computed on one process pool."""
-    return [SweepResult(columns=FIG6_COLUMNS, rows=rows)
-            for rows in _run_surfaces(_fig6_row, surfaces, grid, workers)]
+    kind) in surfaces, all computed on one process pool; an iterator that
+    yields each table as soon as its rows are done."""
+    return (SweepResult(columns=FIG6_COLUMNS, rows=rows)
+            for rows in _run_surfaces(_fig6_row, surfaces, grid, workers))
 
 
 def sweep_fig6(phi: float, noise_kind: str, grid: GridSpec,
                workers: int | None = None) -> SweepResult:
     """Comparison table over the full (alpha, r) grid for one phi and channel."""
-    return sweep_fig6_surfaces(((phi, noise_kind),), grid, workers)[0]
+    table, = sweep_fig6_surfaces(((phi, noise_kind),), grid, workers)
+    return table
 
 
 def sweep_optimal(scheme_kind: str, phi: float, noise_kind: str, grid: GridSpec,
                   workers: int | None = None) -> SweepResult:
     """Per-scheme optimal-fidelity table over the full (alpha, r) grid."""
+    # validates the kind and the channel before any row is run
+    _search_space(scheme_kind.lower(), make_channel(noise_kind, grid.rs[0]), grid)
     rows, = _run_surfaces(functools.partial(_sweep_row, scheme_kind),
                           ((phi, noise_kind),), grid, workers)
     return SweepResult(columns=SWEEP_COLUMNS, rows=rows)

@@ -196,6 +196,15 @@ class TestSweepCommand:
         assert out_path.exists()
         assert out_path.read_text().startswith("alpha,phi,r,noise,scheme,")
 
+    def test_wrong_channel_rejected_before_any_row(self, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(optimize, "_run_surfaces", lambda *args: ran.append(args))
+        code, _, err = run_cli(capsys, "sweep", "--scheme", "wmqmr", "--noise", "pd",
+                               "--angle-count", "4", "--alpha-count", "2", "--r-count", "3")
+        assert code == 1
+        assert "wmqmr optimization needs an amplitude-damping channel" in err
+        assert ran == []
+
 
 class TestFig6Command:
     def test_six_files_and_determinism(self, capsys, tmp_path):

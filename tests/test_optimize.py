@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import os
 import pickle
 
 import numpy as np
@@ -282,6 +284,13 @@ class TestSweeps:
             assert row[4] == "wmppf"
             assert row[6] == 1.0  # wmppf success probability is exactly 1
 
+    def test_sweep_optimal_kind_is_case_insensitive(self):
+        upper = sweep_optimal("WMQMR", 0.0, "ad", TINY, workers=1)
+        lower = sweep_optimal("wmqmr", 0.0, "ad", TINY, workers=1)
+        assert {row[4] for row in upper.rows} == {"WMQMR"}
+        assert [row[:4] + row[5:] for row in upper.rows] == \
+            [row[:4] + row[5:] for row in lower.rows]
+
 
 class TestWorkers:
     def test_explicit_count(self):
@@ -291,6 +300,15 @@ class TestWorkers:
     def test_invalid_count(self):
         with pytest.raises(ValueError):
             resolve_workers(0, 10)
+
+    def test_default_counts_the_cpus_this_process_may_use(self, monkeypatch):
+        # pinned to one CPU (taskset -c 0) on a many-core host
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert resolve_workers(None, 180) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert resolve_workers(None, 180) == 3
+        assert resolve_workers(None, 2) == 2
 
 
 class TestSearchLoop:
@@ -331,7 +349,7 @@ def _logging(log, fn):
     return wrapper
 
 
-_GRID_CACHES = (optimize._qfbc_tables, optimize._qffc_tables, optimize._tied_qfbc_ops)
+_GRID_CACHES = (optimize._qfbc_tables, optimize._qffc_tables)
 _KET_CACHES = (optimize._qfbc_ket, optimize._qffc_ket)
 
 
@@ -391,6 +409,21 @@ class TestGridAndKetTables:
         optimize_qfbc(a_state(0.4, 1.3), pd_kraus(0.7), grid)
         optimize_qffc_rot(a_state(0.4, 1.3), pd_kraus(0.7), grid)
         assert [cache.cache_info().misses for cache in _KET_CACHES] == misses
+
+    def test_pickled_grid_hits_the_loop_tables(self):
+        grid = pickle.loads(pickle.dumps(SMALL))
+        for kind in optimize.OPTIMIZABLE_KINDS:
+            assert optimize._loop_tables(kind, grid) is optimize._loop_tables(kind, SMALL)
+
+    @pytest.mark.parametrize("kind", ("wmppf", "wmqmr", "qffc_ps", "composite"))
+    def test_warm_sweep_row_builds_no_table(self, kind):
+        # a sweep row of a loop kind builds its kind's table once per grid
+        row = functools.partial(optimize._sweep_row, kind)
+        optimize._loop_tables.cache_clear()
+        optimize._alpha_row((row, 0.3, "ad", 0.5, TINY))
+        assert optimize._loop_tables.cache_info().misses == 1
+        optimize._alpha_row((row, 1.1, "ad", 0.9, TINY))
+        assert optimize._loop_tables.cache_info().misses == 1
 
     def test_warm_calls_build_no_rotations(self, monkeypatch):
         made = []
@@ -457,9 +490,9 @@ class TestScreenedSearch:
         for noise in _loop_channels(kind):
             candidates = _candidates(kind, noise, grid)
             for rho in _LOOP_INPUTS:
-                assert len(optimize._screen_scores(rho, kind, noise, grid)[0]) == len(candidates)
+                assert len(optimize._loop_scores(rho, kind, noise, grid)[0]) == len(candidates)
                 exhaustive = optimize._optimize_by_loop(rho, kind, noise, candidates)
-                assert optimize._optimize_screened(rho, kind, noise, grid) == exhaustive
+                assert optimize._loop_row(rho, kind, (noise,), grid) == [exhaustive]
 
 
 _BLOCH = st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi),
@@ -473,8 +506,9 @@ class TestScreenKernelAccuracy:
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(st.sampled_from(optimize.OPTIMIZABLE_KINDS), _BLOCH,
            st.sampled_from(("ad", "pd", "identity")), st.floats(0.0, 1.0),
-           st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=6))
-    def test_kernel_matches_pipeline(self, kind, bloch, channel, r, picks):
+           st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=6),
+           st.sampled_from((SMALL, _DEFAULT)))
+    def test_kernel_matches_pipeline(self, kind, bloch, channel, r, picks, grid):
         polar, azimuth, radius = bloch
         rho = bloch_to_density(radius * np.array([np.sin(polar) * np.cos(azimuth),
                                                   np.sin(polar) * np.sin(azimuth),
@@ -482,8 +516,8 @@ class TestScreenKernelAccuracy:
         if kind in AD_ONLY_KINDS:
             channel = "ad"
         noise = make_channel(channel, r)
-        candidates = _candidates(kind, noise, SMALL)
-        fid, success = optimize._screen_scores(rho, kind, noise, SMALL)
+        candidates = _candidates(kind, noise, grid)
+        fid, success = optimize._loop_scores(rho, kind, noise, grid)
         for pick in picks:
             i = pick % len(candidates)
             res = run_scheme(rho, SchemeSpec(kind=kind, noise=noise, params=candidates[i]))
