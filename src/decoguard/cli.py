@@ -96,7 +96,7 @@ def load_config(path: str) -> dict[str, str]:
 
 
 def _apply_config(args: argparse.Namespace):
-    """Fill in argparse defaults (None) from the config file; flags win."""
+    """Fill in argparse defaults (None) from the config file, checked as flags are; flags win."""
     if not getattr(args, "config", None):
         return
     cfg = load_config(args.config)
@@ -104,11 +104,18 @@ def _apply_config(args: argparse.Namespace):
     unknown = set(cfg) - known
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    type_for = {a.dest: a.type for a in args.subparser._actions if a.type is not None}
+    actions = {a.dest: a for a in args.subparser._actions}
     for key, raw in cfg.items():
         if getattr(args, key) is None:
-            caster = type_for.get(key, str)
-            setattr(args, key, caster(raw))
+            action = actions[key]
+            try:
+                value = (action.type or str)(raw)
+                if action.choices is not None and value not in action.choices:
+                    raise ValueError(f"invalid choice {raw!r} (choose from "
+                                     f"{', '.join(action.choices)})")
+            except (argparse.ArgumentTypeError, ValueError) as exc:
+                raise ValueError(f"{args.config}: {key}: {exc}") from None
+            setattr(args, key, value)
 
 
 def _input_state(args) -> np.ndarray:
@@ -219,7 +226,7 @@ def cmd_scheme(args) -> int:
     noise = make_channel(noise_kind, r)
     result = schemes.run_scheme(rho_in, schemes.SchemeSpec(kind=kind, noise=noise,
                                                            params=params))
-    if not 0.0 <= result.success_prob <= 1.0 + 1e-12:
+    if not 0.0 <= result.success_prob <= 1.0:
         raise ValueError(f"success probability {result.success_prob} outside [0, 1]")
     packed = ";".join(f"{k}={optimize._fmt(v)}" for k, v in sorted(params.items()))
     trail = "|".join(f"{b.label}:{b.weight:.12g}" for b in result.branches.branches)
@@ -290,7 +297,7 @@ def _add_grid_flags(p: argparse.ArgumentParser):
     p.add_argument("--r-count", type=int, dest="r_count",
                    help="r grid points incl. endpoints 0 and 0.999 (default 31)")
     p.add_argument("--workers", type=int,
-                   help="parallel sweep processes (default CPU count)")
+                   help="parallel sweep processes (default: the CPUs this process may run on)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,18 +17,20 @@ channel). Each screens, then verifies, and equal scores go to the first
 candidate in a fixed order.
 
 Pure qfbc and qffc_rot rows go to row kernels; the qfbc one optimizes the
-two outcome rotation angles independently. Each candidate's F^2 is a
-sinusoid A + B cos(eta) + C sin(eta) of its rotation angle (the affine Bloch
-map): the ket products' Pauli vectors at eta = 0 and +-pi/2 give its
-coefficients, one product with the row's noisy states scores every cell, and
-the maximum over the eta grid has a closed form. Only the theta slices
-(p rows) within SCREEN_ATOL of a cell's best go through fixed einsums, whose
-first maximum of the rounded scores in (theta, eta, axis pair or signs)
-order settles exact ties. qfbc kets v = conj(K) psi are built only on the
-slices some cell shortlists, and F_i A_k F_i once per row. A slice gives the
-bits of the same rows of the full computation, so the winner, tie-break
-included, is the unscreened one. Grid tables are functools caches of the
-GridSpec, ket products lru_caches of the last ket.
+two outcome rotation angles independently. Both screen from rho's Pauli
+vector r and per-grid transfer tables, with no ket. A qfbc candidate's F^2
+is r_e . T r / 2, T the transfer matrix of rho -> K^dagger rho K, a sinusoid
+A + B cos(eta) + C sin(eta) of its signed rotation angle: one product r @
+table gives every coefficient, one with the row's noisy states scores every
+cell, and the maximum over the eta grid has a closed form. A qffc_rot
+candidate's F^2 is sum_i (post_i^T r) . (T pre_i r) / 2 over the loop tables.
+Only the theta slices (p rows) within SCREEN_ATOL of a cell's best go
+through fixed einsums on the ket, whose first maximum of the rounded scores
+in (theta, eta, axis pair or signs) order settles exact ties; qfbc kets are
+built only on the slices some cell shortlists. A slice gives the bits of the
+same rows of the full computation, so the winner, tie-break included, is the
+unscreened one. Grid tables are functools caches of the GridSpec, the ket
+and its products lru_caches of the last ket.
 
 Every other search (mixed-input qfbc, with tied +/- eta, and qffc_rot;
 wmppf, wmqmr, qffc_ps, composite) is a loop row (_loop_row) over a
@@ -109,7 +111,7 @@ class GridSpec:
         if not self.alphas or not self.rs:
             raise ValueError("alpha and r grids must be non-empty")
 
-    @property
+    @functools.cached_property
     def strengths(self) -> tuple[float, ...]:
         """p = cos^2(theta/2) in theta order (descending from 1 to 1/2)."""
         return tuple(float(np.cos(t / 2) ** 2) for t in self.theta)
@@ -161,13 +163,18 @@ def _signed_etas(eta_grid) -> np.ndarray:
 def _qfbc_tables(grid: GridSpec) -> dict:
     """Per grid: signed etas; blocks: conj(K[t, m, e] = R(e) @ M(t)[m]) per
     (meas axis, rot axis) pair, pair = 3 meas + rot in AXES, (pair, t, m, e, 2, 2);
-    ends: the blocks at the signed etas 0 and +-eta[-1], (pair, t, m, 3, 2, 2)."""
+    sinusoids: (4, N), _pauli(rho) @ sinusoids the coefficients in the signed eta,
+    (3, pair, t, m, 4), of the Pauli 4-vectors of K^dagger rho K / 2."""
     se = _signed_etas(grid.eta)
     meas = [np.stack([np.stack(povm_axis(ma, t).ops) for t in grid.theta]) for ma in AXES]
     rots = [np.stack([rotation(ra, abs(e), +1 if e >= 0 else -1).matrix for e in se])
             for ra in AXES]
     blocks = np.stack([np.einsum("eij,tmjk->tmeik", r, m) for m in meas for r in rots]).conj()
-    return {"signed_etas": se, "blocks": blocks, "ends": blocks[:, :, :, [0, -2, -1]]}
+    # transfer matrices of rho -> K^dagger rho K at the signed etas 0 and +-eta[-1]
+    ends = _ptm(np.moveaxis(blocks[:, :, :, [0, -2, -1]], 3, 0).swapaxes(-1, -2))
+    coef = np.moveaxis(_sinusoid(ends, grid.eta[-1]) / 2, -1, 0)
+    return {"signed_etas": se, "blocks": blocks,
+            "sinusoids": np.ascontiguousarray(coef.reshape(4, -1))}
 
 
 def _diag(a, b) -> np.ndarray:
@@ -181,13 +188,11 @@ def _diag(a, b) -> np.ndarray:
 def _qffc_tables(grid: GridSpec) -> dict:
     """Per grid: the noise-free factors of the pure feed-forward search.
 
-    strengths and eta; m: the (M_1(p), M_2(p)) stacks in theta order; r:
-    R_y(sign eta) per sign.
+    m: the (M_1(p), M_2(p)) stacks in theta order; r: R_y(sign eta) per sign.
     """
     ps = np.asarray(grid.strengths)
     sq, q = np.sqrt(ps), np.sqrt(1 - ps)
-    return {"strengths": grid.strengths, "eta": np.asarray(grid.eta),
-            "m": (_diag(sq, q), _diag(q, sq)),
+    return {"m": (_diag(sq, q), _diag(q, sq)),
             "r": {sign: np.stack([rotation("y", e, sign).matrix for e in grid.eta])
                   for sign in (+1, -1)}}
 
@@ -204,14 +209,12 @@ def _pauli(rho) -> np.ndarray:
     return np.stack([np.real(d0 + d1), 2 * off.real, -2 * off.imag, np.real(d0 - d1)], axis=-1)
 
 
-def _ket_sinusoid(kets, h: float) -> np.ndarray:
-    """(a, b, c), (3, ..., 4), with n(eta) = a + b cos(eta) + c sin(eta) for the
-    real Pauli 4-vectors n = <v|(I, X, Y, Z)|v> / 2 of kets rotated by eta,
-    from a stack (..., 3, 2) of the kets at eta = 0, +h and -h."""
-    n = _pauli(kets[..., :, None] * kets[..., None, :].conj()) / 2
-    n0, n_plus, n_minus = np.moveaxis(n, -2, 0)
-    b = (n0 - (n_plus + n_minus) / 2) / (1 - np.cos(h))
-    return np.stack([n0 - b, b, (n_plus - n_minus) / (2 * np.sin(h))])
+def _sinusoid(x, h: float) -> np.ndarray:
+    """(a, b, c), (3, ...), with x(eta) = a + b cos(eta) + c sin(eta), from its
+    samples x = (x(0), x(+h), x(-h))."""
+    x0, x_plus, x_minus = x
+    b = (x0 - (x_plus + x_minus) / 2) / (1 - np.cos(h))
+    return np.stack([x0 - b, b, (x_plus - x_minus) / (2 * np.sin(h))])
 
 
 def _eta_max(coef, eta) -> np.ndarray:
@@ -227,38 +230,30 @@ def _eta_max(coef, eta) -> np.ndarray:
 
 
 def _qfbc_kets(k, psi) -> np.ndarray:
-    """v = conj(K) psi for a block slice k = conj(K), (t, m, e, 2, 2) -> (t, m, e, 2).
+    """v = K^dagger psi for a block slice k = conj(K), (t, m, e, 2, 2) -> (t, m, e, 2).
     Each entry is a two-term sum, so a slice of a block gives the bits of the
     same rows of the whole block's kets."""
     return np.einsum("tmeji,j->tmei", k, psi)
 
 
 @functools.lru_cache(maxsize=1)
-def _qfbc_ket(grid: GridSpec, rho_bytes: bytes) -> np.ndarray:
-    """Per ket of the pure rho with these bytes: the sinusoids (3, pair, t, m, 4)
-    in the signed eta of the Pauli 4-vectors n of v = conj(K) psi:
-    F^2 = <v|rho|v> = _pauli(rho) . n."""
-    kets = np.einsum("xtmeji,j->xtmei", _qfbc_tables(grid)["ends"], _pure_ket(rho_bytes))
-    return _ket_sinusoid(kets, grid.eta[-1])
-
-
-@functools.lru_cache(maxsize=1)
 def _qffc_ket(grid: GridSpec, rho_bytes: bytes) -> tuple:
-    """Per ket of the pure rho with these bytes: u[i] = M_i(p) |psi>,
-    w[sign][e] = <psi| R_y(sign e), and the sinusoid coefficients (3, 4) of the
-    Pauli 4-vector of R_y(sign e)^dagger |psi> in sign e."""
+    """Per ket of the pure rho with these bytes: u[i] = M_i(p) |psi> and
+    w[sign][e] = <psi| R_y(sign e)."""
     psi, tables = _pure_ket(rho_bytes), _qffc_tables(grid)
     u = tuple(np.einsum("pij,j->pi", m, psi) for m in tables["m"])
     w = {sign: np.einsum("j,eji->ei", psi.conj(), r) for sign, r in tables["r"].items()}
-    kets = np.stack([w[+1][0], w[+1][-1], w[-1][-1]]).conj()
-    return u, w, _ket_sinusoid(kets, grid.eta[-1])
+    return u, w
 
 
-def _qfbc_row_screen(coef, rho_es, signed_etas) -> np.ndarray:
-    """max over signed eta of every (axis pair, t, m) F^2 per noisy state, (state, pair, t, m)."""
-    abc = coef.reshape(-1, 4) @ _pauli(np.stack(rho_es)).T
-    return np.moveaxis(_eta_max(abc.reshape(*coef.shape[:-1], len(rho_es)),
-                                np.sort(signed_etas)), -1, 0)
+def _qfbc_row_screen(rho, rho_es, grid: GridSpec) -> np.ndarray:
+    """max over signed eta of every (axis pair, t, m) F^2 per noisy state,
+    (state, pair, t, m): F^2 = <v|rho_e|v> of v = K^dagger psi, and |v><v| =
+    K^dagger rho K."""
+    tables, r = _qfbc_tables(grid), _pauli(np.stack([rho, *rho_es]))
+    abc = (r[0] @ tables["sinusoids"]).reshape(-1, 4) @ r[1:].T
+    return np.moveaxis(_eta_max(abc.reshape(3, *tables["blocks"].shape[:3], len(rho_es)),
+                                np.sort(tables["signed_etas"])), -1, 0)
 
 
 def _qfbc_scores(v, rho_e) -> np.ndarray:
@@ -274,23 +269,22 @@ def _pure_result(neg_f2, params: dict) -> OptResult:
 
 
 def _qfbc_row(rho_in, noises, grid: GridSpec) -> list[OptResult]:
-    tables, rho_bytes = _qfbc_tables(grid), rho_in.tobytes()
-    se, blocks = tables["signed_etas"], tables["blocks"]
+    tables = _qfbc_tables(grid)
+    se = tables["signed_etas"]
     rho_es = [apply_channel(rho_in, noise) for noise in noises]
-    approx = _qfbc_row_screen(_qfbc_ket(grid, rho_bytes), rho_es, se).sum(axis=3)
+    approx = _qfbc_row_screen(rho_in, rho_es, grid).sum(axis=3)
     shortlists = approx >= approx.max(axis=(1, 2), keepdims=True) - SCREEN_ATOL  # (cell, pair, t)
     # kets only for the (pair, t) slices some cell shortlists; at[p, t] is
-    # slice t's row among those built for pair p
+    # slice (p, t)'s row among them
     built = shortlists.any(axis=0)
-    at = np.cumsum(built, axis=1) - 1
-    psi = _pure_ket(rho_bytes)
-    vs = {p: _qfbc_kets(blocks[p][built[p]], psi) for p in np.flatnonzero(built.any(axis=1))}
+    at = np.cumsum(built).reshape(built.shape) - 1
+    vs = _qfbc_kets(tables["blocks"][built], _pure_ket(rho_in.tobytes()))
     results = []
     for rho_e, shortlist in zip(rho_es, shortlists):
         keys = []
         for p in np.flatnonzero(shortlist.any(axis=1)):
             ts = np.flatnonzero(shortlist[p])
-            f = _qfbc_scores(vs[p][at[p, ts]], rho_e)
+            f = _qfbc_scores(vs[at[p, ts]], rho_e)
             e_best = np.argmax(f, axis=2)                        # (t, m)
             vals = np.take_along_axis(f, e_best[:, :, None], axis=2)[:, :, 0]
             tot = vals.sum(axis=1)                               # (t,)
@@ -304,24 +298,17 @@ def _qfbc_row(rho_in, noises, grid: GridSpec) -> list[OptResult]:
     return results
 
 
-def _flipped(noises) -> np.ndarray:
-    """F_i A_k F_i for the Kraus operators A_k of each channel, (channel, i, k,
-    2, 2); the channels must be of one kind. The flips are I and X, so every
-    entry is exact."""
-    fl = np.stack(flips())
-    return fl[:, None] @ np.stack([np.stack(noise.ops) for noise in noises])[:, None] @ fl[:, None]
-
-
-def _qffc_row_screen(u, coef, fa, grid: GridSpec) -> np.ndarray:
-    """max over eta of the F^2 of every (sign combination, p) for each channel
-    of fa = _flipped(channels), (channel, combination, p): branch i's state
-    sigma_i = sum_k T_k u_i u_i^dagger T_k^dagger, T_k = F_i A_k F_i, scores
-    A_i + B_i cos e + s_i C_i sin e."""
-    tu = fa @ np.stack(u).swapaxes(1, 2)[:, None]
-    a, b, c = np.einsum("xn,cipn->xcip", coef,
-                        _pauli(np.einsum("cikxp,cikyp->cipxy", tu, tu.conj())))
-    c = np.einsum("ki,cip->ckp", np.array(_SIGN_COMBOS), c)
-    return _eta_max((a.sum(axis=1)[:, None], b.sum(axis=1)[:, None], c), np.sort(grid.eta))
+def _qffc_row_screen(rho, noises, grid: GridSpec) -> np.ndarray:
+    """max over (eta, signs) of the F^2 of every p under each channel, (channel,
+    p): the overlap sum_i (post_i^T r) . (T pre_i r) / 2 over
+    _loop_tables("qffc_rot"), r = _pauli(rho), T the channel's transfer matrix;
+    the channels must be of one kind."""
+    r, tables = _pauli(rho), _loop_tables("qffc_rot", grid)
+    t = _ptm(np.stack([np.stack(noise.ops) for noise in noises])).sum(axis=1)
+    after = np.concatenate([(r @ post).reshape(-1, 4) for _, post in tables], axis=1)
+    before = np.concatenate([(pre @ r).reshape(-1, 4) @ t.swapaxes(1, 2) for pre, _ in tables],
+                            axis=2)
+    return (before @ after.T).max(axis=2) / 2
 
 
 def _qffc_scores(u_i, w_sign, ops) -> np.ndarray:
@@ -335,22 +322,19 @@ def _qffc_scores(u_i, w_sign, ops) -> np.ndarray:
 
 
 def _qffc_row(rho_in, noises, grid: GridSpec) -> list[OptResult]:
-    tables, fa = _qffc_tables(grid), _flipped(noises)
-    u, w, coef = _qffc_ket(grid, rho_in.tobytes())
-    results = []
-    for fa_c, approx in zip(fa, _qffc_row_screen(u, coef, fa, grid).max(axis=1)):
+    u, w = _qffc_ket(grid, rho_in.tobytes())
+    # F_i A_k F_i per channel, (channel, i, k, 2, 2): the flips are I and X, so each entry is exact
+    fl, results = np.stack(flips())[:, None], []
+    fa = fl @ np.stack([np.stack(noise.ops) for noise in noises])[:, None] @ fl
+    for fa_c, approx in zip(fa, _qffc_row_screen(rho_in, noises, grid)):
         ts = np.flatnonzero(approx >= approx.max() - SCREEN_ATOL)
         branch_f2 = {(i, sign): _qffc_scores(u[i][ts], w[sign], fa_c[i])
                      for i in (0, 1) for sign in (+1, -1)}
-        keys = []
-        for c_i, (s1, s2) in enumerate(_SIGN_COMBOS):
-            tot = branch_f2[(0, s1)] + branch_f2[(1, s2)]
-            j, e = divmod(int(np.argmax(tot)), tot.shape[1])
-            keys.append((-tot[j, e], int(ts[j]), e, c_i))
-        f2, t, e, c_i = min(keys)
-        results.append(_pure_result(f2, {
-            "p": tables["strengths"][t], "theta_pre": grid.theta[t],
-            "eta": float(tables["eta"][e]), "signs": _SIGN_COMBOS[c_i]}))
+        tot = np.stack([branch_f2[(0, s1)] + branch_f2[(1, s2)] for s1, s2 in _SIGN_COMBOS], -1)
+        j, e, c = np.unravel_index(np.argmax(tot), tot.shape)  # first maximum in (t, eta, signs)
+        results.append(_pure_result(-tot[j, e, c], {
+            "p": grid.strengths[ts[j]], "theta_pre": grid.theta[ts[j]],
+            "eta": grid.eta[e], "signs": _SIGN_COMBOS[c]}))
     return results
 
 

@@ -90,15 +90,16 @@ def _deterministic(rho_in, branches: list[Branch], what: str) -> SchemeResult:
 
 
 def _postselected(rho_in, accepted_sum, branches: list[Branch]) -> SchemeResult:
-    """Result of a post-selected scheme: the accepted weight and the accepted
-    mixture normalized by it (None, with fidelity 0, when nothing is kept)."""
+    """Result of a post-selected scheme: the accepted weight (at most 1; its
+    float sum can round past 1) and the accepted mixture normalized by the
+    unclipped sum (None, with fidelity 0, when nothing is kept)."""
     ensemble = BranchEnsemble(branches=tuple(branches))
     success = ensemble.success_prob
     out, fid = None, 0.0
     if success > 1e-15:
         out = accepted_sum / success
         fid = qmath.fidelity(rho_in, out)
-    return SchemeResult(output_state=out, success_prob=success, fidelity=fid,
+    return SchemeResult(output_state=out, success_prob=min(success, 1.0), fidelity=fid,
                         branches=ensemble)
 
 

@@ -138,6 +138,9 @@ class TestSchemeCommand:
         assert exc.value.code == 2
 
 
+_WMPPF = ("scheme", "--kind", "wmppf", "--p", "0.5", "--out")
+
+
 class TestConfigFile:
     def test_config_provides_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -160,6 +163,19 @@ class TestConfigFile:
         cfg.write_text("kind = pd\nbogus_knob = 3\n")
         code, _, err = run_cli(capsys, "channel", "--config", str(cfg), "--r", "0")
         assert code == 1 and "bogus_knob" in err
+
+    @pytest.mark.parametrize("command, line, message", (
+        (_WMPPF, "r = 2", "r: probability '2' outside"),
+        (_WMPPF, "alpha = abc", "alpha: invalid angle 'abc'"),
+        (("fig6", "--outdir"), "noise = identity", "noise: invalid choice 'identity'"),
+    ), ids=("r-out-of-range", "alpha-not-an-angle", "noise-not-a-choice"))
+    def test_value_checked_as_its_flag(self, capsys, tmp_path, command, line, message):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+        cfg.write_text(line + "\n")
+        code, stdout, err = run_cli(capsys, *command, str(out), "--config", str(cfg))
+        assert code == 1 and stdout == ""
+        assert err.startswith(f"error: {cfg}: {message}")
+        assert not out.exists()
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

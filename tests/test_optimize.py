@@ -350,7 +350,7 @@ def _logging(log, fn):
 
 
 _GRID_CACHES = (optimize._qfbc_tables, optimize._qffc_tables)
-_KET_CACHES = (optimize._qfbc_ket, optimize._qffc_ket)
+_KET_CACHES = (optimize._qffc_ket,)
 
 
 class TestGridAndKetTables:
@@ -372,7 +372,7 @@ class TestGridAndKetTables:
             cache.cache_clear()
         memoized = [fn(rho, noise, grid) for fn, rho, noise, grid in calls]
         builds = sum(cache.cache_info().misses for cache in _KET_CACHES)
-        assert builds == 2 * misses and misses < len(cells)
+        assert builds == misses and misses < len(cells)
         for (fn, rho, noise, grid), got in zip(calls, memoized):
             for cache in _GRID_CACHES + _KET_CACHES:
                 cache.cache_clear()
@@ -557,8 +557,7 @@ def _unscreened(rho, noise, grid):
         f_opt=float(np.sqrt(np.clip(-f2, 0.0, 1.0))), success_prob=1.0,
         params={"theta": grid.theta[t], "etas": (float(se[e0]), float(se[e1])),
                 "meas_axis": optimize.AXES[ma], "rot_axis": optimize.AXES[ra]})
-    tables = optimize._qffc_tables(grid)
-    u, w, _ = optimize._qffc_ket(grid, rho.tobytes())
+    u, w = optimize._qffc_ket(grid, rho.tobytes())
     branch = {}
     for i, flip in enumerate(flips()):
         for sign in (+1, -1):
@@ -574,7 +573,7 @@ def _unscreened(rho, noise, grid):
     ff = optimize.OptResult(
         f_opt=float(np.sqrt(np.clip(-f2, 0.0, 1.0))), success_prob=1.0,
         params={"p": grid.strengths[t], "theta_pre": grid.theta[t],
-                "eta": float(tables["eta"][e]), "signs": optimize._SIGN_COMBOS[c]})
+                "eta": grid.eta[e], "signs": optimize._SIGN_COMBOS[c]})
     return fb, ff
 
 
@@ -618,17 +617,16 @@ class TestPureScreen:
 
 
 def _pure_tables(rho, noise, grid):
-    """The ket tables of both paths, the full qfbc kets with them, and the
+    """The full qfbc kets, the feed-forward ket products and the
     feed-forward F_i A_k F_i."""
     t_ops = [[f @ a @ f for a in noise.ops] for f in flips()]
-    return ((_full_qfbc_kets(rho, grid), optimize._qfbc_ket(grid, rho.tobytes())),
-            optimize._qffc_ket(grid, rho.tobytes()), t_ops)
+    return _full_qfbc_kets(rho, grid), optimize._qffc_ket(grid, rho.tobytes()), t_ops
 
 
 def _qffc_exact(rho, noise, grid) -> np.ndarray:
     """The exact feed-forward F^2 of every (sign combination, p, eta), summed
     by the einsums that settle the qffc_rot tie-breaks."""
-    _, (u, w, _), t_ops = _pure_tables(rho, noise, grid)
+    _, (u, w), t_ops = _pure_tables(rho, noise, grid)
     return np.stack([optimize._qffc_scores(u[0], w[s1], t_ops[0])
                      + optimize._qffc_scores(u[1], w[s2], t_ops[1])
                      for s1, s2 in optimize._SIGN_COMBOS])
@@ -639,10 +637,11 @@ _Y_FLIP = KrausChannel(ops=(np.array([[0, -1], [1, 0]], dtype=complex),))
 
 
 class TestPureScreenProperties:
-    """What the screen's exactness rests on: each closed-form eta maximum of
-    the row screens is within SCREEN_ATOL / 100 of the maximum over eta of the
-    exact scores, on any eta grid, and an exact score computed on a theta
-    slice has the bits of the same rows of the full computation."""
+    """What the screen's exactness rests on: each maximum of the row screens
+    (the qfbc one over eta in closed form, the qffc_rot one over eta and
+    signs) is within SCREEN_ATOL / 100 of the same maximum of the exact
+    scores, on any eta grid, and an exact score computed on a theta slice has
+    the bits of the same rows of the full computation."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(_ANGLES, st.lists(st.tuples(st.sampled_from(("ad", "pd")), st.floats(0.0, 1.0)),
@@ -652,13 +651,13 @@ class TestPureScreenProperties:
         rho = a_state(*angles)
         noises = [make_channel(kind, r) for kind, r in cells]
         rho_es = [apply_channel(rho, noise) for noise in noises]
-        (vs, coef), (u, _, ff_coef), _ = _pure_tables(rho, noises[0], grid)
-        fb = optimize._qfbc_row_screen(coef, rho_es, optimize._qfbc_tables(grid)["signed_etas"])
-        ff = optimize._qffc_row_screen(u, ff_coef, optimize._flipped(noises), grid)
+        vs = _full_qfbc_kets(rho, grid)
+        fb = optimize._qfbc_row_screen(rho, rho_es, grid)
+        ff = optimize._qffc_row_screen(rho, noises, grid)
         for noise, rho_e, fb_max, ff_max in zip(noises, rho_es, fb, ff):
             exact = np.stack([optimize._qfbc_scores(v, rho_e).max(axis=2) for v in vs])
             assert np.abs(fb_max - exact).max() <= optimize.SCREEN_ATOL / 100
-            exact = _qffc_exact(rho, noise, grid).max(axis=2)
+            exact = _qffc_exact(rho, noise, grid).max(axis=(0, 2))
             assert np.abs(ff_max - exact).max() <= optimize.SCREEN_ATOL / 100
 
     def test_feedforward_peak_behind_the_grid_start(self):
@@ -672,9 +671,23 @@ class TestPureScreenProperties:
         peak = np.arctan2(c, b).reshape(exact.shape[:2])
         behind = (peak > -np.pi) & (peak < -3 * np.pi / 4)
         assert (behind & (exact[:, :, -1] > exact[:, :, 0] + 0.1)).any()
-        u, _, ff_coef = optimize._qffc_ket(SMALL, rho.tobytes())
-        screen = optimize._qffc_row_screen(u, ff_coef, optimize._flipped([_Y_FLIP]), SMALL)[0]
-        assert np.abs(screen - exact.max(axis=2)).max() <= optimize.SCREEN_ATOL / 100
+        screen = optimize._qffc_row_screen(rho, [_Y_FLIP], SMALL)[0]
+        assert np.abs(screen - exact.max(axis=(0, 2))).max() <= optimize.SCREEN_ATOL / 100
+
+    @pytest.mark.parametrize("eta", (
+        np.array(SMALL.eta), np.sort(optimize._signed_etas(SMALL.eta)), np.sort(_UNORDERED.eta),
+    ), ids=("quarter", "signed", "unordered"))
+    def test_eta_max_equals_brute_force(self, eta):
+        # peaks all round the circle, among them (-pi, -3pi/4), behind the
+        # start of [0, pi/2], where the grid maximum is at the far end pi/2
+        peak, size = (x.ravel() for x in np.meshgrid(np.linspace(-np.pi, np.pi, 73),
+                                                     (0.1, 1.0, 3.0)))
+        a, b, c = 0.25 * size, size * np.cos(peak), size * np.sin(peak)
+        brute = (a[:, None] + b[:, None] * np.cos(eta) + c[:, None] * np.sin(eta)).max(axis=1)
+        assert np.array_equal(optimize._eta_max((a, b, c), eta), brute)
+        behind = (peak > -np.pi) & (peak < -3 * np.pi / 4)
+        if eta[0] == 0.0:
+            assert (brute[behind] == (a + b * np.cos(eta[-1]) + c * np.sin(eta[-1]))[behind]).all()
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(_ANGLES, st.sampled_from(("ad", "pd")), st.floats(0.0, 1.0),
@@ -683,7 +696,7 @@ class TestPureScreenProperties:
         rho, noise = a_state(*angles), make_channel(kind, r)
         rho_e = apply_channel(rho, noise)
         ts = np.array(sorted({k % len(grid.theta) for k in picked}))
-        (vs, _), (u, w, _), t_ops = _pure_tables(rho, noise, grid)
+        vs, (u, w), t_ops = _pure_tables(rho, noise, grid)
         psi, blocks = optimize._pure_ket(rho.tobytes()), optimize._qfbc_tables(grid)["blocks"]
         for pair, v in enumerate(vs):
             full = optimize._qfbc_scores(v, rho_e)[ts]
