@@ -107,6 +107,30 @@ class TestPartialOps:
                 qmr_map(bad)
 
 
+class TestPartialMeasurementBoundaries:
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_scaled_identity_rejected(self, dim):
+        with pytest.raises(ValueError, match="exceeds identity"):
+            PartialMeasurement(op=(1 + 1e-9) * np.eye(dim, dtype=complex),
+                               strength=0.0, role="test")
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_non_diagonal_norm_above_one_rejected(self, dim):
+        rng = np.random.default_rng(60 + dim)
+        for _ in range(10):
+            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            op = a * ((1 + 1e-9) / np.linalg.norm(a, 2))
+            with pytest.raises(ValueError, match="exceeds identity"):
+                PartialMeasurement(op=op, strength=1.0, role="test")
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_identity_and_projector_accepted(self, dim):
+        rng = np.random.default_rng(70 + dim)
+        PartialMeasurement(op=np.eye(dim, dtype=complex), strength=0.0, role="test")
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        PartialMeasurement(op=projector(v / np.linalg.norm(v)), strength=1.0, role="test")
+
+
 class TestPreWmPair:
     def test_projective_limit(self):
         pair = pre_wm_pair(1.0)

@@ -120,6 +120,50 @@ class TestBloch:
         assert b.z == pytest.approx(1.0)
 
 
+def _with_spectrum(rng, w):
+    """Exactly Hermitian V diag(w) V^t for a random unitary V."""
+    dim = len(w)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    rho = (q * np.asarray(w)) @ q.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+# spectra summing to 1 whose last eigenvalue is set by each test
+_SPECTRUM_HEAD = {2: [1.0], 4: [0.5, 0.3, 0.2]}
+
+
+class TestCheckDensityBoundaries:
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_off_hermitian_entry_rejected(self, dim):
+        rho = random_density(np.random.default_rng(dim), dim)
+        rho = 0.5 * (rho + rho.conj().T)
+        check_density(rho)
+        rho[0, 1] += 2e-12
+        with pytest.raises(ValueError, match="not Hermitian"):
+            check_density(rho)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_trace_off_by_2e_12_rejected(self, dim):
+        rho = np.eye(dim, dtype=complex) / dim
+        rho[0, 0] += 2e-12
+        with pytest.raises(ValueError, match="has trace"):
+            check_density(rho)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("low, ok", [(-2e-10, False), (-5e-11, True)])
+    def test_smallest_eigenvalue_floor(self, dim, low, ok):
+        rng = np.random.default_rng(7 * dim)
+        for _ in range(20):
+            head = list(_SPECTRUM_HEAD[dim])
+            head[-1] -= low
+            rho = _with_spectrum(rng, [*head, low])
+            if ok:
+                check_density(rho)
+            else:
+                with pytest.raises(ValueError, match="negative eigenvalue"):
+                    check_density(rho)
+
+
 class TestEigHermitian:
     def test_identity(self):
         w, _ = eig_hermitian(ID2)
