@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measurements import COMPLETENESS_ATOL, Branch, BranchEnsemble
-from .qmath import ID2, PAULI_Z, as_matrix, check_prob, dagger
+from .qmath import ID2, PAULI_Z, _kron, as_matrix, check_prob, dagger
 
 TRACE_DRIFT_ATOL = 1e-12
 
@@ -172,9 +172,9 @@ def lift_local(ch: KrausChannel, qubit: int) -> KrausChannel:
     if ch.dim != 2:
         raise ValueError("lift_local expects a single-qubit channel")
     if qubit == 1:
-        ops = tuple(np.kron(a, ID2) for a in ch.ops)
+        ops = tuple(_kron(a, ID2) for a in ch.ops)
     elif qubit == 2:
-        ops = tuple(np.kron(ID2, a) for a in ch.ops)
+        ops = tuple(_kron(ID2, a) for a in ch.ops)
     else:
         raise ValueError(f"qubit must be 1 or 2, got {qubit}")
     return KrausChannel(ops=ops, kind=ch.kind, r=ch.r)

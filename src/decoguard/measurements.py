@@ -8,6 +8,7 @@ branches with acceptance flags for post-selected pipelines.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,16 +57,22 @@ class MeasurementPair:
 
 @dataclass(frozen=True)
 class PartialMeasurement:
-    """Single measurement operator with op^t op <= I; the other outcome is discarded."""
+    """Single measurement operator with op^t op <= I; the other outcome is discarded.
+
+    complement = sqrt(I - op^t op) is the discarded outcome's operator; its one
+    eigendecomposition also checks op^t op <= I."""
 
     op: np.ndarray
     strength: float
     role: str
+    complement: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        evals, _ = eig_hermitian(dagger(self.op) @ self.op)
-        if evals[0] > 1 + 1e-12:
-            raise ValueError(f"partial measurement operator exceeds identity: {evals[0]}")
+        w, v = eig_hermitian(np.eye(len(self.op), dtype=complex) - dagger(self.op) @ self.op)
+        if w[-1] < -1e-12:
+            raise ValueError(f"partial measurement operator exceeds identity: {1 - w[-1]}")
+        object.__setattr__(self, "complement",
+                           (v * np.sqrt(np.clip(w, 0.0, None))) @ dagger(v))
 
 
 @dataclass(frozen=True)
@@ -192,7 +199,7 @@ class Branch:
     state: np.ndarray
     accepted: bool = True
 
-    @property
+    @functools.cached_property
     def weight(self) -> float:
         return float(np.real(np.trace(self.state)))
 
@@ -237,18 +244,15 @@ def measure(rho, pair: MeasurementPair) -> BranchEnsemble:
 def partial_measure(rho, pm: PartialMeasurement) -> BranchEnsemble:
     """Apply a partial measurement: accepted null-result branch plus discarded rest.
 
-    The rejected branch carries the complementary weight through the
-    complement operator sqrt(I - op^t op) so the ensemble stays trace
-    complete; scheme success probability is the accepted weight.
+    The rejected branch carries the complementary weight through
+    pm.complement = sqrt(I - op^t op) so the ensemble stays trace complete;
+    scheme success probability is the accepted weight.
     """
     rho = as_matrix(rho, "rho")
     if rho.shape != pm.op.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {pm.op.shape}")
     kept = pm.op @ rho @ dagger(pm.op)
-    comp = np.eye(rho.shape[0], dtype=complex) - dagger(pm.op) @ pm.op
-    w, v = eig_hermitian(comp)
-    comp_op = (v * np.sqrt(np.clip(w, 0.0, None))) @ dagger(v)
-    lost = comp_op @ rho @ dagger(comp_op)
+    lost = pm.complement @ rho @ dagger(pm.complement)
     return BranchEnsemble(branches=(
         Branch(label=f"{pm.role}/accept", state=kept, accepted=True),
         Branch(label=f"{pm.role}/discard", state=lost, accepted=False),

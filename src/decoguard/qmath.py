@@ -2,12 +2,15 @@
 
 Everything here works on plain numpy arrays (complex128) of dimension 2 or 4.
 Density matrices are validated Hermitian, unit-trace and positive
-semidefinite. Hermitian matrices are diagonalized in closed form: one Jacobi
-rotation for 2x2, LAPACK for 4x4 (see eig_hermitian for why 2x2 is not LAPACK).
+semidefinite (a 2x2 state's smallest eigenvalue in closed form). Hermitian
+matrices are diagonalized in closed form: one Jacobi rotation for 2x2, LAPACK
+for 4x4 (see eig_hermitian for why 2x2 is not LAPACK), only where the
+eigenvectors are used: matrix square roots and measurement complements.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -71,9 +74,13 @@ def check_density(rho, name: str = "rho") -> np.ndarray:
     tr = np.trace(rho)
     if abs(tr - 1.0) > TRACE_ATOL:
         raise ValueError(f"{name} has trace {tr}, expected 1")
-    evals, _ = _eig_core(0.5 * (rho + dagger(rho)))
-    if evals[-1] < EIGENVALUE_FLOOR:
-        raise ValueError(f"{name} has negative eigenvalue {evals[-1]}")
+    if rho.shape[0] == 2:   # the symmetrized matrix's smallest eigenvalue
+        (a, b), (c, d) = rho.tolist()
+        low = (a.real + d.real) / 2 - math.hypot((a.real - d.real) / 2, abs(b + c.conjugate()) / 2)
+    else:
+        low = _eig_core(0.5 * (rho + dagger(rho)))[0][-1]
+    if low < EIGENVALUE_FLOOR:
+        raise ValueError(f"{name} has negative eigenvalue {low}")
     return rho
 
 
@@ -157,7 +164,7 @@ def _eig_core(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if a.shape[0] == 4:
         w, v = np.linalg.eigh(a)
         return w[::-1].copy(), v[:, ::-1].copy()
-    v = np.eye(2, dtype=complex)
+    v = ID2
     b = abs(a[0, 1])
     if b > 1e-15 * max(1.0, float(np.abs(a).max())):
         phase = a[0, 1] / b
@@ -166,9 +173,10 @@ def _eig_core(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         c, s = np.cos(th), np.sin(th)
         v = np.array([[c, s * phase], [-s * np.conj(phase), c]])
         a = dagger(v) @ a @ v
-    w = np.real(np.diag(a))
-    order = np.argsort(-w, kind="stable")
-    return w[order].copy(), v[:, order].copy()
+    w0, w1 = a[0, 0].real, a[1, 1].real
+    if w1 > w0:   # descending; equal eigenvalues keep their order
+        return np.array([w1, w0]), v[:, ::-1].copy()
+    return np.array([w0, w1]), v.copy()
 
 
 def _clip_spectrum(w: np.ndarray, what: str) -> np.ndarray:
@@ -205,7 +213,11 @@ def fidelity(rho_in, rho_f) -> float:
     For a pure rho_in this reduces to sqrt(<psi|rho_f|psi>), which is used
     whenever Tr(rho_in^2) >= 1 - 1e-10.
     """
-    rho_in = check_density(rho_in, "rho_in")
+    return _fidelity(check_density(rho_in, "rho_in"), rho_f)
+
+
+def _fidelity(rho_in: np.ndarray, rho_f) -> float:
+    """fidelity against an already validated rho_in; rho_f is validated here."""
     rho_f = check_density(rho_f, "rho_f")
     if rho_in.shape != rho_f.shape:
         raise ValueError(f"dimension mismatch: {rho_in.shape} vs {rho_f.shape}")
@@ -242,4 +254,9 @@ def tensor(a, b) -> np.ndarray:
     b = as_matrix(b, "b")
     if a.shape[0] != 2 or b.shape[0] != 2:
         raise ValueError("tensor expects two 2x2 operators")
-    return np.kron(a, b)
+    return _kron(a, b)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two 2x2 arrays: the same broadcast product, without its set-up."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)

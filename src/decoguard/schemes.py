@@ -77,28 +77,25 @@ def _conj(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def _deterministic(rho_in, branches: list[Branch], what: str) -> SchemeResult:
     """Result of a trace-preserving scheme: the sum of its branches, checked
     to have unit trace and renormalized to it."""
-    out = np.zeros_like(rho_in)
-    for br in branches:
-        out = out + br.state
+    out = sum(br.state for br in branches)
     tr = float(np.real(np.trace(out)))
     if abs(tr - 1.0) > TRACE_ATOL:
         raise ValueError(f"{what} map is not trace preserving: trace {tr}")
     out = out / tr
     return SchemeResult(output_state=out, success_prob=1.0,
-                        fidelity=qmath.fidelity(rho_in, out),
+                        fidelity=qmath._fidelity(rho_in, out),
                         branches=BranchEnsemble(branches=tuple(branches)))
 
 
-def _postselected(rho_in, accepted_sum, branches: list[Branch]) -> SchemeResult:
+def _postselected(rho_in, accepted_sum, ensemble: BranchEnsemble) -> SchemeResult:
     """Result of a post-selected scheme: the accepted weight (at most 1; its
     float sum can round past 1) and the accepted mixture normalized by the
     unclipped sum (None, with fidelity 0, when nothing is kept)."""
-    ensemble = BranchEnsemble(branches=tuple(branches))
     success = ensemble.success_prob
     out, fid = None, 0.0
     if success > 1e-15:
         out = accepted_sum / success
-        fid = qmath.fidelity(rho_in, out)
+        fid = qmath._fidelity(rho_in, out)
     return SchemeResult(output_state=out, success_prob=min(success, 1.0), fidelity=fid,
                         branches=ensemble)
 
@@ -148,7 +145,7 @@ def run_wmqmr(rho_in, r: float, p1: float, p2: float | None = None,
                            state=qmr_ens.branches[1].state, accepted=False))
     kept = qmr_ens.branches[0].state
     branches.insert(0, Branch(label="wm/ad/qmr/accept", state=kept, accepted=True))
-    return _postselected(rho_in, kept, branches)
+    return _postselected(rho_in, kept, BranchEnsemble(tuple(branches)))
 
 
 def run_qfbc(rho_in, noise: KrausChannel, theta: float, eta: float | None = None,
@@ -195,6 +192,24 @@ def _flip_sandwich(rho_in, noise: KrausChannel, p: float):
     return out
 
 
+def _qffc_ps_branches(rho_in: np.ndarray, r: float, p: float, p_u: float | None,
+                      p_v: float | None) -> BranchEnsemble:
+    """run_qffc_ps's accept/discard branch pairs of a validated input."""
+    check_prob(r, "r")
+    check_prob(p, "p")
+    if p_u is None:
+        p_u = matched_post_wm_strength(p)
+    if p_v is None:
+        p_v = matched_post_wm_strength(p)
+    branches: list[Branch] = []
+    for (label, s), pm in zip(_flip_sandwich(rho_in, ad_kraus(r), p), post_wm_ops(p_u, p_v)):
+        ens = partial_measure(s, pm)
+        branches.append(Branch(label=f"{label}/{pm.role}/accept", state=ens.branches[0].state))
+        branches.append(Branch(label=f"{label}/{pm.role}/discard",
+                               state=ens.branches[1].state, accepted=False))
+    return BranchEnsemble(tuple(branches))
+
+
 def run_qffc_ps(rho_in, r: float, p: float, p_u: float | None = None,
                 p_v: float | None = None) -> SchemeResult:
     """Post-selected feed-forward control against amplitude damping.
@@ -204,24 +219,8 @@ def run_qffc_ps(rho_in, r: float, p: float, p_u: float | None = None,
     Strengths default to the exact-reversal values (2p-1)/p.
     """
     rho_in = qmath.check_density(rho_in)
-    check_prob(r, "r")
-    check_prob(p, "p")
-    if p_u is None:
-        p_u = matched_post_wm_strength(p)
-    if p_v is None:
-        p_v = matched_post_wm_strength(p)
-    post = post_wm_ops(p_u, p_v)
-
-    branches: list[Branch] = []
-    kept_sum = np.zeros_like(rho_in)
-    for (label, s), pm in zip(_flip_sandwich(rho_in, ad_kraus(r), p), post):
-        ens = partial_measure(s, pm)
-        kept = ens.branches[0].state
-        kept_sum = kept_sum + kept
-        branches.append(Branch(label=f"{label}/{pm.role}/accept", state=kept))
-        branches.append(Branch(label=f"{label}/{pm.role}/discard",
-                               state=ens.branches[1].state, accepted=False))
-    return _postselected(rho_in, kept_sum, branches)
+    ens = _qffc_ps_branches(rho_in, r, p, p_u, p_v)
+    return _postselected(rho_in, sum(b.state for b in ens.branches if b.accepted), ens)
 
 
 def run_qffc_rot(rho_in, noise: KrausChannel, p: float, eta: float,
@@ -249,20 +248,16 @@ def run_composite(rho_in, r: float, p: float, eta: float,
                   p_u: float | None = None, p_v: float | None = None,
                   signs: tuple[int, int] = (+1, -1)) -> SchemeResult:
     """Feed-forward control with an added feedback rotation per accepted branch."""
-    base = run_qffc_ps(rho_in, r, p, p_u=p_u, p_v=p_v)
     rho_in = qmath.check_density(rho_in)
     branches = []
-    kept_sum = np.zeros_like(rho_in)
     sign_iter = iter(signs)
-    for br in base.branches.branches:
-        if not br.accepted:
-            branches.append(br)
-            continue
-        rot = rotation("y", eta, next(sign_iter))
-        state = _conj(rot.matrix, br.state)
-        kept_sum = kept_sum + state
-        branches.append(Branch(label=f"{br.label}/rot", state=state))
-    return _postselected(rho_in, kept_sum, branches)
+    for br in _qffc_ps_branches(rho_in, r, p, p_u, p_v).branches:
+        if br.accepted:
+            rot = rotation("y", eta, next(sign_iter))
+            br = Branch(label=f"{br.label}/rot", state=_conj(rot.matrix, br.state))
+        branches.append(br)
+    ens = BranchEnsemble(tuple(branches))
+    return _postselected(rho_in, sum(b.state for b in ens.branches if b.accepted), ens)
 
 
 def run_ent_wmqmr(rho_2q, r1: float, r2: float, p1: float,
@@ -285,7 +280,7 @@ def run_ent_wmqmr(rho_2q, r1: float, r2: float, p1: float,
     check_prob(p2, "p2")
 
     def lifted(pm: PartialMeasurement, qubit: int) -> PartialMeasurement:
-        op = np.kron(pm.op, ID2) if qubit == 1 else np.kron(ID2, pm.op)
+        op = qmath._kron(pm.op, ID2) if qubit == 1 else qmath._kron(ID2, pm.op)
         return PartialMeasurement(op=op, strength=pm.strength,
                                   role=f"{pm.role}@q{qubit}")
 
@@ -306,8 +301,8 @@ def run_ent_wmqmr(rho_2q, r1: float, r2: float, p1: float,
         rejected.append(ens.branches[1])
         s = ens.branches[0].state
 
-    res = _postselected(rho_2q, s, [Branch(label=f"wm[{side}]/ad/qmr/accept", state=s),
-                                    *rejected])
+    res = _postselected(rho_2q, s, BranchEnsemble(
+        (Branch(label=f"wm[{side}]/ad/qmr/accept", state=s), *rejected)))
     out = res.output_state
     return replace(res, concurrence=qmath.concurrence(out) if out is not None else 0.0)
 

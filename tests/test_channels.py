@@ -235,3 +235,14 @@ class TestLiftLocal:
     def test_bad_qubit_index(self):
         with pytest.raises(ValueError):
             lift_local(ad_kraus(0.4), 3)
+
+    @pytest.mark.parametrize("qubit", [1, 2])
+    def test_matches_np_kron_bitwise(self, qubit):
+        rng = np.random.default_rng(30 + qubit)
+        eye = np.eye(2, dtype=complex)
+        for _ in range(20):
+            # a random complex two-operator channel: the halves of a 4x2 isometry
+            q, _ = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))
+            ch = KrausChannel(ops=(q[:2].copy(), q[2:].copy()))
+            for a, lifted in zip(ch.ops, lift_local(ch, qubit).ops):
+                assert np.array_equal(lifted, np.kron(a, eye) if qubit == 1 else np.kron(eye, a))

@@ -21,6 +21,7 @@ from decoguard.qmath import (
     KET_0,
     KET_PLUS,
     density_to_bloch,
+    eig_hermitian,
     projector,
     state_from_angles,
     InitialState,
@@ -304,3 +305,18 @@ class TestPartialMeasure:
             ens = partial_measure(rho, pm)
             accept, discard = (b.weight for b in ens.branches)
             assert abs(accept + discard - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_discard_state_matches_complement_formula_bitwise(self, dim):
+        rng = np.random.default_rng(50 + dim)
+        for scale in (1.0, 0.9, 0.5, 0.1):
+            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            op = a * (scale / np.linalg.norm(a, 2))
+            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            rho = g @ g.conj().T
+            rho /= np.trace(rho).real
+            w, v = eig_hermitian(np.eye(dim, dtype=complex) - op.conj().T @ op)
+            comp = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+            lost = comp @ rho @ comp.conj().T
+            ens = partial_measure(rho, PartialMeasurement(op=op, strength=scale, role="test"))
+            assert ens.branches[1].state.tobytes() == lost.tobytes()

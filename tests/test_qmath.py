@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from decoguard import qmath
 from decoguard.qmath import (
     ID2,
     KET_0,
@@ -192,6 +193,34 @@ class TestEigHermitian:
         with pytest.raises(ValueError):
             eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    def test_2x2_matches_stable_argsort_reference_bitwise(self):
+        rng = np.random.default_rng(17)
+        cases = [ID2, 0.5 * ID2,
+                 np.array([[0.3, 1e-17], [1e-17, 0.7]], dtype=complex),
+                 np.array([[0.7, 2e-16j], [-2e-16j, 0.3]], dtype=complex)]
+        for _ in range(200):
+            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            cases.append(a + a.conj().T)
+        for h in cases:
+            w, v = qmath._eig_core(h)
+            w_ref, v_ref = _eig_2x2_reference(h)
+            assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+
+
+def _eig_2x2_reference(a):
+    """One Jacobi rotation, then the diagonal sorted by a stable descending argsort."""
+    v = np.eye(2, dtype=complex)
+    b = abs(a[0, 1])
+    if b > 1e-15 * max(1.0, float(np.abs(a).max())):
+        phase = a[0, 1] / b
+        th = 0.5 * np.arctan2(2 * b, (a[1, 1] - a[0, 0]).real)
+        c, s = np.cos(th), np.sin(th)
+        v = np.array([[c, s * phase], [-s * np.conj(phase), c]])
+        a = v.conj().T @ a @ v
+    w = np.real(np.diag(a))
+    order = np.argsort(-w, kind="stable")
+    return w[order].copy(), v[:, order].copy()
+
 
 # derandomized so tier-1 runs the same examples every time
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -339,3 +368,9 @@ class TestTensor:
     def test_wrong_dims_rejected(self):
         with pytest.raises(ValueError):
             tensor(np.eye(4), ID2)
+
+    def test_matches_np_kron_bitwise(self):
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            a, b = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2))
+            assert np.array_equal(tensor(a, b), np.kron(a, b))

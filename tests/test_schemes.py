@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decoguard import qmath
 from decoguard.channels import ad_kraus, identity_channel, make_channel, pd_kraus
 from decoguard.qmath import InitialState, bloch_to_density, projector, state_from_angles
 from decoguard.schemes import (
@@ -242,6 +243,39 @@ class TestEntWmqmr:
     def test_requires_two_qubits(self):
         with pytest.raises(ValueError):
             run_ent_wmqmr(RHO_0, r1=0.1, r2=0.1, p1=0.1)
+
+
+def _counted(counts, name, fn):
+    """fn, counting its calls under name."""
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+_MIXED = bloch_to_density((0.3, -0.2, 0.4))
+_G = np.random.default_rng(5).normal(size=(2, 4, 4))
+_FULL_RANK_PAIR = (_G[0] + 1j * _G[1]) @ (_G[0] + 1j * _G[1]).conj().T
+_FULL_RANK_PAIR /= np.trace(_FULL_RANK_PAIR).real
+
+
+class TestEigensolveCounts:
+    # eigensolves whose eigenvectors produce no output (re-validating a
+    # checked state, bounding op^t op) must not run: a 2x2 state is checked
+    # in closed form and each partial measurement's complement is built once
+    @pytest.mark.parametrize("call, eigs", [
+        (lambda: run_wmqmr(_MIXED, r=0.3, p1=0.5), 4),
+        (lambda: run_qffc_ps(_MIXED, r=0.3, p=0.7), 4),
+        (lambda: run_composite(_MIXED, r=0.3, p=0.7, eta=0.4), 4),
+        (lambda: run_ent_wmqmr(_FULL_RANK_PAIR, r1=0.3, r2=0.5, p1=0.4, side="both"), 15),
+    ], ids=("wmqmr", "qffc_ps", "composite", "ent_wmqmr"))
+    def test_mixed_input_call(self, call, eigs, monkeypatch):
+        counts = {"eig": 0, "fidelity": 0}
+        monkeypatch.setattr(qmath, "_eig_core", _counted(counts, "eig", qmath._eig_core))
+        monkeypatch.setattr(qmath, "_fidelity_general",
+                            _counted(counts, "fidelity", qmath._fidelity_general))
+        call()
+        assert counts == {"eig": eigs, "fidelity": 1}
 
 
 class TestDispatcherAndPairs:
