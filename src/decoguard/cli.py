@@ -136,6 +136,8 @@ def _resolve_r(args) -> float:
     given = [name for name in ("r", "lam", "gamma") if getattr(args, name, None) is not None]
     if len(given) > 1:
         raise ValueError(f"give only one of --r, --lam, --gamma (got {given})")
+    if getattr(args, "time", None) is not None and getattr(args, "gamma", None) is None:
+        raise ValueError("--time needs --gamma (r = 1 - exp(-2*gamma*time))")
     if args.r is not None:
         return args.r
     if getattr(args, "lam", None) is not None:

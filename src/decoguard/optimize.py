@@ -24,13 +24,13 @@ A + B cos(eta) + C sin(eta) of its signed rotation angle: one product r @
 table gives every coefficient, one with the row's noisy states scores every
 cell, and the maximum over the eta grid has a closed form. A qffc_rot
 candidate's F^2 is sum_i (post_i^T r) . (T pre_i r) / 2 over the loop tables.
-Only the theta slices (p rows) within SCREEN_ATOL of a cell's best go
-through fixed einsums on the ket, whose first maximum of the rounded scores
-in (theta, eta, axis pair or signs) order settles exact ties; qfbc kets are
-built only on the slices some cell shortlists. A slice gives the bits of the
-same rows of the full computation, so the winner, tie-break included, is the
-unscreened one. Grid tables are functools caches of the GridSpec, the ket
-and its products lru_caches of the last ket.
+Only the theta slices (p rows) within SCREEN_ATOL of a cell's best go through
+fixed einsums on the ket (qfbc: one per cell; qffc_rot: one per branch, sign
+and Kraus operator over the row's shortlisted (cell, p) pairs), whose first
+maximum of the rounded scores in (theta, eta, axis pair or signs) order
+settles exact ties. An entry's bits do not depend on the other rows scored
+with it, so the winner, tie-break included, is the unscreened one. Grid tables
+are functools caches of the GridSpec, the ket and its products lru_caches.
 
 Every other search (mixed-input qfbc, with tied +/- eta, and qffc_rot;
 wmppf, wmqmr, qffc_ps, composite) is a loop row (_loop_row) over a
@@ -58,7 +58,7 @@ from typing import Any
 
 import numpy as np
 
-from .channels import KrausChannel, apply_channel, make_channel
+from .channels import KrausChannel, _apply_kraus, make_channel
 from .measurements import flips, povm_axis, rotation
 from .qmath import (
     ID2,
@@ -230,9 +230,8 @@ def _eta_max(coef, eta) -> np.ndarray:
 
 
 def _qfbc_kets(k, psi) -> np.ndarray:
-    """v = K^dagger psi for a block slice k = conj(K), (t, m, e, 2, 2) -> (t, m, e, 2).
-    Each entry is a two-term sum, so a slice of a block gives the bits of the
-    same rows of the whole block's kets."""
+    """v = K^dagger psi for a block slice k = conj(K), (t, m, e, 2, 2) -> (t, m, e, 2). Each
+    entry is a two-term sum, so a slice gives the bits of the same rows of the whole block's."""
     return np.einsum("tmeji,j->tmei", k, psi)
 
 
@@ -250,16 +249,10 @@ def _qfbc_row_screen(rho, rho_es, grid: GridSpec) -> np.ndarray:
     """max over signed eta of every (axis pair, t, m) F^2 per noisy state,
     (state, pair, t, m): F^2 = <v|rho_e|v> of v = K^dagger psi, and |v><v| =
     K^dagger rho K."""
-    tables, r = _qfbc_tables(grid), _pauli(np.stack([rho, *rho_es]))
+    tables, r = _qfbc_tables(grid), _pauli(np.concatenate([rho[None], rho_es]))
     abc = (r[0] @ tables["sinusoids"]).reshape(-1, 4) @ r[1:].T
     return np.moveaxis(_eta_max(abc.reshape(3, *tables["blocks"].shape[:3], len(rho_es)),
                                 np.sort(tables["signed_etas"])), -1, 0)
-
-
-def _qfbc_scores(v, rho_e) -> np.ndarray:
-    """F^2 = <v|rho_e|v> of one axis pair, (t, m, e): the einsum whose
-    round-off settles the qfbc tie-breaks."""
-    return np.real(np.einsum("tmei,ij,tmej->tme", v.conj(), rho_e, v))
 
 
 def _pure_result(neg_f2, params: dict) -> OptResult:
@@ -268,32 +261,32 @@ def _pure_result(neg_f2, params: dict) -> OptResult:
                      success_prob=1.0)
 
 
+def _qfbc_slice_scores(vc, v, rho_e) -> np.ndarray:
+    """F^2 = <v|rho_e|v> of ket slices v = conj(vc), (slice, m, e): the einsum whose
+    round-off settles the qfbc tie-breaks; no entry's bits depend on the other slices."""
+    return np.real(np.einsum("nmei,ij,nmej->nme", vc, rho_e, v))
+
+
 def _qfbc_row(rho_in, noises, grid: GridSpec) -> list[OptResult]:
     tables = _qfbc_tables(grid)
     se = tables["signed_etas"]
-    rho_es = [apply_channel(rho_in, noise) for noise in noises]
+    rho_es = _apply_kraus(rho_in, np.stack([noise.stack for noise in noises]))
     approx = _qfbc_row_screen(rho_in, rho_es, grid).sum(axis=3)
     shortlists = approx >= approx.max(axis=(1, 2), keepdims=True) - SCREEN_ATOL  # (cell, pair, t)
-    # kets only for the (pair, t) slices some cell shortlists; at[p, t] is
-    # slice (p, t)'s row among them
+    # kets only on the slices some cell shortlists; at[p, t] is slice (p, t)'s row in vs
     built = shortlists.any(axis=0)
     at = np.cumsum(built).reshape(built.shape) - 1
     vs = _qfbc_kets(tables["blocks"][built], _pure_ket(rho_in.tobytes()))
-    results = []
+    vcs, results = vs.conj(), []
     for rho_e, shortlist in zip(rho_es, shortlists):
-        keys = []
-        for p in np.flatnonzero(shortlist.any(axis=1)):
-            ts = np.flatnonzero(shortlist[p])
-            f = _qfbc_scores(vs[at[p, ts]], rho_e)
-            e_best = np.argmax(f, axis=2)                        # (t, m)
-            vals = np.take_along_axis(f, e_best[:, :, None], axis=2)[:, :, 0]
-            tot = vals.sum(axis=1)                               # (t,)
-            j = int(np.argmax(tot))
-            keys.append((-tot[j], int(ts[j]), int(e_best[j, 0]), int(e_best[j, 1]), int(p)))
-        f2, t, e0, e1, p = min(keys)
-        ma, ra = divmod(p, len(AXES))
-        results.append(_pure_result(f2, {
-            "theta": float(grid.theta[t]), "etas": (float(se[e0]), float(se[e1])),
+        pair, t = np.nonzero(shortlist)  # the cell's shortlisted slices, pair-major
+        f = _qfbc_slice_scores(vcs[at[pair, t]], vs[at[pair, t]], rho_e)
+        e = np.argmax(f, axis=2)                                 # (slice, m)
+        tot = np.take_along_axis(f, e[:, :, None], axis=2)[:, :, 0].sum(axis=1)
+        j = np.lexsort((pair, e[:, 1], e[:, 0], t, -tot))[0]  # smallest (-F^2, t, e_0, e_1, pair)
+        ma, ra = divmod(int(pair[j]), len(AXES))
+        results.append(_pure_result(-tot[j], {
+            "theta": float(grid.theta[t[j]]), "etas": (float(se[e[j, 0]]), float(se[e[j, 1]])),
             "meas_axis": AXES[ma], "rot_axis": AXES[ra]}))
     return results
 
@@ -304,38 +297,39 @@ def _qffc_row_screen(rho, noises, grid: GridSpec) -> np.ndarray:
     _loop_tables("qffc_rot"), r = _pauli(rho), T the channel's transfer matrix;
     the channels must be of one kind."""
     r, tables = _pauli(rho), _loop_tables("qffc_rot", grid)
-    t = _ptm(np.stack([np.stack(noise.ops) for noise in noises])).sum(axis=1)
+    t = _ptm(np.stack([noise.stack for noise in noises])).sum(axis=1)
     after = np.concatenate([(r @ post).reshape(-1, 4) for _, post in tables], axis=1)
     before = np.concatenate([(pre @ r).reshape(-1, 4) @ t.swapaxes(1, 2) for pre, _ in tables],
                             axis=2)
     return (before @ after.T).max(axis=2) / 2
 
 
-def _qffc_scores(u_i, w_sign, ops) -> np.ndarray:
-    """The branch fidelity sum_k |<psi| R_y(sign e) F_i A_k F_i M_i(p) |psi>|^2
-    for one (i, sign) over the rows of u_i, (p, e): the einsums whose round-off
-    settles the qffc_rot tie-breaks."""
+def _qffc_pair_scores(u_i, w_sign, ops) -> np.ndarray:
+    """sum_k |<psi| R_y(sign e) F_i A_k F_i M_i(p) |psi>|^2 of one (i, sign) per (cell, p)
+    pair, (pair, e), from u_i = M_i(p) |psi> and ops = F_i A_k F_i, (pair, k, 2, 2): the
+    einsums whose round-off settles the qffc_rot tie-breaks; no pair's bits depend on the others."""
     acc = np.zeros((len(u_i), len(w_sign)))
-    for a in ops:
-        acc += np.abs(np.einsum("ei,ij,pj->pe", w_sign, a, u_i)) ** 2
+    for k in range(ops.shape[1]):
+        acc += np.abs(np.einsum("ei,nij,nj->ne", w_sign, ops[:, k], u_i)) ** 2
     return acc
 
 
 def _qffc_row(rho_in, noises, grid: GridSpec) -> list[OptResult]:
     u, w = _qffc_ket(grid, rho_in.tobytes())
     # F_i A_k F_i per channel, (channel, i, k, 2, 2): the flips are I and X, so each entry is exact
-    fl, results = np.stack(flips())[:, None], []
-    fa = fl @ np.stack([np.stack(noise.ops) for noise in noises])[:, None] @ fl
-    for fa_c, approx in zip(fa, _qffc_row_screen(rho_in, noises, grid)):
-        ts = np.flatnonzero(approx >= approx.max() - SCREEN_ATOL)
-        branch_f2 = {(i, sign): _qffc_scores(u[i][ts], w[sign], fa_c[i])
-                     for i in (0, 1) for sign in (+1, -1)}
-        tot = np.stack([branch_f2[(0, s1)] + branch_f2[(1, s2)] for s1, s2 in _SIGN_COMBOS], -1)
-        j, e, c = np.unravel_index(np.argmax(tot), tot.shape)  # first maximum in (t, eta, signs)
-        results.append(_pure_result(-tot[j, e, c], {
-            "p": grid.strengths[ts[j]], "theta_pre": grid.theta[ts[j]],
-            "eta": grid.eta[e], "signs": _SIGN_COMBOS[c]}))
-    return results
+    fl = np.stack(flips())[:, None]
+    fa = fl @ np.stack([noise.stack for noise in noises])[:, None] @ fl
+    approx = _qffc_row_screen(rho_in, noises, grid)  # (cell, p); pairs shortlisted cell-major
+    cell, t = np.nonzero(approx >= approx.max(axis=1, keepdims=True) - SCREEN_ATOL)
+    f2 = [{s: _qffc_pair_scores(u[i][t], w[s], fa[cell, i]) for s in (+1, -1)} for i in (0, 1)]
+    tot = np.stack([f2[0][s1] + f2[1][s2] for s1, s2 in _SIGN_COMBOS], -1).reshape(len(t), -1)
+    flat = np.argmax(tot, axis=1)  # each pair's first maximum in (eta, signs)
+    best, (e, c) = tot.max(axis=1), np.divmod(flat, len(_SIGN_COMBOS))
+    order = np.lexsort((flat, t, -best, cell))  # then each cell's first in (t, eta, signs)
+    return [_pure_result(-best[j], {
+        "p": grid.strengths[t[j]], "theta_pre": grid.theta[t[j]],
+        "eta": grid.eta[e[j]], "signs": _SIGN_COMBOS[c[j]]})
+        for j in order[np.unique(cell[order], return_index=True)[1]]]
 
 
 def _optimize_row(rho_in, noises, grid: GridSpec,
@@ -478,7 +472,7 @@ def _loop_scores(rho, kind: str, noise: KrausChannel,
     qmath.fidelity clips: the overlap alone for a pure rho, zeroed spectrum
     below 1e-14, F <= 1, and F = 0 when success <= 1e-15.
     """
-    r, t = _pauli(rho), _ptm(np.stack(noise.ops)).sum(axis=0)
+    r, t = _pauli(rho), _ptm(noise.stack).sum(axis=0)
     sigma = sum(post @ ((pre @ r) @ t.T)[..., None] for pre, post in _loop_tables(kind, grid))
     sigma = sigma.reshape(-1, 4)
     success = sigma[:, 0]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from decoguard import channels
 from decoguard.channels import (
     KrausChannel,
     NoiseParams,
@@ -187,6 +188,64 @@ class TestApplyChannel:
             for _ in range(10):
                 out = apply_channel(random_state(rng), maker(rng.uniform(0, 1)))
                 check_density(out)
+
+
+def _per_operator(rho, ch):
+    """The per-operator sum, written out: sum_i A_i rho A_i^dagger from Python
+    sum's zero start, renormalized when the trace drifts; and whether it did."""
+    out = sum(a @ rho @ a.conj().T for a in ch.ops)
+    tr_in, tr_out = float(np.real(np.trace(rho))), float(np.real(np.trace(out)))
+    drift = abs(tr_out - tr_in)
+    if tr_out > 0 and drift > 0:
+        out = out * (tr_in / tr_out)
+    return out, tr_out > 0 and drift > 0
+
+
+def _random_density(rng, dim):
+    """A random state of dim, pure about a third of the time."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    if rng.uniform() < 0.3:
+        g[:, 1:] = 0
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+def _row_channels(r):
+    """Channels of one Kraus shape each: 2x2 ad, pd and identity, and their 4x4 lifts."""
+    return ((ad_kraus(r), pd_kraus(r), identity_channel(), lift_local(ad_kraus(r), 1),
+             lift_local(pd_kraus(r), 2), identity_channel(4)))
+
+
+class TestApplyChannelBits:
+    """apply_channel and the stacked form the optimizer rows call give the
+    bits of the per-operator sum, signed zeros included."""
+
+    def test_equals_per_operator_sum(self):
+        rng, renormalized = np.random.default_rng(40), 0
+        for _ in range(150):
+            for ch in _row_channels(rng.uniform(0, 1)):
+                rho = _random_density(rng, ch.dim)
+                want, drifted = _per_operator(rho, ch)
+                assert apply_channel(rho, ch).tobytes() == want.tobytes()
+                renormalized += drifted
+        assert renormalized > 0
+
+    def test_stacked_equals_per_channel(self):
+        rng, mixed_rows = np.random.default_rng(41), 0
+        for _ in range(40):
+            rs = rng.uniform(0, 1, size=5)
+            for kind in range(6):
+                chs = [_row_channels(r)[kind] for r in rs]
+                rho = _random_density(rng, chs[0].dim)
+                got = channels._apply_kraus(rho, np.stack([ch.stack for ch in chs]))
+                assert got.shape == (len(chs), *rho.shape)
+                drifted = set()
+                for out, ch in zip(got, chs):
+                    assert out.tobytes() == apply_channel(rho, ch).tobytes()
+                    drifted.add(_per_operator(rho, ch)[1])
+                mixed_rows += drifted == {False, True}
+        # rows in which some channels are renormalized and some are not
+        assert mixed_rows > 0
 
 
 class TestAdUnravel:

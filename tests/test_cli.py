@@ -73,6 +73,14 @@ class TestChannelCommand:
                                str(np.log(2) / 2), "--time", "1", "--state", "+x")
         assert code == 0  # r = 0.5
 
+    @pytest.mark.parametrize("command", (("channel", "--kind", "ad"), ("scheme", "--kind", "wmppf",
+                                                                       "--p", "0.5")))
+    def test_time_without_gamma_rejected(self, capsys, command):
+        # --time alone must not fall back to r = 0, the do-nothing channel
+        code, out, err = run_cli(capsys, *command, "--time", "2", "--state", "+x")
+        assert code == 1 and out == ""
+        assert err.startswith("error: --time needs --gamma")
+
     def test_conflicting_parameterizations_rejected(self, capsys):
         code, _, err = run_cli(capsys, "channel", "--kind", "pd", "--r", "0.2",
                                "--lam", "0.1pi", "--state", "+x")
@@ -157,6 +165,13 @@ class TestConfigFile:
         assert code == 0
         _, rows = csv_rows(out)
         assert rows[0][1:] == rows[1][1:]
+
+    def test_time_without_gamma_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kind = ad\ntime = 2\nstate = +x\n")
+        code, out, err = run_cli(capsys, "channel", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err.startswith("error: --time needs --gamma")
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import os
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -539,6 +540,23 @@ def _full_qfbc_kets(rho, grid):
     return [np.einsum("tmeji,j->tmei", k, psi) for k in optimize._qfbc_tables(grid)["blocks"]]
 
 
+def _qfbc_scores(v, rho_e):
+    """F^2 = <v|rho_e|v> of one axis pair's kets, (t, m, e): the per-block
+    einsum whose round-off the row kernel's tie-breaks follow."""
+    return np.real(np.einsum("tmei,ij,tmej->tme", v.conj(), rho_e, v))
+
+
+def _qffc_scores(u_i, w_sign, ops):
+    """The branch fidelity sum_k |<psi| R_y(sign e) F_i A_k F_i M_i(p) |psi>|^2
+    of one (i, sign) and one channel, ops = (F_i A_k F_i)_k, over the rows of
+    u_i, (p, e): the per-cell einsums whose round-off the row kernel's
+    tie-breaks follow."""
+    acc = np.zeros((len(u_i), len(w_sign)))
+    for a in ops:
+        acc += np.abs(np.einsum("ei,ij,pj->pe", w_sign, a, u_i)) ** 2
+    return acc
+
+
 def _unscreened(rho, noise, grid):
     """Both pure searches without a screen, written out from the einsums
     whose round-off the fast paths' tie-breaks follow: every theta slice is
@@ -547,7 +565,7 @@ def _unscreened(rho, noise, grid):
     vs = _full_qfbc_kets(rho, grid)
     se, keys = optimize._qfbc_tables(grid)["signed_etas"], []
     for pair, v in enumerate(vs):  # pairs run meas-major over AXES
-        f = np.real(np.einsum("tmei,ij,tmej->tme", v.conj(), rho_e, v))
+        f = _qfbc_scores(v, rho_e)
         e = np.argmax(f, axis=2)
         tot = np.take_along_axis(f, e[:, :, None], axis=2)[:, :, 0].sum(axis=1)
         t = int(np.argmax(tot))
@@ -558,12 +576,8 @@ def _unscreened(rho, noise, grid):
         params={"theta": grid.theta[t], "etas": (float(se[e0]), float(se[e1])),
                 "meas_axis": optimize.AXES[ma], "rot_axis": optimize.AXES[ra]})
     u, w = optimize._qffc_ket(grid, rho.tobytes())
-    branch = {}
-    for i, flip in enumerate(flips()):
-        for sign in (+1, -1):
-            branch[(i, sign)] = sum(
-                np.abs(np.einsum("ei,ij,pj->pe", w[sign], flip @ a @ flip, u[i])) ** 2
-                for a in noise.ops)
+    branch = {(i, sign): _qffc_scores(u[i], w[sign], [flip @ a @ flip for a in noise.ops])
+              for i, flip in enumerate(flips()) for sign in (+1, -1)}
     keys = []
     for c, (s1, s2) in enumerate(optimize._SIGN_COMBOS):
         tot = branch[(0, s1)] + branch[(1, s2)]
@@ -609,26 +623,35 @@ class TestPureScreen:
                 for rho in _PURE_INPUTS for kind in ("ad", "pd")]
         self._check_rows(rows, grid, monkeypatch)
 
-    @pytest.mark.parametrize("angles", ((np.pi / 2, np.pi / 2), (np.pi / 3, np.pi / 2)))
+    # |0> (pi/2, 0) ties the most: every cell of its rows shortlists the most slices
+    @pytest.mark.parametrize("angles", ((np.pi / 2, np.pi / 2), (np.pi / 3, np.pi / 2),
+                                        (np.pi / 2, 0.0)))
     def test_default_grid_row_equals_exhaustive(self, angles, monkeypatch):
         rows = [(a_state(*angles), [make_channel(kind, r) for r in _DEFAULT.rs])
                 for kind in ("ad", "pd")]
         self._check_rows(rows, _DEFAULT, monkeypatch)
 
-
-def _pure_tables(rho, noise, grid):
-    """The full qfbc kets, the feed-forward ket products and the
-    feed-forward F_i A_k F_i."""
-    t_ops = [[f @ a @ f for a in noise.ops] for f in flips()]
-    return _full_qfbc_kets(rho, grid), optimize._qffc_ket(grid, rho.tobytes()), t_ops
+    def test_tie_heaviest_row_memory(self):
+        # each cell's shortlisted slices are scored on their own, so the row's
+        # peak stays near one cell's gather (3.3 MB; a whole-row gather of
+        # |0>'s 31 x 159 ket slices peaks at 46 MB)
+        rho, noises = a_state(np.pi / 2, 0.0), [make_channel("ad", r) for r in _DEFAULT.rs]
+        optimize._optimize_row(rho, noises, _DEFAULT)
+        tracemalloc.start()
+        try:
+            optimize._optimize_row(rho, noises, _DEFAULT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2 ** 20
 
 
 def _qffc_exact(rho, noise, grid) -> np.ndarray:
     """The exact feed-forward F^2 of every (sign combination, p, eta), summed
     by the einsums that settle the qffc_rot tie-breaks."""
-    _, (u, w), t_ops = _pure_tables(rho, noise, grid)
-    return np.stack([optimize._qffc_scores(u[0], w[s1], t_ops[0])
-                     + optimize._qffc_scores(u[1], w[s2], t_ops[1])
+    u, w = optimize._qffc_ket(grid, rho.tobytes())
+    t_ops = [[f @ a @ f for a in noise.ops] for f in flips()]
+    return np.stack([_qffc_scores(u[0], w[s1], t_ops[0]) + _qffc_scores(u[1], w[s2], t_ops[1])
                      for s1, s2 in optimize._SIGN_COMBOS])
 
 
@@ -655,7 +678,7 @@ class TestPureScreenProperties:
         fb = optimize._qfbc_row_screen(rho, rho_es, grid)
         ff = optimize._qffc_row_screen(rho, noises, grid)
         for noise, rho_e, fb_max, ff_max in zip(noises, rho_es, fb, ff):
-            exact = np.stack([optimize._qfbc_scores(v, rho_e).max(axis=2) for v in vs])
+            exact = np.stack([_qfbc_scores(v, rho_e).max(axis=2) for v in vs])
             assert np.abs(fb_max - exact).max() <= optimize.SCREEN_ATOL / 100
             exact = _qffc_exact(rho, noise, grid).max(axis=(0, 2))
             assert np.abs(ff_max - exact).max() <= optimize.SCREEN_ATOL / 100
@@ -690,25 +713,45 @@ class TestPureScreenProperties:
             assert (brute[behind] == (a + b * np.cos(eta[-1]) + c * np.sin(eta[-1]))[behind]).all()
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
-    @given(_ANGLES, st.sampled_from(("ad", "pd")), st.floats(0.0, 1.0),
-           st.sampled_from((SMALL, _DEFAULT)), st.sets(st.integers(0, 30), min_size=1))
-    def test_slice_scores_equal_full_rows(self, angles, kind, r, grid, picked):
-        rho, noise = a_state(*angles), make_channel(kind, r)
-        rho_e = apply_channel(rho, noise)
-        ts = np.array(sorted({k % len(grid.theta) for k in picked}))
-        vs, (u, w), t_ops = _pure_tables(rho, noise, grid)
-        psi, blocks = optimize._pure_ket(rho.tobytes()), optimize._qfbc_tables(grid)["blocks"]
-        for pair, v in enumerate(vs):
-            full = optimize._qfbc_scores(v, rho_e)[ts]
-            assert np.array_equal(optimize._qfbc_scores(v[ts], rho_e), full)
-            # the row kernel builds kets only on the slices it shortlists
-            sliced = optimize._qfbc_kets(blocks[pair][ts], psi)
-            assert np.array_equal(sliced, v[ts])
-            assert np.array_equal(optimize._qfbc_scores(sliced, rho_e), full)
-        for i in (0, 1):
+    @given(_ANGLES, st.lists(st.tuples(st.sampled_from(("ad", "pd")), st.floats(0.0, 1.0)),
+                             min_size=1, max_size=3),
+           st.sampled_from((SMALL, _DEFAULT)), st.lists(st.sets(st.integers(0, 10 ** 4),
+                                                                min_size=1), min_size=3, max_size=3))
+    def test_slice_scores_equal_full_rows(self, angles, cells, grid, picks):
+        # the row kernel scores each cell's shortlisted (axis pair, theta)
+        # slices in one einsum, and every shortlisted (cell, p) pair of a row
+        # in one einsum per (branch, sign, Kraus operator); each score must
+        # have the bits of the same row of the per-block and per-cell einsums
+        rho, noises = a_state(*angles), [make_channel(kind, r) for kind, r in cells]
+        n_t, vs = len(grid.theta), _full_qfbc_kets(rho, grid)
+        chosen = np.zeros((len(noises), len(vs), n_t), dtype=bool)  # (cell, pair, t)
+        for c, picked in enumerate(picks[:len(noises)]):
+            chosen[c].flat[[k % chosen[c].size for k in picked]] = True
+        # kets only on the slices some cell shortlists, as in the row kernel
+        built = chosen.any(axis=0)
+        at = np.cumsum(built).reshape(built.shape) - 1
+        kets = optimize._qfbc_kets(optimize._qfbc_tables(grid)["blocks"][built],
+                                   optimize._pure_ket(rho.tobytes()))
+        for noise, shortlist in zip(noises, chosen):
+            rho_e = apply_channel(rho, noise)
+            pair, t = np.nonzero(shortlist)
+            rows = at[pair, t]
+            got = optimize._qfbc_slice_scores(kets.conj()[rows], kets[rows], rho_e)
+            full = [_qfbc_scores(v, rho_e) for v in vs]
+            for n in range(len(t)):
+                assert got[n].tobytes() == full[pair[n]][t[n]].tobytes()
+        (u, w), fl = optimize._qffc_ket(grid, rho.tobytes()), np.stack(flips())
+        fa = fl[:, None] @ np.stack([noise.stack for noise in noises])[:, None] @ fl[:, None]
+        mask = np.zeros((len(noises), n_t), dtype=bool)
+        mask.flat[[k % mask.size for k in picks[0]]] = True
+        cell, t = np.nonzero(mask)
+        for i, flip in enumerate(flips()):
             for sign in (+1, -1):
-                assert np.array_equal(optimize._qffc_scores(u[i][ts], w[sign], t_ops[i]),
-                                      optimize._qffc_scores(u[i], w[sign], t_ops[i])[ts])
+                got = optimize._qffc_pair_scores(u[i][t], w[sign], fa[cell, i])
+                full = [_qffc_scores(u[i], w[sign], [flip @ a @ flip for a in noise.ops])
+                        for noise in noises]
+                for n in range(len(t)):
+                    assert got[n].tobytes() == full[cell[n]][t[n]].tobytes()
 
 
 # nested angle grids: every angle of a coarser grid is one of the next finer
