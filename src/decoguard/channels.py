@@ -9,9 +9,8 @@ channel onto one side of a two-qubit system.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,11 +22,14 @@ TRACE_DRIFT_ATOL = 1e-12
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """CPTP map given by Kraus operators with sum A_i^t A_i = I."""
+    """CPTP map given by Kraus operators with sum A_i^t A_i = I.
+
+    stack holds the operators as one (k, d, d) array, built once."""
 
     ops: tuple[np.ndarray, ...]
     kind: str = "custom"
     r: float | None = None
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.ops:
@@ -37,15 +39,11 @@ class KrausChannel:
         err = np.abs(total - np.eye(dim)).max()
         if err > COMPLETENESS_ATOL:
             raise ValueError(f"Kraus completeness violated by {err}")
+        object.__setattr__(self, "stack", np.array(self.ops))
 
     @property
     def dim(self) -> int:
         return self.ops[0].shape[0]
-
-    @functools.cached_property
-    def stack(self) -> np.ndarray:
-        """The Kraus operators as one (k, d, d) array."""
-        return np.stack(self.ops)
 
 
 def identity_channel(dim: int = 2) -> KrausChannel:

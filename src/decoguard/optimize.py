@@ -51,6 +51,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -257,7 +258,7 @@ def _qfbc_row_screen(rho, rho_es, grid: GridSpec) -> np.ndarray:
 
 def _pure_result(neg_f2, params: dict) -> OptResult:
     """The OptResult of a pure row kernel's winner from its key's -F^2."""
-    return OptResult(f_opt=float(np.sqrt(np.clip(-neg_f2, 0.0, 1.0))), params=params,
+    return OptResult(f_opt=math.sqrt(min(max(-neg_f2, 0.0), 1.0)), params=params,
                      success_prob=1.0)
 
 
@@ -280,9 +281,10 @@ def _qfbc_row(rho_in, noises, grid: GridSpec) -> list[OptResult]:
     vcs, results = vs.conj(), []
     for rho_e, shortlist in zip(rho_es, shortlists):
         pair, t = np.nonzero(shortlist)  # the cell's shortlisted slices, pair-major
-        f = _qfbc_slice_scores(vcs[at[pair, t]], vs[at[pair, t]], rho_e)
+        rows = at[pair, t]
+        f = _qfbc_slice_scores(vcs[rows], vs[rows], rho_e)
         e = np.argmax(f, axis=2)                                 # (slice, m)
-        tot = np.take_along_axis(f, e[:, :, None], axis=2)[:, :, 0].sum(axis=1)
+        tot = f[np.arange(len(rows))[:, None], (0, 1), e].sum(axis=1)
         j = np.lexsort((pair, e[:, 1], e[:, 0], t, -tot))[0]  # smallest (-F^2, t, e_0, e_1, pair)
         ma, ra = divmod(int(pair[j]), len(AXES))
         results.append(_pure_result(-tot[j], {

@@ -633,8 +633,8 @@ class TestPureScreen:
 
     def test_tie_heaviest_row_memory(self):
         # each cell's shortlisted slices are scored on their own, so the row's
-        # peak stays near one cell's gather (3.3 MB; a whole-row gather of
-        # |0>'s 31 x 159 ket slices peaks at 46 MB)
+        # peak stays near one cell's gather (3.3 MB); gathering the kets of
+        # the whole row's 31 x 159 shortlisted slices at once peaks at 47 MB
         rho, noises = a_state(np.pi / 2, 0.0), [make_channel("ad", r) for r in _DEFAULT.rs]
         optimize._optimize_row(rho, noises, _DEFAULT)
         tracemalloc.start()
