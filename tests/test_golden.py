@@ -1,4 +1,4 @@
-"""Byte-for-byte golden outputs: sweep and fig6 CSVs, scheme rows, mixed-input optima.
+"""Byte-for-byte golden outputs: sweep and fig6 CSVs, scheme rows, mixed-input runs and optima.
 
 These pin what no other test does: the packed `params` column, the argmax
 and tie-break of every optimizable scheme (the fig6 `eta_opt` and `p_opt`
@@ -23,9 +23,10 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from decoguard import GridSpec, bloch_to_density, make_channel, optimize_scheme
+from decoguard import GridSpec, bloch_to_density, make_channel, optimize_scheme, schemes
 from decoguard.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -77,6 +78,21 @@ OPT_CASES = tuple((k, n) for k in ("qfbc", "qffc_rot", "wmppf") for n in ("ad", 
     + tuple((k, "ad") for k in ("wmqmr", "qffc_ps", "composite"))
 OPT_R = {"ad": 0.45, "pd": 0.3}
 
+# the post-selected pipelines on the MIXED_BLOCH states, by kind and keywords
+RUN_CASES = (("wmqmr", {"r": 0.45, "p1": 0.6}), ("wmqmr", {"r": 0.45, "p1": 0.6, "p2": 0.3}),
+             ("qffc_ps", {"r": 0.45, "p": 0.7}),
+             ("qffc_ps", {"r": 0.45, "p": 0.7, "p_u": 0.2, "p_v": 0.4}),
+             ("composite", {"r": 0.45, "p": 0.8, "eta": 0.3}),
+             ("composite", {"r": 0.45, "p": 0.6, "eta": 0.7, "p_u": 0.5, "p_v": 0.1,
+                            "signs": (-1, 1)}))
+# a full-rank two-qubit state (eigenvalues 0.039 to 0.681, concurrence 0.365)
+FULL_RANK_2Q = ((0.4, 0.05 + 0.02j, -0.03j, 0.3),
+                (0.05 - 0.02j, 0.15, 0.04, 0.01 + 0.03j),
+                (0.03j, 0.04, 0.1, -0.02 + 0.01j),
+                (0.3, 0.01 - 0.03j, -0.02 - 0.01j, 0.35))
+ENT_CASES = ({"r1": 0.3, "r2": 0.5, "p1": 0.4, "side": "both"},
+             {"r1": 0.6, "r2": 0.2, "p1": 0.7, "p2": 0.6, "side": "both"})
+
 
 def _cli_stdout(argv) -> str:
     buf = io.StringIO()
@@ -118,6 +134,22 @@ def _optimize_text(kind: str, noise_kind: str) -> str:
     return "".join(lines)
 
 
+def _run_mixed_text() -> str:
+    """Fidelity, success, concurrence and every branch label and weight of
+    the post-selected run_* pipelines on mixed inputs."""
+    calls = [(kind, i, bloch_to_density(bloch), kw) for kind, kw in RUN_CASES
+             for i, bloch in enumerate(MIXED_BLOCH)]
+    calls += [("ent_wmqmr", 0, np.array(FULL_RANK_2Q), kw) for kw in ENT_CASES]
+    lines = []
+    for kind, i, rho, kw in calls:
+        res = getattr(schemes, f"run_{kind}")(rho, **kw)
+        params = ";".join(f"{k}={_text(v)}" for k, v in sorted(kw.items()))
+        branches = ";".join(f"{b.label}={_text(b.weight)}" for b in res.branches.branches)
+        lines.append(f"{kind},{i},{params},{_text(res.fidelity)},{_text(res.success_prob)},"
+                     f"{_text(res.concurrence)},{branches}\n")
+    return "".join(lines)
+
+
 def _outputs() -> dict[str, object]:
     """Golden file name -> thunk producing its text."""
     out = {}
@@ -132,6 +164,7 @@ def _outputs() -> dict[str, object]:
     for kind, noise in OPT_CASES:
         out[f"optimize_mixed_{kind}_{noise}.txt"] = (
             lambda k=kind, n=noise: _optimize_text(k, n))
+    out["run_mixed_postselected.txt"] = _run_mixed_text
     return out
 
 
