@@ -59,8 +59,9 @@ class MeasurementPair:
 class PartialMeasurement:
     """Single measurement operator with op^t op <= I; the other outcome is discarded.
 
-    complement = sqrt(I - op^t op) is the discarded outcome's operator; its one
-    eigendecomposition also checks op^t op <= I."""
+    complement = sqrt(I - op^t op) is the discarded outcome's operator; it is
+    built once, in closed form when op^t op is diagonal (every op the schemes
+    build) and from one eigendecomposition otherwise, checking op^t op <= I."""
 
     op: np.ndarray
     strength: float
@@ -68,11 +69,14 @@ class PartialMeasurement:
     complement: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w, v = eig_hermitian(np.eye(len(self.op), dtype=complex) - dagger(self.op) @ self.op)
-        if w[-1] < -1e-12:
-            raise ValueError(f"partial measurement operator exceeds identity: {1 - w[-1]}")
-        object.__setattr__(self, "complement",
-                           (v * np.sqrt(np.clip(w, 0.0, None))) @ dagger(v))
+        m = np.eye(len(self.op), dtype=complex) - dagger(self.op) @ self.op
+        diagonal = np.array_equal(m, np.diag(np.diagonal(m)))
+        w, v = (np.diagonal(m).real, None) if diagonal else eig_hermitian(m)
+        if w.min() < -1e-12:
+            raise ValueError(f"partial measurement operator exceeds identity: {1 - w.min()}")
+        root = np.sqrt(np.clip(w, 0.0, None))
+        object.__setattr__(self, "complement", np.diag(root).astype(complex)
+                           if diagonal else (v * root) @ dagger(v))
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,13 @@ Everything here works on plain numpy arrays (complex128) of dimension 2 or 4.
 Density matrices are validated Hermitian, unit-trace and positive
 semidefinite (a 2x2 state's smallest eigenvalue in closed form). Hermitian
 matrices are diagonalized in closed form: one Jacobi rotation for 2x2, LAPACK
-for 4x4 (see eig_hermitian for why 2x2 is not LAPACK), only where the
-eigenvectors are used: matrix square roots and measurement complements.
+once per distinct 4x4 matrix (see eig_hermitian), only where the eigenvectors
+are used: matrix square roots and non-diagonal measurement complements.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -148,10 +149,10 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a 2x2 or 4x4 Hermitian matrix.
 
     Returns (eigenvalues sorted descending, eigenvector matrix V with
-    matching columns) such that m = V diag(w) V^dagger. 4x4 uses LAPACK
-    (numpy.linalg.eigh); 2x2 uses one Jacobi rotation (Golub & Van Loan,
-    sec. 8.5), whose exact eigenvector bits decide the round-off tie-breaks
-    that the pinned fig6 and sweep outputs record.
+    matching columns) such that m = V diag(w) V^dagger. 4x4 uses LAPACK,
+    cached by the matrix's bytes and copied out; 2x2 uses one Jacobi rotation
+    (Golub & Van Loan, sec. 8.5), whose exact eigenvector bits decide the
+    round-off tie-breaks that the pinned fig6 and sweep outputs record.
     """
     m = as_matrix(m, "m")
     if np.abs(m - dagger(m)).max() > 1e-10:
@@ -162,8 +163,7 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
 def _eig_core(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """eig_hermitian of an already validated, exactly Hermitian matrix."""
     if a.shape[0] == 4:
-        w, v = np.linalg.eigh(a)
-        return w[::-1].copy(), v[:, ::-1].copy()
+        return tuple(x.copy() for x in _eigh4(a.tobytes()))
     v = ID2
     b = abs(a[0, 1])
     if b > 1e-15 * max(1.0, float(np.abs(a).max())):
@@ -177,6 +177,13 @@ def _eig_core(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if w1 > w0:   # descending; equal eigenvalues keep their order
         return np.array([w1, w0]), v[:, ::-1].copy()
     return np.array([w0, w1]), v.copy()
+
+
+@functools.lru_cache(maxsize=8)   # a two-qubit state's check also serves its square root
+def _eigh4(a_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
+    w, v = np.linalg.eigh(np.frombuffer(a_bytes, dtype=complex).reshape(4, 4))
+    w.flags.writeable = v.flags.writeable = False   # descending read-only views
+    return w[::-1], v[:, ::-1]
 
 
 def _clip_spectrum(w: np.ndarray, what: str) -> np.ndarray:

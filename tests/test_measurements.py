@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from decoguard import measurements
 from decoguard.measurements import (
     Branch,
     BranchEnsemble,
@@ -18,14 +21,18 @@ from decoguard.measurements import (
     wm_map,
 )
 from decoguard.qmath import (
+    ID2,
     KET_0,
     KET_PLUS,
+    _kron,
     density_to_bloch,
     eig_hermitian,
     projector,
     state_from_angles,
     InitialState,
 )
+from test_optimize import _logging
+from test_qmath import PROPERTY
 
 THETA_GRID = np.linspace(0, np.pi / 2, 31)
 BETA_GRID = np.linspace(0, 2 * np.pi, 8, endpoint=False)
@@ -130,6 +137,64 @@ class TestPartialMeasurementBoundaries:
         PartialMeasurement(op=np.eye(dim, dtype=complex), strength=0.0, role="test")
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         PartialMeasurement(op=projector(v / np.linalg.norm(v)), strength=1.0, role="test")
+
+
+def _eigensolved_complement(op):
+    """sqrt(I - op^t op) from one eigendecomposition: the general path."""
+    w, v = eig_hermitian(np.eye(len(op), dtype=complex) - op.conj().T @ op)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
+def _lifts(op):
+    """A 2x2 operator and its _kron lifts onto either qubit of a pair."""
+    return op, _kron(op, ID2), _kron(ID2, op)
+
+
+_STRENGTH = st.floats(0.0, 1.0, allow_nan=False)
+
+
+class TestClosedFormComplement:
+    @PROPERTY
+    @given(_STRENGTH, _STRENGTH, st.floats(0.0, 2 * np.pi, allow_nan=False))
+    @example(0.0, 1.0, 0.0)
+    @example(1.0, 1.0, 0.0)
+    @example(0.3, 0.3, 1.0)
+    def test_diagonal_equals_eigensolve_bitwise(self, p0, p1, phase):
+        op = np.diag([np.sqrt(1 - p0), np.exp(1j * phase) * np.sqrt(1 - p1)])
+        for lifted in _lifts(op):
+            pm = PartialMeasurement(op=lifted, strength=p0, role="test")
+            assert pm.complement.tobytes() == _eigensolved_complement(lifted).tobytes()
+
+    def test_scheme_operators_skip_the_eigensolve(self, monkeypatch):
+        solves = []
+        monkeypatch.setattr(measurements, "eig_hermitian",
+                            _logging(solves, measurements.eig_hermitian))
+        for pm in (wm_map(0.4), qmr_map(0.7), *post_wm_ops(0.2, 0.9)):
+            for op in _lifts(pm.op):
+                PartialMeasurement(op=op, strength=pm.strength, role=pm.role)
+        assert solves == []
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_non_diagonal_operator_takes_the_eigensolve(self, dim, monkeypatch):
+        rng = np.random.default_rng(80 + dim)
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        op = a * (0.8 / np.linalg.norm(a, 2))
+        solves = []
+        monkeypatch.setattr(measurements, "eig_hermitian",
+                            _logging(solves, measurements.eig_hermitian))
+        pm = PartialMeasurement(op=op, strength=0.8, role="test")
+        assert len(solves) == 1
+        assert pm.complement.tobytes() == _eigensolved_complement(op).tobytes()
+
+    def test_operator_above_identity_same_error_on_both_paths(self):
+        op = np.diag([1 + 1e-9, 0.6]).astype(complex)
+        for lifted in _lifts(op):
+            w, _ = eig_hermitian(np.eye(len(lifted), dtype=complex)
+                                 - lifted.conj().T @ lifted)
+            message = f"partial measurement operator exceeds identity: {1 - w[-1]}"
+            with pytest.raises(ValueError) as err:
+                PartialMeasurement(op=lifted, strength=0.0, role="test")
+            assert str(err.value) == message
 
 
 class TestPreWmPair:

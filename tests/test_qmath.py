@@ -193,6 +193,22 @@ class TestEigHermitian:
         with pytest.raises(ValueError):
             eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    def test_4x4_cached_result_is_lapacks_and_copied_out(self):
+        # each distinct 4x4 matrix is decomposed once; a later call returns
+        # the same bits as LAPACK, even after the caller mutated its arrays
+        rng = np.random.default_rng(31)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        h = a + a.conj().T
+        w_ref, v_ref = np.linalg.eigh(0.5 * (h + h.conj().T))
+        expected = (w_ref[::-1].tobytes(), v_ref[:, ::-1].tobytes())
+        w, v = eig_hermitian(h)
+        assert (w.tobytes(), v.tobytes()) == expected
+        w[:] = 0.0
+        v[:] = 0.0
+        w, v = eig_hermitian(h)
+        assert (w.tobytes(), v.tobytes()) == expected
+        assert w.flags.writeable and v.flags.writeable
+
     def test_2x2_matches_stable_argsort_reference_bitwise(self):
         rng = np.random.default_rng(17)
         cases = [ID2, 0.5 * ID2,

@@ -253,22 +253,26 @@ _FULL_RANK_PAIR /= np.trace(_FULL_RANK_PAIR).real
 
 
 class TestEigensolveCounts:
-    # eigensolves whose eigenvectors produce no output (re-validating a
-    # checked state, bounding op^t op) must not run: a 2x2 state is checked
-    # in closed form and each partial measurement's complement is built once
+    # eigensolves that run (LAPACK eigh, the 2x2 Jacobi branch of _eig_core)
+    # only where their eigenvectors produce output: a 2x2 state is checked in
+    # closed form, the schemes' partial measurements are diagonal, and each
+    # distinct 4x4 matrix is decomposed once
     @pytest.mark.parametrize("call, eigs", [
-        (lambda: run_wmqmr(_MIXED, r=0.3, p1=0.5), 4),
-        (lambda: run_qffc_ps(_MIXED, r=0.3, p=0.7), 4),
-        (lambda: run_composite(_MIXED, r=0.3, p=0.7, eta=0.4), 4),
-        (lambda: run_ent_wmqmr(_FULL_RANK_PAIR, r1=0.3, r2=0.5, p1=0.4, side="both"), 15),
+        (lambda: run_wmqmr(_MIXED, r=0.3, p1=0.5), 2),
+        (lambda: run_qffc_ps(_MIXED, r=0.3, p=0.7), 2),
+        (lambda: run_composite(_MIXED, r=0.3, p=0.7, eta=0.4), 2),
+        (lambda: run_ent_wmqmr(_FULL_RANK_PAIR, r1=0.3, r2=0.5, p1=0.4, side="both"), 4),
     ], ids=("wmqmr", "qffc_ps", "composite", "ent_wmqmr"))
     def test_mixed_input_call(self, call, eigs, monkeypatch):
-        solves, fidelities = [], []
-        monkeypatch.setattr(qmath, "_eig_core", _logging(solves, qmath._eig_core))
+        entries, lapack, fidelities = [], [], []
+        qmath._eigh4.cache_clear()
+        monkeypatch.setattr(np.linalg, "eigh", _logging(lapack, np.linalg.eigh))
+        monkeypatch.setattr(qmath, "_eig_core", _logging(entries, qmath._eig_core))
         monkeypatch.setattr(qmath, "_fidelity_general",
                             _logging(fidelities, qmath._fidelity_general))
         call()
-        assert (len(solves), len(fidelities)) == (eigs, 1)
+        jacobi = sum(len(a) == 2 for a, in entries)
+        assert (len(lapack) + jacobi, len(fidelities)) == (eigs, 1)
 
 
 class TestDispatcherAndPairs:
