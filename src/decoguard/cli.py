@@ -131,13 +131,17 @@ def _input_state(args) -> np.ndarray:
     return state_from_angles(InitialState(alpha=alpha, phi=phi, pair_sign=sign))
 
 
-def _resolve_r(args) -> float:
-    """r directly, or from lambda (pd kick angle) or from gamma/t (ad rate)."""
+def _resolve_r(args, kind: str) -> float:
+    """A `kind` channel's r: given, or from lambda (pd kick angle) or gamma/t (ad rate)."""
     given = [name for name in ("r", "lam", "gamma") if getattr(args, name, None) is not None]
     if len(given) > 1:
         raise ValueError(f"give only one of --r, --lam, --gamma (got {given})")
     if getattr(args, "time", None) is not None and getattr(args, "gamma", None) is None:
         raise ValueError("--time needs --gamma (r = 1 - exp(-2*gamma*time))")
+    if kind == "ad" and "lam" in given or kind == "pd" and "gamma" in given:
+        raise ValueError(f"--{given[0]} does not parameterize a {kind} channel")
+    if kind == "identity" and any(getattr(args, name) for name in given):
+        raise ValueError(f"the identity channel takes no noise strength (got --{given[0]})")
     if args.r is not None:
         return args.r
     if getattr(args, "lam", None) is not None:
@@ -188,7 +192,7 @@ def _require(args, name: str):
 def cmd_channel(args) -> int:
     _require(args, "kind")
     rho_in = _input_state(args)
-    ch = make_channel(args.kind, _resolve_r(args))
+    ch = make_channel(args.kind, _resolve_r(args, args.kind))
     rho_out = apply_channel(rho_in, ch)
     check_density(rho_out, "channel output")
     cols = ("row", "re00", "im00", "re01", "im01", "re10", "im10", "re11", "im11",
@@ -204,8 +208,8 @@ def cmd_channel(args) -> int:
 def cmd_scheme(args) -> int:
     _require(args, "kind")
     kind = args.kind.lower()
-    r = _resolve_r(args)
     noise_kind = args.noise if args.noise is not None else "ad"
+    r = _resolve_r(args, "ad" if kind in schemes.AD_ONLY_KINDS else noise_kind)
     params: dict = {}
     rho_in = None
     if kind == "ent_wmqmr":

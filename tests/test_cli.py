@@ -81,6 +81,38 @@ class TestChannelCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: --time needs --gamma")
 
+    @pytest.mark.parametrize("flags, named", (
+        (("--kind", "ad", "--lam", "0.5pi"), "--lam"),
+        (("--kind", "pd", "--gamma", "1"), "--gamma"),
+        (("--kind", "pd", "--gamma", "1", "--time", "0.5"), "--gamma"),
+        (("--kind", "identity", "--r", "0.7"), "identity"),
+        (("--kind", "identity", "--lam", "0.2pi"), "identity"),
+    ))
+    def test_parameterization_of_another_kind_rejected(self, capsys, flags, named):
+        # each applied some channel at a derived r, or none at all, and exited 0
+        code, out, err = run_cli(capsys, "channel", *flags, "--state", "+x")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("flags, named", (
+        (("--kind", "wmqmr", "--p1", "0.5", "--lam", "0.5pi"), "--lam"),
+        (("--kind", "wmppf", "--p", "0.5", "--noise", "ad", "--lam", "0.5pi"), "--lam"),
+        (("--kind", "qffc_rot", "--p", "0.5", "--eta", "0.1", "--noise", "pd",
+          "--gamma", "1", "--time", "0.5"), "--gamma"),
+        (("--kind", "wmppf", "--p", "0.5", "--noise", "identity", "--r", "0.7"), "identity"),
+    ))
+    def test_scheme_checks_parameterization_against_noise(self, capsys, flags, named):
+        code, out, err = run_cli(capsys, "scheme", *flags, "--state", "+x")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("command", (("channel", "--kind", "identity"),
+                                         ("scheme", "--kind", "wmppf", "--p", "0.5",
+                                          "--noise", "identity")))
+    def test_identity_accepts_zero_r(self, capsys, command):
+        code, out, _ = run_cli(capsys, *command, "--r", "0", "--state", "+x")
+        assert code == 0 and out
+
     def test_conflicting_parameterizations_rejected(self, capsys):
         code, _, err = run_cli(capsys, "channel", "--kind", "pd", "--r", "0.2",
                                "--lam", "0.1pi", "--state", "+x")
@@ -172,6 +204,13 @@ class TestConfigFile:
         code, out, err = run_cli(capsys, "channel", "--config", str(cfg))
         assert code == 1 and out == ""
         assert err.startswith("error: --time needs --gamma")
+
+    def test_parameterization_of_another_kind_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kind = ad\nlam = 0.5pi\nstate = +x\n")
+        code, out, err = run_cli(capsys, "channel", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err.startswith("error: --lam")
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
