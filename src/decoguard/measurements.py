@@ -69,7 +69,7 @@ class PartialMeasurement:
     complement: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.eye(len(self.op), dtype=complex) - dagger(self.op) @ self.op
+        m = as_matrix(np.eye(len(self.op), dtype=complex) - dagger(self.op) @ self.op, "m")
         diagonal = np.array_equal(m, np.diag(np.diagonal(m)))
         w, v = (np.diagonal(m).real, None) if diagonal else eig_hermitian(m)
         if w.min() < -1e-12:

@@ -131,6 +131,15 @@ class TestPartialMeasurementBoundaries:
             with pytest.raises(ValueError, match="exceeds identity"):
                 PartialMeasurement(op=op, strength=1.0, role="test")
 
+    @pytest.mark.parametrize("op, match", [
+        (np.diag([1.0, 0.5, 0.2]), "dimension 2 or 4"),
+        (np.diag([1.0, np.nan]), "non-finite"),
+    ])
+    def test_malformed_diagonal_rejected(self, op, match):
+        # the closed-form complement keeps the eigensolve path's input checks
+        with pytest.raises(ValueError, match=match):
+            PartialMeasurement(op=op.astype(complex), strength=0.0, role="test")
+
     @pytest.mark.parametrize("dim", [2, 4])
     def test_identity_and_projector_accepted(self, dim):
         rng = np.random.default_rng(70 + dim)
