@@ -70,11 +70,11 @@ class PartialMeasurement:
 
     def __post_init__(self):
         m = as_matrix(np.eye(len(self.op), dtype=complex) - dagger(self.op) @ self.op, "m")
-        diagonal = np.array_equal(m, np.diag(np.diagonal(m)))
-        w, v = (np.diagonal(m).real, None) if diagonal else eig_hermitian(m)
+        diagonal = np.count_nonzero(m) == np.count_nonzero(m.diagonal())
+        w, v = (m.diagonal().real, None) if diagonal else eig_hermitian(m)
         if w.min() < -1e-12:
             raise ValueError(f"partial measurement operator exceeds identity: {1 - w.min()}")
-        root = np.sqrt(np.clip(w, 0.0, None))
+        root = np.sqrt(w.clip(0.0, None))
         object.__setattr__(self, "complement", np.diag(root).astype(complex)
                            if diagonal else (v * root) @ dagger(v))
 

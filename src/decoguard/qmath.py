@@ -56,7 +56,7 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     if m.shape[0] not in (2, 4):
         raise ValueError(f"{name} must have dimension 2 or 4, got {m.shape[0]}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} has non-finite entries")
     return m
 
@@ -195,7 +195,7 @@ def _clip_spectrum(w: np.ndarray, what: str) -> np.ndarray:
     """
     if w.min() < EIGENVALUE_FLOOR:
         raise ValueError(f"{what} has eigenvalue {w.min()} below {EIGENVALUE_FLOOR}")
-    w = np.clip(w, 0.0, None)
+    w = w.clip(0.0, None)
     w[w < 1e-14 * max(1.0, float(w.max()))] = 0.0
     return w
 
