@@ -4,7 +4,8 @@ Both channels are carried as explicit Kraus operator lists with completeness
 checked at construction. The phase-flip form, the rotation-angle form and the
 decay-rate form are provided with explicit conversions to the Kraus damping
 probability r, plus jump/no-jump unraveling and lifting a single-qubit
-channel onto one side of a two-qubit system.
+channel onto one side of a two-qubit system. pd_kraus and ad_kraus return
+shared channels with read-only arrays (qmath._memoized).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measurements import COMPLETENESS_ATOL, Branch, BranchEnsemble
-from .qmath import ID2, PAULI_Z, _kron, as_matrix, check_prob, dagger
+from .qmath import ID2, PAULI_Z, _kron, _memoized, as_matrix, check_prob, dagger
 
 TRACE_DRIFT_ATOL = 1e-12
 
@@ -76,6 +77,7 @@ def flip_to_kraus_r(r_flip: float) -> float:
     return 1.0 - (1.0 - 2.0 * r_flip) ** 2
 
 
+@_memoized
 def pd_kraus(r: float) -> KrausChannel:
     """Dephasing Kraus pair A0 = diag(1, sqrt(1-r)), A1 = diag(0, sqrt(r))."""
     check_prob(r, "r")
@@ -84,6 +86,7 @@ def pd_kraus(r: float) -> KrausChannel:
     return KrausChannel(ops=(a0, a1), kind="pd", r=r)
 
 
+@_memoized
 def ad_kraus(r: float) -> KrausChannel:
     """Amplitude damping: A0 = diag(1, sqrt(1-r)), A1 = sqrt(r)|0><1|."""
     check_prob(r, "r")

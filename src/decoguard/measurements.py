@@ -3,12 +3,12 @@
 Variable-strength POVM pairs along the Bloch axes, the generalized
 phase-parameterized pair, the partial (single-operator) measurements used by
 the protection schemes, unitary rotations, and the bookkeeping of outcome
-branches with acceptance flags for post-selected pipelines.
+branches with acceptance flags for post-selected pipelines. The factories
+return shared objects with read-only arrays (qmath._memoized).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +22,7 @@ from .qmath import (
     KET_PLUS,
     KET_PLUS_I,
     PAULI_X,
+    _memoized,
     as_matrix,
     check_prob,
     dagger,
@@ -69,7 +70,8 @@ class PartialMeasurement:
     complement: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = as_matrix(np.eye(len(self.op), dtype=complex) - dagger(self.op) @ self.op, "m")
+        object.__setattr__(self, "op", op := as_matrix(self.op, "op"))
+        m = np.eye(len(op), dtype=complex) - dagger(op) @ op
         diagonal = np.count_nonzero(m) == np.count_nonzero(m.diagonal())
         w, v = (m.diagonal().real, None) if diagonal else eig_hermitian(m)
         if w.min() < -1e-12:
@@ -110,6 +112,7 @@ def _rotation_matrix(axis: str, angle: float) -> np.ndarray:
                     dtype=complex)
 
 
+@_memoized
 def rotation(axis: str, eta: float, sign: int = +1) -> Rotation:
     """Unitary rotation about a Bloch axis with strength eta in [0, pi/2]."""
     return Rotation(axis=axis, eta=eta, sign=sign)
@@ -149,6 +152,7 @@ def povm_generalized(theta: float, beta: float) -> MeasurementPair:
                            axis="generalized", theta=theta, beta=beta)
 
 
+@_memoized
 def wm_map(p1: float) -> PartialMeasurement:
     """Pre-noise weak measurement diag(1, sqrt(1-p1)); null result keeps the state."""
     check_prob(p1, "p1")
@@ -156,6 +160,7 @@ def wm_map(p1: float) -> PartialMeasurement:
                               strength=p1, role="wm")
 
 
+@_memoized
 def qmr_map(p2: float) -> PartialMeasurement:
     """Post-noise reversal measurement diag(sqrt(1-p2), 1)."""
     check_prob(p2, "p2")
@@ -163,6 +168,7 @@ def qmr_map(p2: float) -> PartialMeasurement:
                               strength=p2, role="qmr")
 
 
+@_memoized
 def pre_wm_pair(p: float) -> MeasurementPair:
     """Feed-forward pre-measurement pair M1 = diag(sqrt(p), sqrt(1-p)), M2 swapped.
 
@@ -180,6 +186,7 @@ def flips() -> tuple[np.ndarray, np.ndarray]:
     return ID2.copy(), PAULI_X.copy()
 
 
+@_memoized
 def post_wm_ops(p_u: float, p_v: float) -> tuple[PartialMeasurement, PartialMeasurement]:
     """Recovery measurements N1 = diag(sqrt(1-p_u), 1), W1 = diag(1, sqrt(1-p_v)).
 
@@ -202,10 +209,10 @@ class Branch:
     label: str
     state: np.ndarray
     accepted: bool = True
+    weight: float = field(init=False, repr=False, compare=False)
 
-    @functools.cached_property
-    def weight(self) -> float:
-        return float(np.real(np.trace(self.state)))
+    def __post_init__(self):
+        object.__setattr__(self, "weight", float(self.state.trace().real))
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,18 @@
+from dataclasses import is_dataclass
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from decoguard import measurements
+from decoguard.channels import ad_kraus, pd_kraus
 from decoguard.measurements import (
     Branch,
     BranchEnsemble,
     MeasurementPair,
     PartialMeasurement,
+    Rotation,
     flips,
     measure,
     partial_measure,
@@ -139,6 +143,19 @@ class TestPartialMeasurementBoundaries:
         # the closed-form complement keeps the eigensolve path's input checks
         with pytest.raises(ValueError, match=match):
             PartialMeasurement(op=op.astype(complex), strength=0.0, role="test")
+
+    @pytest.mark.parametrize("op, match", [
+        ([[1, 0, 0], [0, 1, 0]], "op must be square"),
+        ([[1, 0], [0, np.inf]], "op has non-finite"),
+    ])
+    def test_op_checked_like_any_matrix_input(self, op, match):
+        with pytest.raises(ValueError, match=match):
+            PartialMeasurement(op=op, strength=0.0, role="test")
+
+    def test_list_op_is_coerced(self):
+        pm = PartialMeasurement(op=[[1, 0], [0, 0.5]], strength=0.75, role="test")
+        assert pm.op.tobytes() == np.diag([1, 0.5]).astype(complex).tobytes()
+        assert pm.complement.tobytes() == np.diag([0, np.sqrt(0.75)]).astype(complex).tobytes()
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_identity_and_projector_accepted(self, dim):
@@ -394,3 +411,79 @@ class TestPartialMeasure:
             lost = comp @ rho @ comp.conj().T
             ens = partial_measure(rho, PartialMeasurement(op=op, strength=scale, role="test"))
             assert ens.branches[1].state.tobytes() == lost.tobytes()
+
+
+def _arrays(obj) -> list:
+    """Every array a factory result holds, in field order."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, tuple):
+        return [a for x in obj for a in _arrays(x)]
+    return [a for x in vars(obj).values() for a in _arrays(x)] if is_dataclass(obj) else []
+
+
+def _bits(obj) -> list[bytes]:
+    return [a.tobytes() for a in _arrays(obj)]
+
+
+_FACTORY_ARG = st.just(-0.0) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _factory_calls(draw):
+    """A memoized factory and in-range arguments, all float or all np.float64."""
+    cast = draw(st.sampled_from([float, np.float64]))
+    x, y = cast(draw(_FACTORY_ARG)), cast(draw(_FACTORY_ARG))
+    axis, sign = draw(st.sampled_from("xyz")), draw(st.sampled_from([1, -1]))
+    return draw(st.sampled_from([
+        (rotation, (axis, x * (np.pi / 2), sign)), (wm_map, (x,)), (qmr_map, (x,)),
+        (pre_wm_pair, (x,)), (post_wm_ops, (x, y)), (ad_kraus, (x,)), (pd_kraus, (x,)),
+    ]))
+
+
+class TestMemoizedFactories:
+    @PROPERTY
+    @given(_factory_calls())
+    def test_cached_bits_equal_a_fresh_build(self, call):
+        factory, args = call
+        fresh = _bits(factory.__wrapped__(*args))
+        for _ in range(2):   # a build or a hit, then a hit
+            assert _bits(factory(*args)) == fresh
+
+    def test_key_keeps_the_sign_of_zero_and_the_type(self):
+        for factory, args in ((rotation, ("y", 0.0)), (pre_wm_pair, (0.0,))):
+            plus, minus = factory(*args), factory(*args[:-1], -0.0)
+            assert _bits(plus) != _bits(minus)
+            assert _bits(minus) == _bits(factory.__wrapped__(*args[:-1], -0.0))
+        assert type(wm_map(np.float64(0.3)).strength) is np.float64
+        assert type(wm_map(0.3).strength) is float
+
+    def test_repeated_call_shares_one_object(self):
+        assert ad_kraus(0.3) is ad_kraus(0.3)
+        assert post_wm_ops(0.2, 0.4) is post_wm_ops(0.2, 0.4)
+
+    @pytest.mark.parametrize("call", [
+        lambda: rotation("x", 0.3, -1), lambda: wm_map(0.3), lambda: qmr_map(0.3),
+        lambda: pre_wm_pair(0.3), lambda: post_wm_ops(0.3, 0.6), lambda: ad_kraus(0.3),
+        lambda: pd_kraus(0.3),
+    ], ids=("rotation", "wm_map", "qmr_map", "pre_wm_pair", "post_wm_ops", "ad_kraus", "pd_kraus"))
+    def test_cached_arrays_reject_writes(self, call):
+        arrays = _arrays(call())
+        assert len(arrays) >= 1
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 2.0
+
+    def test_directly_built_objects_stay_writeable(self):
+        op = np.diag([1, 0.5]).astype(complex)
+        for obj in (Rotation("y", 0.3), PartialMeasurement(op=op, strength=0.75, role="t")):
+            assert all(a.flags.writeable for a in _arrays(obj))
+
+    def test_zero_dim_array_argument_builds_uncached(self):
+        for factory in (wm_map, qmr_map, pre_wm_pair, ad_kraus, pd_kraus):
+            built = factory(np.array(0.3))
+            assert _bits(built) == _bits(factory.__wrapped__(np.array(0.3)))
+            assert all(a.flags.writeable for a in _arrays(built))
+        rot = rotation("z", np.array(0.3))
+        assert rot.matrix.tobytes() == rotation.__wrapped__("z", 0.3).matrix.tobytes()
+        assert rot.matrix.flags.writeable

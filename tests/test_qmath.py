@@ -324,6 +324,19 @@ class TestFidelity:
             pure, mixed = random_pure(rng), random_density(rng, 2)
             assert abs(fidelity(pure, mixed) - _fidelity_general(pure, mixed)) < 1e-9
 
+    def test_input_root_cached_read_only_and_rejections_not_cached(self):
+        rng = np.random.default_rng(6)
+        for dim in (2, 4):
+            rho = random_density(rng, dim)
+            root = qmath._input_root(rho.tobytes())
+            assert root is qmath._input_root(rho.tobytes())
+            assert root.tobytes() == qmath._sqrtm_psd(rho).tobytes()
+            assert not root.flags.writeable
+        bad = np.diag([1.5, -0.5]).astype(complex)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="square root input"):
+                qmath._fidelity_general(bad, ID2 / 2)
+
     def test_oracle_agreement_mixed(self):
         rng = np.random.default_rng(5)
         for dim in (2, 4):

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decoguard import qmath
+from decoguard import qmath, schemes
 from decoguard.channels import ad_kraus, identity_channel, make_channel, pd_kraus
+from decoguard.measurements import PartialMeasurement
 from decoguard.qmath import InitialState, bloch_to_density, projector, state_from_angles
 from decoguard.schemes import (
     AD_ONLY_KINDS,
@@ -255,24 +256,48 @@ _FULL_RANK_PAIR /= np.trace(_FULL_RANK_PAIR).real
 class TestEigensolveCounts:
     # eigensolves that run (LAPACK eigh, the 2x2 Jacobi branch of _eig_core)
     # only where their eigenvectors produce output: a 2x2 state is checked in
-    # closed form, the schemes' partial measurements are diagonal, and each
-    # distinct 4x4 matrix is decomposed once
+    # closed form, the schemes' partial measurements are diagonal, each
+    # distinct 4x4 matrix is decomposed once, and a fidelity input's square
+    # root is built once; both caches are cleared so the first call is cold
     @pytest.mark.parametrize("call, eigs", [
-        (lambda: run_wmqmr(_MIXED, r=0.3, p1=0.5), 2),
-        (lambda: run_qffc_ps(_MIXED, r=0.3, p=0.7), 2),
-        (lambda: run_composite(_MIXED, r=0.3, p=0.7, eta=0.4), 2),
-        (lambda: run_ent_wmqmr(_FULL_RANK_PAIR, r1=0.3, r2=0.5, p1=0.4, side="both"), 4),
+        (lambda x: run_wmqmr(_MIXED, r=0.3, p1=x), 2),
+        (lambda x: run_qffc_ps(_MIXED, r=0.3, p=x), 2),
+        (lambda x: run_composite(_MIXED, r=0.3, p=0.7, eta=x), 2),
+        (lambda x: run_ent_wmqmr(_FULL_RANK_PAIR, r1=0.3, r2=0.5, p1=x, side="both"), 4),
     ], ids=("wmqmr", "qffc_ps", "composite", "ent_wmqmr"))
     def test_mixed_input_call(self, call, eigs, monkeypatch):
         entries, lapack, fidelities = [], [], []
         qmath._eigh4.cache_clear()
+        qmath._input_root.cache_clear()
         monkeypatch.setattr(np.linalg, "eigh", _logging(lapack, np.linalg.eigh))
         monkeypatch.setattr(qmath, "_eig_core", _logging(entries, qmath._eig_core))
         monkeypatch.setattr(qmath, "_fidelity_general",
                             _logging(fidelities, qmath._fidelity_general))
-        call()
-        jacobi = sum(len(a) == 2 for a, in entries)
-        assert (len(lapack) + jacobi, len(fidelities)) == (eigs, 1)
+        solves = []
+        # a cold call, then a warm one on the same input with another parameter:
+        # the input's decomposition (its square root, or its 4x4 check) is reused
+        for x in (0.6, 0.7):
+            call(x)
+            solves.append(len(lapack) + sum(len(a) == 2 for a, in entries))
+            lapack.clear()
+            entries.clear()
+        assert (solves, len(fidelities)) == ([eigs, eigs - 1], 2)
+
+    def test_two_sided_ent_wmqmr_builds_each_lifted_stage_once(self, monkeypatch):
+        # the 4x4 measurements are built straight from their diagonal, with no
+        # 2x2 PartialMeasurement, and with the lifted channels shared by later calls
+        dims, lifts = [], []
+        post_init = PartialMeasurement.__post_init__
+        monkeypatch.setattr(PartialMeasurement, "__post_init__",
+                            lambda pm: (dims.append(len(pm.op)), post_init(pm))[1])
+        monkeypatch.setattr(schemes, "lift_local", _logging(lifts, schemes.lift_local))
+        schemes._lifted_measurement.cache_clear()
+        schemes._lifted_ad.cache_clear()
+        first = run_ent_wmqmr(_FULL_RANK_PAIR, r1=0.3, r2=0.5, p1=0.4, side="both")
+        assert (dims, len(lifts)) == ([4, 4, 4, 4], 2)
+        again = run_ent_wmqmr(_FULL_RANK_PAIR, r1=0.3, r2=0.5, p1=0.4, side="both")
+        assert (dims, len(lifts)) == ([4, 4, 4, 4], 2)
+        assert again.output_state.tobytes() == first.output_state.tobytes()
 
 
 class TestDispatcherAndPairs:
