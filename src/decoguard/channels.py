@@ -1,11 +1,10 @@
 """Phase-damping and amplitude-damping channels and their parameterizations.
 
-Both channels are carried as explicit Kraus operator lists with completeness
-checked at construction. The phase-flip form, the rotation-angle form and the
-decay-rate form are provided with explicit conversions to the Kraus damping
-probability r, plus jump/no-jump unraveling and lifting a single-qubit
-channel onto one side of a two-qubit system. pd_kraus and ad_kraus return
-shared channels with read-only arrays (qmath._memoized).
+Both channels are explicit Kraus operator lists, completeness checked at
+construction (ad_kraus returns shared ones with read-only arrays). The
+phase-flip, rotation-angle and decay-rate forms convert explicitly to the Kraus
+damping probability r; channels unravel into jump/no-jump branches and lift
+onto one side of a two-qubit system.
 """
 
 from __future__ import annotations
@@ -77,7 +76,6 @@ def flip_to_kraus_r(r_flip: float) -> float:
     return 1.0 - (1.0 - 2.0 * r_flip) ** 2
 
 
-@_memoized
 def pd_kraus(r: float) -> KrausChannel:
     """Dephasing Kraus pair A0 = diag(1, sqrt(1-r)), A1 = diag(0, sqrt(r))."""
     check_prob(r, "r")

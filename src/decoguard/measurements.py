@@ -1,10 +1,9 @@
 """Measurement, flip and rotation operators, and the branch-update rule.
 
-Variable-strength POVM pairs along the Bloch axes, the generalized
-phase-parameterized pair, the partial (single-operator) measurements used by
-the protection schemes, unitary rotations, and the bookkeeping of outcome
-branches with acceptance flags for post-selected pipelines. The factories
-return shared objects with read-only arrays (qmath._memoized).
+Variable-strength POVM pairs along the Bloch axes, the phase-generalized pair,
+the partial (single-operator) measurements of the schemes, unitary rotations and
+outcome branches with acceptance flags. pre_wm_pair and post_wm_ops return
+shared objects with read-only arrays (qmath._memoized).
 """
 
 from __future__ import annotations
@@ -112,7 +111,6 @@ def _rotation_matrix(axis: str, angle: float) -> np.ndarray:
                     dtype=complex)
 
 
-@_memoized
 def rotation(axis: str, eta: float, sign: int = +1) -> Rotation:
     """Unitary rotation about a Bloch axis with strength eta in [0, pi/2]."""
     return Rotation(axis=axis, eta=eta, sign=sign)
@@ -152,20 +150,20 @@ def povm_generalized(theta: float, beta: float) -> MeasurementPair:
                            axis="generalized", theta=theta, beta=beta)
 
 
-@_memoized
+def _partial_op(role: str, p: float) -> np.ndarray:   # wm_map's or qmr_map's operator
+    return np.diag([1, np.sqrt(1 - p)][::1 if role == "wm" else -1]).astype(complex)
+
+
 def wm_map(p1: float) -> PartialMeasurement:
     """Pre-noise weak measurement diag(1, sqrt(1-p1)); null result keeps the state."""
     check_prob(p1, "p1")
-    return PartialMeasurement(op=np.diag([1, np.sqrt(1 - p1)]).astype(complex),
-                              strength=p1, role="wm")
+    return PartialMeasurement(op=_partial_op("wm", p1), strength=p1, role="wm")
 
 
-@_memoized
 def qmr_map(p2: float) -> PartialMeasurement:
     """Post-noise reversal measurement diag(sqrt(1-p2), 1)."""
     check_prob(p2, "p2")
-    return PartialMeasurement(op=np.diag([np.sqrt(1 - p2), 1]).astype(complex),
-                              strength=p2, role="qmr")
+    return PartialMeasurement(op=_partial_op("qmr", p2), strength=p2, role="qmr")
 
 
 @_memoized
@@ -195,11 +193,8 @@ def post_wm_ops(p_u: float, p_v: float) -> tuple[PartialMeasurement, PartialMeas
     """
     check_prob(p_u, "p_u")
     check_prob(p_v, "p_v")
-    n1 = PartialMeasurement(op=np.diag([np.sqrt(1 - p_u), 1]).astype(complex),
-                            strength=p_u, role="post-wm-n")
-    w1 = PartialMeasurement(op=np.diag([1, np.sqrt(1 - p_v)]).astype(complex),
-                            strength=p_v, role="post-wm-w")
-    return n1, w1
+    return (PartialMeasurement(op=_partial_op("qmr", p_u), strength=p_u, role="post-wm-n"),
+            PartialMeasurement(op=_partial_op("wm", p_v), strength=p_v, role="post-wm-w"))
 
 
 @dataclass(frozen=True)

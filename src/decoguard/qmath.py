@@ -1,12 +1,11 @@
 """Small fixed-size complex matrix algebra, qubit states and metrics.
 
-Everything here works on plain numpy arrays (complex128) of dimension 2 or 4.
-Density matrices are validated Hermitian, unit-trace and positive
-semidefinite (a 2x2 state's smallest eigenvalue in closed form). Hermitian
-matrices are diagonalized in closed form: one Jacobi rotation for 2x2, LAPACK
-once per distinct 4x4 matrix (see eig_hermitian), only where the eigenvectors
-are used: matrix square roots and non-diagonal measurement complements. A
-fidelity input's square root is cached, as are the stage-operator factories.
+Everything here works on numpy arrays (complex128) of dimension 2 or 4. Density
+matrices are validated Hermitian, unit-trace and positive semidefinite (a 2x2
+state's smallest eigenvalue in closed form). Hermitian matrices are diagonalized
+by one Jacobi rotation (2x2) or LAPACK once per distinct 4x4 matrix, only where
+eigenvectors are used: square roots (a fidelity input's is cached) and
+non-diagonal measurement complements. _memoized caches the operator factories.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10     # eigenvalues in [floor, 0) are numeric drift
 PURITY_PURE_THRESHOLD = 1 - 1e-10
-FACTORY_CACHE_SIZE = 32   # results each memoized stage-operator factory keeps
+FACTORY_CACHE_SIZE = 8   # results each memoized stage-operator factory keeps
 
 ID2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -40,33 +39,25 @@ KET_MINUS_I = np.array([1, -1j], dtype=complex) / np.sqrt(2)
 _SY_SY = np.kron(PAULI_Y, PAULI_Y)
 
 
-def _read_only(obj):
-    """obj, a tuple or a dataclass, with the arrays it holds (nested ones too) made read-only."""
-    for x in obj if isinstance(obj, tuple) else vars(obj).values():
-        if isinstance(x, np.ndarray):
-            x.flags.writeable = False
-        elif isinstance(x, tuple) or hasattr(x, "__dataclass_fields__"):
-            _read_only(x)
+def _read_only(obj):   # obj, with the arrays it holds (in tuples, dataclasses) read-only
+    if isinstance(obj, np.ndarray):
+        obj.flags.writeable = False
+    for x in obj if isinstance(obj, tuple) else getattr(obj, "__dict__", {}).values():
+        _read_only(x)
     return obj
 
 
 def _memoized(build):
-    """build behind a bounded lru_cache of read-only results, keyed by each argument's
-    type, value and float sign (-0.0 builds other bits than 0.0), so a hit has a fresh
-    build's bits. An argument the cache cannot hash (a 0-d array) is built uncached."""
-    cached = functools.lru_cache(FACTORY_CACHE_SIZE, typed=True)(
-        lambda signs, /, *args, **kwargs: _read_only(build(*args, **kwargs)))
+    """build behind a bounded lru_cache of read-only results, keyed by type, value and sign."""
+    cached = functools.lru_cache(FACTORY_CACHE_SIZE, typed=True)(   # -0.0 builds other bits
+        lambda signs, /, *a, **kw: _read_only(build(*a, **kw)))
 
     @functools.wraps(build)
-    def factory(*args, **kwargs):
-        values = (*args, *kwargs.values())
+    def factory(*a, **kw):
         try:
-            return cached(tuple(math.copysign(1, v) for v in values
-                                if isinstance(v, (float, np.floating))), *args, **kwargs)
-        except TypeError:   # unhashable; a TypeError of build's own recurs here
-            return build(*args, **kwargs)
-
-    factory.cache_clear = cached.cache_clear
+            return cached(tuple(math.copysign(1, v) for v in (*a, *kw.values())), *a, **kw)
+        except TypeError:   # unhashable or not a number; build raises its own TypeError again
+            return build(*a, **kw)
     return factory
 
 
@@ -214,8 +205,7 @@ def _eig_core(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=8)   # a two-qubit state's check also serves its square root
 def _eigh4(a_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(np.frombuffer(a_bytes, dtype=complex).reshape(4, 4))
-    w.flags.writeable = v.flags.writeable = False   # descending read-only views
-    return w[::-1], v[:, ::-1]
+    return _read_only((w[::-1], v[:, ::-1]))   # descending read-only views
 
 
 def _clip_spectrum(w: np.ndarray, what: str) -> np.ndarray:
@@ -239,16 +229,13 @@ def _sqrtm_psd(rho: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)   # the run_* pipelines compare many outputs with one input
-def _input_root(rho_bytes: bytes) -> np.ndarray:
-    d = math.isqrt(len(rho_bytes) // 16)
-    root = _sqrtm_psd(np.frombuffer(rho_bytes, dtype=complex).reshape(d, d))
-    root.flags.writeable = False
-    return root
+def _input_root(rho_bytes: bytes, dim: int) -> np.ndarray:
+    return _read_only(_sqrtm_psd(np.frombuffer(rho_bytes, dtype=complex).reshape(dim, dim)))
 
 
 def _fidelity_general(rho_in: np.ndarray, rho_f: np.ndarray) -> float:
     """Tr sqrt(sqrt(rho_in) rho_f sqrt(rho_in)) without the purity shortcut."""
-    root = _input_root(rho_in.tobytes())
+    root = _input_root(rho_in.tobytes(), len(rho_in))
     w, _ = eig_hermitian(root @ rho_f @ root)
     w = _clip_spectrum(w, "fidelity inner matrix")
     return min(1.0, float(np.sum(np.sqrt(w))))

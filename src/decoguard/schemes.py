@@ -18,7 +18,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from . import qmath
+from . import measurements, qmath
 from .channels import KrausChannel, ad_kraus, ad_unravel, apply_channel, lift_local
 from .measurements import (
     Branch,
@@ -260,17 +260,6 @@ def run_composite(rho_in, r: float, p: float, eta: float,
     return _postselected(rho_in, sum(b.state for b in ens.branches if b.accepted), ens)
 
 
-@qmath._memoized
-def _lifted_measurement(role: str, p: float, qubit: int) -> PartialMeasurement:
-    """wm_map(p)'s or qmr_map(p)'s operator, built as they build it, on one qubit of two."""
-    op = np.diag([1, np.sqrt(1 - p)] if role == "wm" else [np.sqrt(1 - p), 1]).astype(complex)
-    return PartialMeasurement(op=qmath._kron(*((op, ID2) if qubit == 1 else (ID2, op))),
-                              strength=p, role=f"{role}@q{qubit}")
-
-
-_lifted_ad = qmath._memoized(lambda r, qubit: lift_local(ad_kraus(r), qubit))
-
-
 def run_ent_wmqmr(rho_2q, r1: float, r2: float, p1: float,
                   p2: float | None = None, side: str = "one") -> SchemeResult:
     """One- or two-sided WMQMR protection of a two-qubit state.
@@ -290,9 +279,14 @@ def run_ent_wmqmr(rho_2q, r1: float, r2: float, p1: float,
         p2 = matched_qmr_strength(p1, r1)
     check_prob(p2, "p2")
 
+    def lifted(role: str, p: float, qubit: int) -> PartialMeasurement:
+        op = measurements._partial_op(role, p)   # lifted with no 2x2 measurement built
+        return PartialMeasurement(op=qmath._kron(op, ID2) if qubit == 1 else qmath._kron(ID2, op),
+                                  strength=p, role=f"{role}@q{qubit}")
+
     sides = (1,) if side == "one" else (1, 2)
-    stages = [_lifted_measurement("wm", p1, q) for q in sides]
-    post_stages = [_lifted_measurement("qmr", p2, q) for q in sides]
+    stages = [lifted("wm", p1, q) for q in sides]
+    post_stages = [lifted("qmr", p2, q) for q in sides]
 
     rejected: list[Branch] = []
     s = rho_2q
@@ -300,8 +294,8 @@ def run_ent_wmqmr(rho_2q, r1: float, r2: float, p1: float,
         ens = partial_measure(s, pm)
         rejected.append(ens.branches[1])
         s = ens.branches[0].state
-    s = apply_channel(s, _lifted_ad(r1, 1))
-    s = apply_channel(s, _lifted_ad(r2, 2))
+    s = apply_channel(s, lift_local(ad_kraus(r1), 1))
+    s = apply_channel(s, lift_local(ad_kraus(r2), 2))
     for pm in post_stages:
         ens = partial_measure(s, pm)
         rejected.append(ens.branches[1])

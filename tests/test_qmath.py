@@ -328,8 +328,8 @@ class TestFidelity:
         rng = np.random.default_rng(6)
         for dim in (2, 4):
             rho = random_density(rng, dim)
-            root = qmath._input_root(rho.tobytes())
-            assert root is qmath._input_root(rho.tobytes())
+            root = qmath._input_root(rho.tobytes(), dim)
+            assert root is qmath._input_root(rho.tobytes(), dim)
             assert root.tobytes() == qmath._sqrtm_psd(rho).tobytes()
             assert not root.flags.writeable
         bad = np.diag([1.5, -0.5]).astype(complex)

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decoguard import qmath, schemes
+from decoguard import qmath
 from decoguard.channels import ad_kraus, identity_channel, make_channel, pd_kraus
-from decoguard.measurements import PartialMeasurement
-from decoguard.qmath import InitialState, bloch_to_density, projector, state_from_angles
+from decoguard.measurements import PartialMeasurement, qmr_map, wm_map
+from decoguard.qmath import ID2, InitialState, bloch_to_density, projector, state_from_angles
 from decoguard.schemes import (
     AD_ONLY_KINDS,
     SchemeSpec,
@@ -283,21 +283,19 @@ class TestEigensolveCounts:
             entries.clear()
         assert (solves, len(fidelities)) == ([eigs, eigs - 1], 2)
 
-    def test_two_sided_ent_wmqmr_builds_each_lifted_stage_once(self, monkeypatch):
-        # the 4x4 measurements are built straight from their diagonal, with no
-        # 2x2 PartialMeasurement, and with the lifted channels shared by later calls
-        dims, lifts = [], []
+    def test_two_sided_ent_wmqmr_lifts_each_stage_from_its_diagonal(self, monkeypatch):
+        # the 4x4 measurements are built straight from wm_map's and qmr_map's
+        # diagonal, with the same bits and with no 2x2 PartialMeasurement
+        p2 = matched_qmr_strength(0.4, 0.3)
+        wm, qmr = wm_map(0.4).op, qmr_map(p2).op
+        expected = [qmath._kron(wm, ID2), qmath._kron(ID2, wm),
+                    qmath._kron(qmr, ID2), qmath._kron(ID2, qmr)]
+        ops = []
         post_init = PartialMeasurement.__post_init__
         monkeypatch.setattr(PartialMeasurement, "__post_init__",
-                            lambda pm: (dims.append(len(pm.op)), post_init(pm))[1])
-        monkeypatch.setattr(schemes, "lift_local", _logging(lifts, schemes.lift_local))
-        schemes._lifted_measurement.cache_clear()
-        schemes._lifted_ad.cache_clear()
-        first = run_ent_wmqmr(_FULL_RANK_PAIR, r1=0.3, r2=0.5, p1=0.4, side="both")
-        assert (dims, len(lifts)) == ([4, 4, 4, 4], 2)
-        again = run_ent_wmqmr(_FULL_RANK_PAIR, r1=0.3, r2=0.5, p1=0.4, side="both")
-        assert (dims, len(lifts)) == ([4, 4, 4, 4], 2)
-        assert again.output_state.tobytes() == first.output_state.tobytes()
+                            lambda pm: (ops.append(pm.op), post_init(pm))[1])
+        run_ent_wmqmr(_FULL_RANK_PAIR, r1=0.3, r2=0.5, p1=0.4, side="both")
+        assert [op.tobytes() for op in ops] == [op.tobytes() for op in expected]
 
 
 class TestDispatcherAndPairs:
