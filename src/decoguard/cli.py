@@ -210,24 +210,26 @@ def cmd_scheme(args) -> int:
     kind = args.kind.lower()
     noise_kind = args.noise if args.noise is not None else "ad"
     r = _resolve_r(args, "ad" if kind in schemes.AD_ONLY_KINDS else noise_kind)
-    params: dict = {}
-    rho_in = None
+    # a parameter flag is a run_* keyword other than the noise; the kind's own are passed on
+    takes = schemes._keywords(getattr(schemes, f"run_{kind}"))[0]
+    flags = {name for k in schemes.SCHEME_KINDS
+             for name in schemes._keywords(getattr(schemes, f"run_{k}"))[0]} - {"noise", "r"}
+    if kind == "ent_wmqmr":   # its input is the fixed Bell state
+        flags |= {"state", "alpha", "phi", "pair_sign"}
+    params = {name: getattr(args, name) for name in flags & set(vars(args))
+              if getattr(args, name) is not None}
+    if stray := sorted(set(params) - takes):
+        raise ValueError(f"{kind} does not take " + ", ".join(
+            f"--{name.replace('_', '-')}" for name in stray))
+    if "sign_binding" in params:
+        params["sign_binding"] = +1 if params["sign_binding"] == "+" else -1
     if kind == "ent_wmqmr":
-        params["r1"] = args.r1 if args.r1 is not None else r
-        params["r2"] = args.r2 if args.r2 is not None else r
-        params["side"] = args.side if args.side is not None else "one"
+        params = {"r1": r, "r2": r, "side": "one", **params}
         rho_in = np.zeros((4, 4), dtype=complex)  # the Bell state (|00> + |11>)/sqrt(2)
         rho_in[0, 0] = rho_in[0, 3] = rho_in[3, 0] = rho_in[3, 3] = 0.5
-    elif kind in schemes.AD_ONLY_KINDS:
-        params["r"] = r
-    for name in ("p", "p1", "p2", "p_u", "p_v", "theta", "eta", "beta",
-                 "meas_axis", "rot_axis", "signs"):
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
-    if args.sign_binding is not None:
-        params["sign_binding"] = +1 if args.sign_binding == "+" else -1
-    if rho_in is None:
+    else:
+        if kind in schemes.AD_ONLY_KINDS:
+            params["r"] = r
         rho_in = _input_state(args)
     noise = make_channel(noise_kind, r)
     result = schemes.run_scheme(rho_in, schemes.SchemeSpec(kind=kind, noise=noise,

@@ -18,15 +18,13 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from . import measurements, qmath
-from .channels import KrausChannel, ad_kraus, ad_unravel, apply_channel, lift_local
+from . import channels, measurements, qmath
+from .channels import KrausChannel, ad_kraus, lift_local
 from .measurements import (
     Branch,
     BranchEnsemble,
     PartialMeasurement,
     flips,
-    measure,
-    partial_measure,
     post_wm_ops,
     povm_axis,
     povm_generalized,
@@ -74,6 +72,15 @@ def _conj(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return op @ rho @ dagger(op)
 
 
+def _qubit_input(rho_in, noise: KrausChannel | None = None) -> np.ndarray:
+    """rho_in checked as a qubit density matrix that noise (if given) acts on."""
+    rho_in = qmath.check_density(rho_in)
+    dims = (len(rho_in), noise.dim if noise is not None else 2)
+    if dims != (2, 2):
+        raise ValueError(f"dimension mismatch: a qubit scheme got (state, channel) dims {dims}")
+    return rho_in
+
+
 def _deterministic(rho_in, branches: list[Branch], what: str) -> SchemeResult:
     """Result of a trace-preserving scheme: the sum of its branches, checked
     to have unit trace and renormalized to it."""
@@ -87,14 +94,15 @@ def _deterministic(rho_in, branches: list[Branch], what: str) -> SchemeResult:
                         branches=BranchEnsemble(branches=tuple(branches)))
 
 
-def _postselected(rho_in, accepted_sum, ensemble: BranchEnsemble) -> SchemeResult:
+def _postselected(rho_in, branches: list[Branch]) -> SchemeResult:
     """Result of a post-selected scheme: the accepted weight (at most 1; its
     float sum can round past 1) and the accepted mixture normalized by the
     unclipped sum (None, with fidelity 0, when nothing is kept)."""
+    ensemble = BranchEnsemble(tuple(branches))
     success = ensemble.success_prob
     out, fid = None, 0.0
     if success > 1e-15:
-        out = accepted_sum / success
+        out = sum(b.state for b in branches if b.accepted) / success
         fid = qmath._fidelity(rho_in, out)
     return SchemeResult(output_state=out, success_prob=min(success, 1.0), fidelity=fid,
                         branches=ensemble)
@@ -120,32 +128,25 @@ def run_wmqmr(rho_in, r: float, p1: float, p2: float | None = None,
     channel is restricted to its A0 trajectory (the jump branch is
     discarded), under which the matched p2 recovers the input exactly.
     """
-    rho_in = qmath.check_density(rho_in)
+    rho_in = _qubit_input(rho_in)
     check_prob(r, "r")
-    check_prob(p1, "p1")
+    wm = wm_map(p1)   # wm_map and qmr_map check p1 and p2
     if p2 is None:
         p2 = matched_qmr_strength(p1, r)
-    check_prob(p2, "p2")
+    qmr = qmr_map(p2)
 
-    branches: list[Branch] = []
-    wm_ens = partial_measure(rho_in, wm_map(p1))
-    branches.append(wm_ens.branches[1])
-    s = wm_ens.branches[0].state
-
+    discards = [Branch(label="wm/discard", state=_conj(wm.complement, rho_in), accepted=False)]
+    s = _conj(wm.op, rho_in)
     if no_jump_only:
-        unravel = ad_unravel(s, r)
-        branches.append(Branch(label="wm/jump/discard",
-                               state=unravel.branches[1].state, accepted=False))
-        s = unravel.branches[0].state
+        a0, a1 = ad_kraus(r).ops
+        discards.append(Branch(label="wm/jump/discard", state=_conj(a1, s), accepted=False))
+        s = _conj(a0, s)
     else:
-        s = apply_channel(s, ad_kraus(r))
-
-    qmr_ens = partial_measure(s, qmr_map(p2))
-    branches.append(Branch(label="wm/ad/qmr/discard",
-                           state=qmr_ens.branches[1].state, accepted=False))
-    kept = qmr_ens.branches[0].state
-    branches.insert(0, Branch(label="wm/ad/qmr/accept", state=kept, accepted=True))
-    return _postselected(rho_in, kept, BranchEnsemble(tuple(branches)))
+        s = channels._apply_kraus(s, ad_kraus(r).stack)
+    discards.append(Branch(label="wm/ad/qmr/discard", state=_conj(qmr.complement, s),
+                           accepted=False))
+    kept = Branch(label="wm/ad/qmr/accept", state=_conj(qmr.op, s))
+    return _postselected(rho_in, [kept, *discards])
 
 
 def run_qfbc(rho_in, noise: KrausChannel, theta: float, eta: float | None = None,
@@ -159,7 +160,7 @@ def run_qfbc(rho_in, noise: KrausChannel, theta: float, eta: float | None = None
     the tied form with independently signed angles per outcome. beta selects
     the phase-generalized measurement pair instead of an axis pair.
     """
-    rho_in = qmath.check_density(rho_in)
+    rho_in = _qubit_input(rho_in, noise)
     if etas is None:
         if eta is None:
             raise ValueError("provide eta or etas")
@@ -167,47 +168,43 @@ def run_qfbc(rho_in, noise: KrausChannel, theta: float, eta: float | None = None
             raise ValueError(f"sign_binding must be +1 or -1, got {sign_binding}")
         etas = (sign_binding * eta, -sign_binding * eta)
 
-    rho_e = apply_channel(rho_in, noise)
+    rho_e = channels._apply_kraus(rho_in, noise.stack)
     pair = povm_generalized(theta, beta) if beta is not None \
         else povm_axis(meas_axis, theta)
-    measured = measure(rho_e, pair)
-
     rotated = []
-    for br, angle in zip(measured.branches, etas):
+    for label, m, angle in zip(pair.labels, pair.ops, etas):
         rot = rotation(rot_axis, abs(angle), +1 if angle >= 0 else -1)
-        rotated.append(Branch(label=f"{br.label}/rot", state=_conj(rot.matrix, br.state)))
+        rotated.append(Branch(label=f"{label}/rot", state=_conj(rot.matrix, _conj(m, rho_e))))
     return _deterministic(rho_in, rotated, "feedback")
 
 
 def _flip_sandwich(rho_in, noise: KrausChannel, p: float):
     """Shared front of the feed-forward schemes: pre-measure, flip, damp, unflip."""
-    pre = measure(rho_in, pre_wm_pair(p))
-    fs = flips()
+    pair = pre_wm_pair(p)
     out = []
-    for i, (br, f) in enumerate(zip(pre.branches, fs)):
-        s = _conj(f, br.state)
-        s = apply_channel(s, noise)
-        s = _conj(f, s)
-        out.append((f"{br.label}/F{i + 1}/{noise.kind}/F{i + 1}", s))
+    for i, (label, m, f) in enumerate(zip(pair.labels, pair.ops, flips()), 1):
+        s = channels._apply_kraus(_conj(f, _conj(m, rho_in)), noise.stack)
+        out.append((f"{label}/F{i}/{noise.kind}/F{i}", _conj(f, s)))
     return out
 
 
 def _qffc_ps_branches(rho_in: np.ndarray, r: float, p: float, p_u: float | None,
-                      p_v: float | None) -> BranchEnsemble:
-    """run_qffc_ps's accept/discard branch pairs of a validated input."""
-    check_prob(r, "r")
-    check_prob(p, "p")
+                      p_v: float | None, rotations=(None, None)) -> list[Branch]:
+    """run_qffc_ps's accept/discard branch pairs of a checked input (ad_kraus and pre_wm_pair
+    check r and p); rotations (run_composite's) turn the accepted states."""
     if p_u is None:
         p_u = matched_post_wm_strength(p)
     if p_v is None:
         p_v = matched_post_wm_strength(p)
     branches: list[Branch] = []
-    for (label, s), pm in zip(_flip_sandwich(rho_in, ad_kraus(r), p), post_wm_ops(p_u, p_v)):
-        ens = partial_measure(s, pm)
-        branches.append(Branch(label=f"{label}/{pm.role}/accept", state=ens.branches[0].state))
-        branches.append(Branch(label=f"{label}/{pm.role}/discard",
-                               state=ens.branches[1].state, accepted=False))
-    return BranchEnsemble(tuple(branches))
+    for (label, s), pm, rot in zip(_flip_sandwich(rho_in, ad_kraus(r), p),
+                                   post_wm_ops(p_u, p_v), rotations, strict=True):
+        label, kept = f"{label}/{pm.role}", _conj(pm.op, s)
+        branches.append(Branch(label=f"{label}/accept", state=kept) if rot is None else
+                        Branch(label=f"{label}/accept/rot", state=_conj(rot.matrix, kept)))
+        branches.append(Branch(label=f"{label}/discard", state=_conj(pm.complement, s),
+                               accepted=False))
+    return branches
 
 
 def run_qffc_ps(rho_in, r: float, p: float, p_u: float | None = None,
@@ -218,9 +215,8 @@ def run_qffc_ps(rho_in, r: float, p: float, p_u: float | None = None,
     recovery partial measurements N1 / W1 whose null results are kept.
     Strengths default to the exact-reversal values (2p-1)/p.
     """
-    rho_in = qmath.check_density(rho_in)
-    ens = _qffc_ps_branches(rho_in, r, p, p_u, p_v)
-    return _postselected(rho_in, sum(b.state for b in ens.branches if b.accepted), ens)
+    rho_in = _qubit_input(rho_in)
+    return _postselected(rho_in, _qffc_ps_branches(rho_in, r, p, p_u, p_v))
 
 
 def run_qffc_rot(rho_in, noise: KrausChannel, p: float, eta: float,
@@ -230,8 +226,7 @@ def run_qffc_rot(rho_in, noise: KrausChannel, p: float, eta: float,
     Both branches are kept; each gets a y-axis rotation R_y(sign_i * eta)
     keyed to its pre-measurement outcome.
     """
-    rho_in = qmath.check_density(rho_in)
-    check_prob(p, "p")
+    rho_in = _qubit_input(rho_in, noise)
     branches = []
     for (label, s), sign in zip(_flip_sandwich(rho_in, noise, p), signs):
         rot = rotation("y", eta, sign)
@@ -248,16 +243,9 @@ def run_composite(rho_in, r: float, p: float, eta: float,
                   p_u: float | None = None, p_v: float | None = None,
                   signs: tuple[int, int] = (+1, -1)) -> SchemeResult:
     """Feed-forward control with an added feedback rotation per accepted branch."""
-    rho_in = qmath.check_density(rho_in)
-    branches = []
-    sign_iter = iter(signs)
-    for br in _qffc_ps_branches(rho_in, r, p, p_u, p_v).branches:
-        if br.accepted:
-            rot = rotation("y", eta, next(sign_iter))
-            br = Branch(label=f"{br.label}/rot", state=_conj(rot.matrix, br.state))
-        branches.append(br)
-    ens = BranchEnsemble(tuple(branches))
-    return _postselected(rho_in, sum(b.state for b in ens.branches if b.accepted), ens)
+    rho_in = _qubit_input(rho_in)
+    rotations = [rotation("y", eta, sign) for sign in signs]
+    return _postselected(rho_in, _qffc_ps_branches(rho_in, r, p, p_u, p_v, rotations))
 
 
 def run_ent_wmqmr(rho_2q, r1: float, r2: float, p1: float,
@@ -279,30 +267,22 @@ def run_ent_wmqmr(rho_2q, r1: float, r2: float, p1: float,
         p2 = matched_qmr_strength(p1, r1)
     check_prob(p2, "p2")
 
-    def lifted(role: str, p: float, qubit: int) -> PartialMeasurement:
+    def measure_sides(s, role: str, p: float):   # s kept by each side; discards to rejected
         op = measurements._partial_op(role, p)   # lifted with no 2x2 measurement built
-        return PartialMeasurement(op=qmath._kron(op, ID2) if qubit == 1 else qmath._kron(ID2, op),
-                                  strength=p, role=f"{role}@q{qubit}")
-
-    sides = (1,) if side == "one" else (1, 2)
-    stages = [lifted("wm", p1, q) for q in sides]
-    post_stages = [lifted("qmr", p2, q) for q in sides]
+        for q in (1,) if side == "one" else (1, 2):
+            pm = PartialMeasurement(op=qmath._kron(op, ID2) if q == 1 else qmath._kron(ID2, op),
+                                    strength=p, role=f"{role}@q{q}")
+            rejected.append(Branch(label=f"{pm.role}/discard", state=_conj(pm.complement, s),
+                                   accepted=False))
+            s = _conj(pm.op, s)
+        return s
 
     rejected: list[Branch] = []
-    s = rho_2q
-    for pm in stages:
-        ens = partial_measure(s, pm)
-        rejected.append(ens.branches[1])
-        s = ens.branches[0].state
-    s = apply_channel(s, lift_local(ad_kraus(r1), 1))
-    s = apply_channel(s, lift_local(ad_kraus(r2), 2))
-    for pm in post_stages:
-        ens = partial_measure(s, pm)
-        rejected.append(ens.branches[1])
-        s = ens.branches[0].state
-
-    res = _postselected(rho_2q, s, BranchEnsemble(
-        (Branch(label=f"wm[{side}]/ad/qmr/accept", state=s), *rejected)))
+    s = measure_sides(rho_2q, "wm", p1)
+    s = channels._apply_kraus(s, lift_local(ad_kraus(r1), 1).stack)
+    s = channels._apply_kraus(s, lift_local(ad_kraus(r2), 2).stack)
+    s = measure_sides(s, "qmr", p2)
+    res = _postselected(rho_2q, [Branch(label=f"wm[{side}]/ad/qmr/accept", state=s), *rejected])
     out = res.output_state
     return replace(res, concurrence=qmath.concurrence(out) if out is not None else 0.0)
 

@@ -166,6 +166,20 @@ class TestSchemeCommand:
         assert float(row["concurrence"]) > 0.4
         assert float(row["success_prob"]) < 1.0
 
+    @pytest.mark.parametrize("flags, stray", [
+        (("--kind", "wmqmr", "--r", "0.5", "--p1", "0.8", "--eta", "0.3pi", "--theta", "0.1"),
+         ("--eta", "--theta")),
+        (("--kind", "qfbc", "--r", "0.5", "--theta", "0.3", "--eta", "0.2", "--r1", "0.3",
+          "--side", "both"), ("--r1", "--side")),
+        (("--kind", "ent_wmqmr", "--r", "0.5", "--p1", "0.8", "--state", "+x", "--alpha",
+          "0.3", "--phi", "0.1", "--pair-sign", "-"),
+         ("--state", "--alpha", "--phi", "--pair-sign")),
+    ])
+    def test_flag_the_kind_does_not_take_rejected(self, capsys, flags, stray):
+        code, out, err = run_cli(capsys, "scheme", *flags)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and all(flag in err for flag in stray)
+
     def test_missing_parameter_reported(self, capsys):
         code, _, err = run_cli(capsys, "scheme", "--kind", "qffc_rot", "--noise",
                                "ad", "--r", "0.5", "--state", "+x")

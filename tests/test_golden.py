@@ -5,9 +5,10 @@ and tie-break of every optimizable scheme (the fig6 `eta_opt` and `p_opt`
 columns included), and the exact float text. The gzip-compressed
 default-grid fig6 CSVs (default_fig6_*.csv.gz) are compared with the
 default-grid run that tests/test_acceptance.py makes anyway. The files in
-tests/golden/ are written by running this module as a script:
+tests/golden/ are written by running this module as a script, all of them or
+only the ones named:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]   # e.g. scheme_qffc_ps.csv
 
 Regenerating a golden file is a behaviour change and needs a CHANGES.md entry
 saying why.
@@ -42,8 +43,7 @@ FIG6_NAMES = tuple(f"fig6_{n}_phi{t}.csv" for n in ("ad", "pd") for t in ("0pi",
 FIG6_DEFAULT_GOLDENS = {f"default_{name}.gz": name for name in FIG6_NAMES}
 
 SCHEME_CASES = {
-    "wmqmr_theta": ("--kind", "wmqmr", "--r", "0.5", "--p1", "0.8", "--theta", "0.3",
-                    "--state", "+x"),
+    "wmqmr_state": ("--kind", "wmqmr", "--r", "0.5", "--p1", "0.8", "--state", "+x"),
     "wmqmr_p2": ("--kind", "wmqmr", "--r", "0.3", "--p1", "0.6", "--p2", "0.5",
                  "--alpha", "0.3", "--phi", "0.25pi"),
     "qfbc_axes": ("--kind", "qfbc", "--noise", "ad", "--r", "0.4", "--theta", "0.2pi",
@@ -181,12 +181,22 @@ def test_no_stray_golden_files():
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted([*OUTPUTS, *FIG6_DEFAULT_GOLDENS])
 
 
-if __name__ == "__main__":
+def _write_goldens(names):
+    """Rewrite the named files of tests/golden/; the default-grid fig6 run is
+    made only when one of its archives is named."""
+    unknown = sorted(set(names) - set(OUTPUTS) - set(FIG6_DEFAULT_GOLDENS))
+    if unknown:
+        raise SystemExit(f"unknown golden files: {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    for name, produce in OUTPUTS.items():
-        (GOLDEN / name).write_bytes(produce().encode("utf-8"))
+    default_csvs = _fig6_bytes() if set(names) & set(FIG6_DEFAULT_GOLDENS) else {}
+    for name in names:
+        if name in FIG6_DEFAULT_GOLDENS:
+            data = gzip.compress(default_csvs[FIG6_DEFAULT_GOLDENS[name]], mtime=0)
+        else:
+            data = OUTPUTS[name]().encode("utf-8")
+        (GOLDEN / name).write_bytes(data)
         print(f"wrote {GOLDEN / name}", file=sys.stderr)
-    default_csvs = _fig6_bytes()
-    for name, csv_name in FIG6_DEFAULT_GOLDENS.items():
-        (GOLDEN / name).write_bytes(gzip.compress(default_csvs[csv_name], mtime=0))
-        print(f"wrote {GOLDEN / name}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    _write_goldens(sys.argv[1:] or [*OUTPUTS, *FIG6_DEFAULT_GOLDENS])

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decoguard import qmath
-from decoguard.channels import ad_kraus, identity_channel, make_channel, pd_kraus
-from decoguard.measurements import PartialMeasurement, qmr_map, wm_map
+from decoguard import channels, measurements, qmath
+from decoguard.channels import ad_kraus, identity_channel, lift_local, make_channel, pd_kraus
+from decoguard.measurements import Branch, PartialMeasurement, qmr_map, wm_map
 from decoguard.qmath import ID2, InitialState, bloch_to_density, projector, state_from_angles
 from decoguard.schemes import (
     AD_ONLY_KINDS,
@@ -220,6 +220,11 @@ class TestComposite:
         assert res.success_prob == 1.0
         assert np.array_equal(res.output_state, RHO_0) and res.fidelity == 1.0
 
+    def test_signs_need_one_entry_per_branch(self):
+        for signs in ((1,), (1, -1, 1)):
+            with pytest.raises(ValueError):
+                run_composite(RHO_0, r=0.3, p=0.7, eta=0.2, signs=signs)
+
 
 class TestEntWmqmr:
     def test_trivial_protection(self):
@@ -296,6 +301,61 @@ class TestEigensolveCounts:
                             lambda pm: (ops.append(pm.op), post_init(pm))[1])
         run_ent_wmqmr(_FULL_RANK_PAIR, r1=0.3, r2=0.5, p1=0.4, side="both")
         assert [op.tobytes() for op in ops] == [op.tobytes() for op in expected]
+
+
+# one call of every run_* on a mixed input
+_RUNS = {
+    "wmqmr": lambda: run_wmqmr(_MIXED, r=0.3, p1=0.6),
+    "qffc_ps": lambda: run_qffc_ps(_MIXED, r=0.3, p=0.7),
+    "composite": lambda: run_composite(_MIXED, r=0.3, p=0.7, eta=0.4),
+    "qfbc": lambda: run_qfbc(_MIXED, pd_kraus(0.3), theta=0.5, eta=0.4),
+    "qffc_rot": lambda: run_qffc_rot(_MIXED, pd_kraus(0.3), p=0.7, eta=0.4),
+    "ent_wmqmr_one": lambda: run_ent_wmqmr(_FULL_RANK_PAIR, r1=0.3, r2=0.5, p1=0.4),
+    "ent_wmqmr_both": lambda: run_ent_wmqmr(_FULL_RANK_PAIR, r1=0.3, r2=0.5, p1=0.4,
+                                            side="both"),
+}
+
+
+class TestStageCounts:
+    # each stage is applied straight to the previous stage's array: every
+    # Branch is built once, with its final label, and only the input, the
+    # operators built per call (wm_map, qmr_map, the lifted measurements) and
+    # the output's fidelity and concurrence steps reach as_matrix
+    @pytest.mark.parametrize("kind, branches, matrices", [
+        ("wmqmr", 3, 5), ("qffc_ps", 4, 3), ("composite", 4, 3), ("qfbc", 2, 3),
+        ("qffc_rot", 2, 3), ("ent_wmqmr_one", 3, 8), ("ent_wmqmr_both", 5, 10)])
+    def test_warm_mixed_input_call(self, kind, branches, matrices, monkeypatch):
+        _RUNS[kind]()   # fills the operator and square-root caches
+        built, seen = [], []
+        post_init = Branch.__post_init__
+        monkeypatch.setattr(Branch, "__post_init__", lambda b: (built.append(b), post_init(b))[1])
+        as_matrix = _logging(seen, qmath.as_matrix)
+        for module in (qmath, measurements, channels):
+            monkeypatch.setattr(module, "as_matrix", as_matrix)
+        res = _RUNS[kind]()
+        assert len(built) == len(res.branches.branches) == branches
+        assert len(seen) == matrices
+
+
+class TestQubitCheck:
+    _KW = {"wmqmr": {"r": 0.3, "p1": 0.5}, "qffc_ps": {"r": 0.3, "p": 0.7},
+           "composite": {"r": 0.3, "p": 0.7, "eta": 0.2},
+           "qfbc": {"theta": 0.3, "eta": 0.2}, "qffc_rot": {"p": 0.7, "eta": 0.2},
+           "wmppf": {"p": 0.7}}
+
+    @pytest.mark.parametrize("kind", sorted(_KW))
+    def test_two_qubit_input_rejected(self, kind):
+        kw = dict(self._KW[kind])
+        if kind not in AD_ONLY_KINDS:
+            kw["noise"] = ad_kraus(0.3)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            globals()[f"run_{kind}"](_FULL_RANK_PAIR, **kw)
+
+    @pytest.mark.parametrize("kind", ("qfbc", "qffc_rot", "wmppf"))
+    def test_two_qubit_channel_rejected(self, kind):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            globals()[f"run_{kind}"](_MIXED, noise=lift_local(ad_kraus(0.3), 1),
+                                     **self._KW[kind])
 
 
 class TestDispatcherAndPairs:
@@ -458,3 +518,6 @@ class TestSchemeInvariantProperties:
             assert res.success_prob == 1.0
             assert abs(np.trace(res.output_state).real - 1.0) <= 1e-12
             assert np.linalg.eigvalsh(res.output_state).min() >= -1e-12
+        elif res.output_state is not None:
+            # post-selected: the output is the branches' normalized accepted mixture
+            assert np.array_equal(res.output_state, res.branches.accepted_state())
