@@ -9,15 +9,31 @@ onto one side of a two-qubit system.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .measurements import COMPLETENESS_ATOL, Branch, BranchEnsemble
-from .qmath import ID2, PAULI_Z, _kron, _memoized, as_matrix, check_prob, dagger
+from .qmath import (ID2, PAULI_X, PAULI_Y, PAULI_Z, _kron, _memoized, _read_only, as_matrix,
+                    check_prob, dagger)
 
 TRACE_DRIFT_ATOL = 1e-12
+_PAULIS = np.stack([ID2, PAULI_X, PAULI_Y, PAULI_Z])
+
+
+def _pauli(rho) -> np.ndarray:
+    """r with rho = (r_0 I + r_1 X + r_2 Y + r_3 Z) / 2, (..., 4) for a stack (..., 2, 2)."""
+    d0, d1, off = rho[..., 0, 0], rho[..., 1, 1], rho[..., 0, 1]
+    return np.stack([np.real(d0 + d1), 2 * off.real, -2 * off.imag, np.real(d0 - d1)], axis=-1)
+
+
+def _ptm(k) -> np.ndarray:
+    """The real Pauli transfer matrix T of rho -> K rho K^dagger for each K of
+    a stack (..., 2, 2), (..., 4, 4): _pauli(K rho K^dagger) = T @ _pauli(rho)."""
+    k = k[..., None, :, :]
+    return np.swapaxes(_pauli(k @ _PAULIS @ k.conj().swapaxes(-1, -2)), -1, -2) / 2
 
 
 @dataclass(frozen=True)
@@ -44,6 +60,12 @@ class KrausChannel:
     @property
     def dim(self) -> int:
         return self.ops[0].shape[0]
+
+    @functools.cached_property
+    def transfer(self) -> np.ndarray:
+        """A qubit channel's real Pauli transfer matrix T, _pauli(out) = T @ _pauli(rho),
+        (4, 4) and read-only; built on first use, so construction does not pay for it."""
+        return _read_only(_ptm(self.stack).sum(axis=0))
 
 
 def identity_channel(dim: int = 2) -> KrausChannel:

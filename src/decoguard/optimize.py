@@ -24,13 +24,15 @@ A + B cos(eta) + C sin(eta) of its signed rotation angle: one product r @
 table gives every coefficient, one with the row's noisy states scores every
 cell, and the maximum over the eta grid has a closed form. A qffc_rot
 candidate's F^2 is sum_i (post_i^T r) . (T pre_i r) / 2 over the loop tables.
-Only the theta slices (p rows) within SCREEN_ATOL of a cell's best go through
-fixed einsums on the ket (qfbc: one per cell; qffc_rot: one per branch, sign
-and Kraus operator over the row's shortlisted (cell, p) pairs), whose first
-maximum of the rounded scores in (theta, eta, axis pair or signs) order
-settles exact ties. An entry's bits do not depend on the other rows scored
-with it, so the winner, tie-break included, is the unscreened one. Grid tables
-are functools caches of the GridSpec, the ket and its products lru_caches.
+Fixed einsums on the ket verify the theta slices (p rows) within SCREEN_ATOL
+of a cell's best (qfbc: the signed etas whose sinusoid is within SCREEN_ATOL
+of their outcome's best, gathered over the row in batches; qffc_rot: one per
+branch, sign and Kraus operator over the row's shortlisted (cell, p) pairs),
+and their first maximum of the rounded scores in (theta, eta, axis pair or
+signs) order settles exact ties. An entry's bits do not depend on the others
+scored with it, so the winner, tie-break included, is the unscreened one.
+Grid tables are functools caches of the GridSpec, the ket and its products
+lru_caches.
 
 Every other search (mixed-input qfbc, with tied +/- eta, and qffc_rot;
 wmppf, wmqmr, qffc_ps, composite) is a loop row (_loop_row) over a
@@ -59,13 +61,9 @@ from typing import Any
 
 import numpy as np
 
-from .channels import KrausChannel, _apply_kraus, make_channel
+from .channels import KrausChannel, _apply_kraus, _pauli, _ptm, make_channel
 from .measurements import flips, povm_axis, rotation
 from .qmath import (
-    ID2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     PURITY_PURE_THRESHOLD,
     InitialState,
     check_density,
@@ -148,6 +146,7 @@ class OptResult:
 # of the best screen score. Each screen agrees with the exact score to far
 # less than SCREEN_ATOL / 2, so the exact winner is always among those scored.
 SCREEN_ATOL = 1e-6
+_VERIFY_SLICES = 128  # qfbc slices verified at once, to bound a tie-heavy row's memory
 
 
 def _signed_etas(eta_grid) -> np.ndarray:
@@ -204,12 +203,6 @@ def _pure_ket(rho_bytes: bytes) -> np.ndarray:
     return v[:, 0]
 
 
-def _pauli(rho) -> np.ndarray:
-    """r with rho = (r_0 I + r_1 X + r_2 Y + r_3 Z) / 2, (..., 4) for a stack (..., 2, 2)."""
-    d0, d1, off = rho[..., 0, 0], rho[..., 1, 1], rho[..., 0, 1]
-    return np.stack([np.real(d0 + d1), 2 * off.real, -2 * off.imag, np.real(d0 - d1)], axis=-1)
-
-
 def _sinusoid(x, h: float) -> np.ndarray:
     """(a, b, c), (3, ...), with x(eta) = a + b cos(eta) + c sin(eta), from its
     samples x = (x(0), x(+h), x(-h))."""
@@ -230,12 +223,6 @@ def _eta_max(coef, eta) -> np.ndarray:
         np.maximum(k - 1, 0), np.minimum(k, len(eta) - 1), 0, len(eta) - 1)))
 
 
-def _qfbc_kets(k, psi) -> np.ndarray:
-    """v = K^dagger psi for a block slice k = conj(K), (t, m, e, 2, 2) -> (t, m, e, 2). Each
-    entry is a two-term sum, so a slice gives the bits of the same rows of the whole block's."""
-    return np.einsum("tmeji,j->tmei", k, psi)
-
-
 @functools.lru_cache(maxsize=1)
 def _qffc_ket(grid: GridSpec, rho_bytes: bytes) -> tuple:
     """Per ket of the pure rho with these bytes: u[i] = M_i(p) |psi> and
@@ -247,13 +234,12 @@ def _qffc_ket(grid: GridSpec, rho_bytes: bytes) -> tuple:
 
 
 def _qfbc_row_screen(rho, rho_es, grid: GridSpec) -> np.ndarray:
-    """max over signed eta of every (axis pair, t, m) F^2 per noisy state,
-    (state, pair, t, m): F^2 = <v|rho_e|v> of v = K^dagger psi, and |v><v| =
-    K^dagger rho K."""
+    """(a, b, c) of every (axis pair, t, m) F^2 per noisy state, (3, state, pair, t, m):
+    F^2 = <v|rho_e|v> = a + b cos(eta) + c sin(eta) in the signed eta, of v = K^dagger
+    psi, and |v><v| = K^dagger rho K."""
     tables, r = _qfbc_tables(grid), _pauli(np.concatenate([rho[None], rho_es]))
     abc = (r[0] @ tables["sinusoids"]).reshape(-1, 4) @ r[1:].T
-    return np.moveaxis(_eta_max(abc.reshape(3, *tables["blocks"].shape[:3], len(rho_es)),
-                                np.sort(tables["signed_etas"])), -1, 0)
+    return np.ascontiguousarray(np.moveaxis(abc.reshape(3, *tables["blocks"].shape[:3], -1), -1, 1))
 
 
 def _pure_result(neg_f2, params: dict) -> OptResult:
@@ -262,44 +248,51 @@ def _pure_result(neg_f2, params: dict) -> OptResult:
                      success_prob=1.0)
 
 
-def _qfbc_slice_scores(vc, v, rho_e) -> np.ndarray:
-    """F^2 = <v|rho_e|v> of ket slices v = conj(vc), (slice, m, e): the einsum whose
-    round-off settles the qfbc tie-breaks; no entry's bits depend on the other slices."""
-    return np.real(np.einsum("nmei,ij,nmej->nme", vc, rho_e, v))
+def _qfbc_kets(k, psi) -> np.ndarray:
+    """v = K^dagger psi per gathered block k = conj(K), (entry, 2, 2) -> (entry, 2). Each
+    entry is a two-term sum, so it has the bits of the same entry of the whole block's kets."""
+    return np.einsum("kji,j->ki", k, psi)
+
+
+def _qfbc_entry_scores(v, rho_e) -> np.ndarray:
+    """F^2 = <v|rho_e|v> per entry of kets v, (entry, 2), and states rho_e, (entry, 2, 2):
+    the einsum whose round-off settles the qfbc tie-breaks. Of two or more entries no
+    entry's bits depend on the others; a lone entry's einsum is a scalar sum, rounded otherwise."""
+    return np.real(np.einsum("ki,kij,kj->k", v.conj(), rho_e, v))
 
 
 def _qfbc_row(rho_in, noises, grid: GridSpec) -> list[OptResult]:
     tables = _qfbc_tables(grid)
-    se = tables["signed_etas"]
+    se, blocks = tables["signed_etas"], tables["blocks"]
     rho_es = _apply_kraus(rho_in, np.stack([noise.stack for noise in noises]))
-    approx = _qfbc_row_screen(rho_in, rho_es, grid).sum(axis=3)
-    shortlists = approx >= approx.max(axis=(1, 2), keepdims=True) - SCREEN_ATOL  # (cell, pair, t)
-    # kets only on the slices some cell shortlists; at[p, t] is slice (p, t)'s row in vs
-    built = shortlists.any(axis=0)
-    at = np.cumsum(built).reshape(built.shape) - 1
-    vs = _qfbc_kets(tables["blocks"][built], _pure_ket(rho_in.tobytes()))
-    vcs, results = vs.conj(), []
-    for rho_e, shortlist in zip(rho_es, shortlists):
-        pair, t = np.nonzero(shortlist)  # the cell's shortlisted slices, pair-major
-        rows = at[pair, t]
-        f = _qfbc_slice_scores(vcs[rows], vs[rows], rho_e)
-        e = np.argmax(f, axis=2)                                 # (slice, m)
-        tot = f[np.arange(len(rows))[:, None], (0, 1), e].sum(axis=1)
-        j = np.lexsort((pair, e[:, 1], e[:, 0], t, -tot))[0]  # smallest (-F^2, t, e_0, e_1, pair)
-        ma, ra = divmod(int(pair[j]), len(AXES))
-        results.append(_pure_result(-tot[j], {
-            "theta": float(grid.theta[t[j]]), "etas": (float(se[e[j, 0]]), float(se[e[j, 1]])),
-            "meas_axis": AXES[ma], "rot_axis": AXES[ra]}))
-    return results
+    coef = _qfbc_row_screen(rho_in, rho_es, grid)
+    approx = _eta_max(coef, np.sort(se)).sum(axis=3)
+    # the shortlisted (cell, axis pair, theta) slices, cell-major
+    cell, pair, t = np.nonzero(approx >= approx.max(axis=(1, 2), keepdims=True) - SCREEN_ATOL)
+    psi, e, tot = _pure_ket(rho_in.tobytes()), np.empty((len(t), 2), dtype=int), np.empty(len(t))
+    for at in (slice(lo, lo + _VERIFY_SLICES) for lo in range(0, len(t), _VERIFY_SLICES)):
+        a, b, c = coef[:, cell[at], pair[at], t[at], :, None]
+        x = a + b * np.cos(se) + c * np.sin(se)  # the screen's F^2 of each (slice, m, e)
+        # only an entry within SCREEN_ATOL of its outcome's best can be the exact
+        # maximum; each outcome keeps its best, so a batch scores two or more
+        n, m, k = np.nonzero(x >= x.max(axis=2, keepdims=True) - SCREEN_ATOL)
+        f, (c_n, p_n, t_n) = np.full(x.shape, -np.inf), (ix[at][n] for ix in (cell, pair, t))
+        f[n, m, k] = _qfbc_entry_scores(_qfbc_kets(blocks[p_n, t_n, m, k], psi), rho_es[c_n])
+        e[at] = np.argmax(f, axis=2)  # each outcome's first maximum over the signed etas
+        tot[at] = np.take_along_axis(f, e[at, :, None], axis=2)[:, :, 0].sum(axis=1)
+    order = np.lexsort((pair, e[:, 1], e[:, 0], t, -tot, cell))  # (cell, -F^2, t, e_0, e_1, pair)
+    return [_pure_result(-tot[j], {
+        "theta": float(grid.theta[t[j]]), "etas": (float(se[e[j, 0]]), float(se[e[j, 1]])),
+        "meas_axis": AXES[pair[j] // len(AXES)], "rot_axis": AXES[pair[j] % len(AXES)]})
+        for j in order[np.unique(cell[order], return_index=True)[1]]]  # each cell's smallest
 
 
 def _qffc_row_screen(rho, noises, grid: GridSpec) -> np.ndarray:
     """max over (eta, signs) of the F^2 of every p under each channel, (channel,
     p): the overlap sum_i (post_i^T r) . (T pre_i r) / 2 over
-    _loop_tables("qffc_rot"), r = _pauli(rho), T the channel's transfer matrix;
-    the channels must be of one kind."""
+    _loop_tables("qffc_rot"), r = _pauli(rho), T the channel's transfer matrix."""
     r, tables = _pauli(rho), _loop_tables("qffc_rot", grid)
-    t = _ptm(np.stack([noise.stack for noise in noises])).sum(axis=1)
+    t = np.stack([noise.transfer for noise in noises])
     after = np.concatenate([(r @ post).reshape(-1, 4) for _, post in tables], axis=1)
     before = np.concatenate([(pre @ r).reshape(-1, 4) @ t.swapaxes(1, 2) for pre, _ in tables],
                             axis=2)
@@ -406,14 +399,6 @@ def _search_space(kind: str, noise: KrausChannel | None, grid: GridSpec):
 # Accepted weights where the pipelines' fidelity-0 cutoff (success <= 1e-15)
 # may fall on the other side for the kernel; such candidates are always run.
 _CUTOFF_BAND = (1e-16, 1e-14)
-_PAULIS = np.stack([ID2, PAULI_X, PAULI_Y, PAULI_Z])
-
-
-def _ptm(k) -> np.ndarray:
-    """The real Pauli transfer matrix T of rho -> K rho K^dagger for each K of
-    a stack (..., 2, 2), (..., 4, 4): _pauli(K rho K^dagger) = T @ _pauli(rho)."""
-    k = k[..., None, :, :]
-    return np.swapaxes(_pauli(k @ _PAULIS @ k.conj().swapaxes(-1, -2)), -1, -2) / 2
 
 
 @functools.cache
@@ -474,7 +459,7 @@ def _loop_scores(rho, kind: str, noise: KrausChannel,
     qmath.fidelity clips: the overlap alone for a pure rho, zeroed spectrum
     below 1e-14, F <= 1, and F = 0 when success <= 1e-15.
     """
-    r, t = _pauli(rho), _ptm(noise.stack).sum(axis=0)
+    r, t = _pauli(rho), noise.transfer
     sigma = sum(post @ ((pre @ r) @ t.T)[..., None] for pre, post in _loop_tables(kind, grid))
     sigma = sigma.reshape(-1, 4)
     success = sigma[:, 0]
@@ -566,9 +551,14 @@ class SweepResult:
     rows: tuple[tuple, ...]
 
     def to_csv(self) -> str:
-        lines = [",".join(self.columns)]
+        lines, forms = [",".join(self.columns)], {}
         for row in self.rows:
-            lines.append(",".join(_fmt(v) for v in row))
+            kinds = tuple(map(type, row))
+            if kinds not in forms:  # a %-format per row signature; only _fmt renders sequences
+                forms[kinds] = None if any(issubclass(k, (tuple, list)) for k in kinds) else \
+                    ",".join("%.12g" if issubclass(k, float) else "%s" for k in kinds)
+            form = forms[kinds]
+            lines.append(form % tuple(row) if form else ",".join(_fmt(v) for v in row))
         return "\n".join(lines) + "\n"
 
 

@@ -5,6 +5,8 @@ from decoguard import channels
 from decoguard.channels import (
     KrausChannel,
     NoiseParams,
+    _pauli,
+    _ptm,
     ad_kraus,
     ad_rate_to_r,
     ad_unravel,
@@ -119,6 +121,21 @@ class TestKrausConstruction:
         assert make_channel("identity", 0.0).kind == "identity"
         with pytest.raises(ValueError):
             make_channel("bitflip", 0.2)
+
+    @pytest.mark.parametrize("maker", [pd_kraus, ad_kraus])
+    def test_transfer_built_once_on_first_use(self, maker):
+        # fresh channels: ad_kraus hands out shared ones that other tests may have used
+        row = [KrausChannel(ops=maker(r).ops) for r in R_GRID[::10]]
+        assert all("transfer" not in vars(ch) for ch in row)  # not paid at construction
+        stacked = np.stack([ch.transfer for ch in row])
+        assert all(ch.transfer is ch.transfer and not ch.transfer.flags.writeable for ch in row)
+        # the bits of one transfer build over a stack of the row's channels
+        assert stacked.tobytes() == _ptm(np.stack([ch.stack for ch in row])).sum(axis=1).tobytes()
+        rng = np.random.default_rng(7)
+        for ch in row:
+            rho = random_state(rng)
+            assert np.allclose(_pauli(apply_channel(rho, ch)), ch.transfer @ _pauli(rho),
+                               atol=1e-14)
 
 
 class TestPdKraus:

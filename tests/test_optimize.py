@@ -278,6 +278,19 @@ class TestSweeps:
                           "theta_opt,eta_opt,meas_axis,rot_axis,p_opt")
         assert text.endswith("\n") and "\r" not in text
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(st.lists(st.lists(st.one_of(
+        st.floats(), st.floats().map(np.float64), st.integers(), st.booleans(), st.none(),
+        st.text(), st.tuples(st.floats(), st.text()), st.lists(st.floats(), max_size=3)),
+        max_size=6), max_size=6))
+    def test_csv_rows_render_as_fmt(self, rows):
+        # one %-format per row signature renders every value as _fmt does
+        kinds = [-0.0, np.nan, np.inf, -np.inf, np.float64(1 / 3), 7, True, None, "a%s"]
+        rows = rows + [kinds + [(0.5, -0.0)], kinds] * 2
+        table = optimize.SweepResult(columns=("c",), rows=tuple(map(tuple, rows)))
+        assert table.to_csv() == "".join(
+            ",".join(optimize._fmt(v) for v in row) + "\n" for row in [["c"], *rows])
+
     def test_sweep_optimal_rows(self):
         table = sweep_optimal("wmppf", 0.0, "ad", TINY, workers=1)
         assert len(table.rows) == len(TINY.alphas) * len(TINY.rs)
@@ -535,7 +548,7 @@ _PURE_INPUTS = (a_state(np.pi / 2, np.pi / 2), a_state(0.0, 0.0),
 
 def _full_qfbc_kets(rho, grid):
     """v = conj(K) psi of every (t, m, e), per axis pair: the whole table, of
-    which the row kernel builds only the shortlisted theta slices."""
+    which the row kernel builds only the near-best entries of its shortlist."""
     psi = optimize._pure_ket(rho.tobytes())
     return [np.einsum("tmeji,j->tmei", k, psi) for k in optimize._qfbc_tables(grid)["blocks"]]
 
@@ -605,7 +618,8 @@ class TestPureScreen:
     """The row kernel screens every cell of a row at once and scores exactly
     only the theta slices (p rows) it shortlists; each cell's result is the
     one of the row-of-1 public calls and the unscreened one, tie-breaks
-    included. SCREEN_ATOL = inf shortlists every slice."""
+    included, however many slices are verified at once. SCREEN_ATOL = inf
+    shortlists every slice."""
 
     @staticmethod
     def _check_rows(rows, grid, monkeypatch):
@@ -614,8 +628,13 @@ class TestPureScreen:
                           for rho, noises in rows]
         assert kernel == [[_unscreened(rho, noise, grid) for noise in noises]
                           for rho, noises in rows]
-        monkeypatch.setattr(optimize, "SCREEN_ATOL", np.inf)
-        assert kernel == [_row_optima(rho, noises, grid) for rho, noises in rows]
+        # every slice shortlisted; one slice verified at a time; a whole row at once
+        most = max(len(noises) for _, noises in rows) * len(optimize.AXES) ** 2 * len(grid.theta)
+        for name, value in (("SCREEN_ATOL", np.inf), ("_VERIFY_SLICES", 1),
+                            ("_VERIFY_SLICES", most + 1)):
+            with monkeypatch.context() as patch:
+                patch.setattr(optimize, name, value)
+                assert kernel == [_row_optima(rho, noises, grid) for rho, noises in rows]
 
     @pytest.mark.parametrize("grid", (TINY, SMALL, _UNORDERED), ids=("tiny", "small", "unordered"))
     def test_screened_equals_exhaustive(self, grid, monkeypatch):
@@ -632,9 +651,10 @@ class TestPureScreen:
         self._check_rows(rows, _DEFAULT, monkeypatch)
 
     def test_tie_heaviest_row_memory(self):
-        # each cell's shortlisted slices are scored on their own, so the row's
-        # peak stays near one cell's gather (3.3 MB); gathering the kets of
-        # the whole row's 31 x 159 shortlisted slices at once peaks at 47 MB
+        # the row's near-best entries are verified in batches of at most
+        # _VERIFY_SLICES slices, so the row's peak stays near one batch's gather
+        # (2.0 MB); gathering all of the row's 31 x 159 shortlisted slices, every
+        # eta tied, at once peaks at 35 MB
         rho, noises = a_state(np.pi / 2, 0.0), [make_channel("ad", r) for r in _DEFAULT.rs]
         optimize._optimize_row(rho, noises, _DEFAULT)
         tracemalloc.start()
@@ -662,24 +682,32 @@ _Y_FLIP = KrausChannel(ops=(np.array([[0, -1], [1, 0]], dtype=complex),))
 class TestPureScreenProperties:
     """What the screen's exactness rests on: each maximum of the row screens
     (the qfbc one over eta in closed form, the qffc_rot one over eta and
-    signs) is within SCREEN_ATOL / 100 of the same maximum of the exact
-    scores, on any eta grid, and an exact score computed on a theta slice has
-    the bits of the same rows of the full computation."""
+    signs), and each qfbc sinusoid value, is within SCREEN_ATOL / 100 of the
+    same exact score, on any eta grid, and an exact score computed on a
+    gathered entry or (cell, p) pair has the bits of the full computation."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(_ANGLES, st.lists(st.tuples(st.sampled_from(("ad", "pd")), st.floats(0.0, 1.0)),
                              min_size=1, max_size=3),
            st.sampled_from((SMALL, _DEFAULT, _UNORDERED)))
     def test_screen_matches_exact_scores(self, angles, cells, grid):
+        # the qfbc verify scores only the signed etas whose sinusoid is within
+        # SCREEN_ATOL of their outcome's best, so every sinusoid value, not
+        # only each slice's maximum, must be this close to its exact score
         rho = a_state(*angles)
         noises = [make_channel(kind, r) for kind, r in cells]
         rho_es = [apply_channel(rho, noise) for noise in noises]
         vs = _full_qfbc_kets(rho, grid)
-        fb = optimize._qfbc_row_screen(rho, rho_es, grid)
+        se = optimize._qfbc_tables(grid)["signed_etas"]
+        coef = optimize._qfbc_row_screen(rho, rho_es, grid)
+        a, b, c = coef[..., None]
+        fb = a + b * np.cos(se) + c * np.sin(se)  # (cell, pair, t, m, e)
+        fb_max = optimize._eta_max(coef, np.sort(se))
         ff = optimize._qffc_row_screen(rho, noises, grid)
-        for noise, rho_e, fb_max, ff_max in zip(noises, rho_es, fb, ff):
-            exact = np.stack([_qfbc_scores(v, rho_e).max(axis=2) for v in vs])
-            assert np.abs(fb_max - exact).max() <= optimize.SCREEN_ATOL / 100
+        for noise, rho_e, fb_all, fb_best, ff_max in zip(noises, rho_es, fb, fb_max, ff):
+            exact = np.stack([_qfbc_scores(v, rho_e) for v in vs])
+            assert np.abs(fb_all - exact).max() <= optimize.SCREEN_ATOL / 100
+            assert np.abs(fb_best - exact.max(axis=3)).max() <= optimize.SCREEN_ATOL / 100
             exact = _qffc_exact(rho, noise, grid).max(axis=(0, 2))
             assert np.abs(ff_max - exact).max() <= optimize.SCREEN_ATOL / 100
 
@@ -715,31 +743,30 @@ class TestPureScreenProperties:
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(_ANGLES, st.lists(st.tuples(st.sampled_from(("ad", "pd")), st.floats(0.0, 1.0)),
                              min_size=1, max_size=3),
-           st.sampled_from((SMALL, _DEFAULT)), st.lists(st.sets(st.integers(0, 10 ** 4),
-                                                                min_size=1), min_size=3, max_size=3))
+           st.sampled_from((SMALL, _DEFAULT)), st.lists(st.sets(st.integers(0, 10 ** 6),
+                                                                min_size=2), min_size=3, max_size=3))
     def test_slice_scores_equal_full_rows(self, angles, cells, grid, picks):
-        # the row kernel scores each cell's shortlisted (axis pair, theta)
-        # slices in one einsum, and every shortlisted (cell, p) pair of a row
-        # in one einsum per (branch, sign, Kraus operator); each score must
-        # have the bits of the same row of the per-block and per-cell einsums
+        # the row kernel scores the near-best (cell, axis pair, theta, m, eta)
+        # entries of many cells in one einsum, on kets gathered entry by entry,
+        # and every shortlisted (cell, p) pair of a row in one einsum per
+        # (branch, sign, Kraus operator); each ket and score must have the bits
+        # of the same entry of the per-block and per-cell einsums. The kernel
+        # scores both outcomes of a slice in one call, so a call holds at least
+        # two entries (a lone entry's einsum is a scalar sum, rounded otherwise)
         rho, noises = a_state(*angles), [make_channel(kind, r) for kind, r in cells]
         n_t, vs = len(grid.theta), _full_qfbc_kets(rho, grid)
-        chosen = np.zeros((len(noises), len(vs), n_t), dtype=bool)  # (cell, pair, t)
-        for c, picked in enumerate(picks[:len(noises)]):
-            chosen[c].flat[[k % chosen[c].size for k in picked]] = True
-        # kets only on the slices some cell shortlists, as in the row kernel
-        built = chosen.any(axis=0)
-        at = np.cumsum(built).reshape(built.shape) - 1
-        kets = optimize._qfbc_kets(optimize._qfbc_tables(grid)["blocks"][built],
+        rho_es = np.stack([apply_channel(rho, noise) for noise in noises])
+        shape = (len(vs), *vs[0].shape[:3])  # (pair, t, m, e)
+        cell, entry = np.array([(c, k % np.prod(shape)) for c, picked in
+                                enumerate(picks[:len(noises)]) for k in sorted(picked)]).T
+        pair, t, m, e = np.unravel_index(entry, shape)
+        kets = optimize._qfbc_kets(optimize._qfbc_tables(grid)["blocks"][pair, t, m, e],
                                    optimize._pure_ket(rho.tobytes()))
-        for noise, shortlist in zip(noises, chosen):
-            rho_e = apply_channel(rho, noise)
-            pair, t = np.nonzero(shortlist)
-            rows = at[pair, t]
-            got = optimize._qfbc_slice_scores(kets.conj()[rows], kets[rows], rho_e)
-            full = [_qfbc_scores(v, rho_e) for v in vs]
-            for n in range(len(t)):
-                assert got[n].tobytes() == full[pair[n]][t[n]].tobytes()
+        got = optimize._qfbc_entry_scores(kets, rho_es[cell])
+        full = [[_qfbc_scores(v, rho_e) for v in vs] for rho_e in rho_es]
+        for n in range(len(cell)):
+            assert kets[n].tobytes() == vs[pair[n]][t[n], m[n], e[n]].tobytes()
+            assert got[n].tobytes() == full[cell[n]][pair[n]][t[n], m[n], e[n]].tobytes()
         (u, w), fl = optimize._qffc_ket(grid, rho.tobytes()), np.stack(flips())
         fa = fl[:, None] @ np.stack([noise.stack for noise in noises])[:, None] @ fl[:, None]
         mask = np.zeros((len(noises), n_t), dtype=bool)
