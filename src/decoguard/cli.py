@@ -305,7 +305,8 @@ def _add_grid_flags(p: argparse.ArgumentParser):
     p.add_argument("--r-count", type=int, dest="r_count",
                    help="r grid points incl. endpoints 0 and 0.999 (default 31)")
     p.add_argument("--workers", type=int,
-                   help="parallel sweep processes (default: the CPUs this process may run on)")
+                   help="at most this many sweep processes (default: the CPUs this process may "
+                        "run on); the timed first row decides if one pool starts; 1 never pools")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,10 +6,12 @@ difference of the two optima builds the comparison surfaces over the
 (alpha, r) plane for fixed phi. All grid evaluation is deterministic; sweep
 alpha rows are independent pure computations and may be evaluated in
 parallel (the workers argument limits the process count), with rows always
-assembled in alpha-major, r-minor order. A run starts at most one process
-pool: every alpha row of every surface it asks for goes to that pool
-(sweep_fig6_surfaces), and each process builds a row's channels once per
-(noise kind, r grid).
+assembled in alpha-major, r-minor order. A run computes its first alpha
+row in this process and pools the rest only if workers > 1 (workers=1 never
+pools) and they would take over _POOL_MIN_S at that row's pace. A pooled run
+starts one pool for the remaining alpha rows of all the surfaces it asks for
+(sweep_fig6_surfaces); each process builds a row's channels once per (noise
+kind, r grid).
 
 Every search goes through one row function (_optimize_row): the optima of
 one state, validated once, under a row of channels (a fig6 alpha row, or one
@@ -55,7 +57,7 @@ import functools
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import time
 from dataclasses import dataclass
 from typing import Any
 
@@ -169,7 +171,10 @@ def _qfbc_tables(grid: GridSpec) -> dict:
     meas = [np.stack([np.stack(povm_axis(ma, t).ops) for t in grid.theta]) for ma in AXES]
     rots = [np.stack([rotation(ra, abs(e), +1 if e >= 0 else -1).matrix for e in se])
             for ra in AXES]
-    blocks = np.stack([np.einsum("eij,tmjk->tmeik", r, m) for m in meas for r in rots]).conj()
+    blocks = np.empty((len(meas) * len(rots), *meas[0].shape[:2], len(se), 2, 2), dtype=complex)
+    for i, (m, r) in enumerate(itertools.product(meas, rots)):
+        np.einsum("eij,tmjk->tmeik", r, m, out=blocks[i])
+    np.conjugate(blocks, out=blocks)
     # transfer matrices of rho -> K^dagger rho K at the signed etas 0 and +-eta[-1]
     ends = _ptm(np.moveaxis(blocks[:, :, :, [0, -2, -1]], 3, 0).swapaxes(-1, -2))
     coef = np.moveaxis(_sinusoid(ends, grid.eta[-1]) / 2, -1, 0)
@@ -606,22 +611,35 @@ def _alpha_row(args) -> list[tuple]:
     return [(alpha, phi, r, noise_kind, *cell) for r, cell in zip(grid.rs, cells)]
 
 
+# Rows left x the first row's seconds above which a run pools the rest. On a 2-core
+# host serial and 2-worker pooled sweeps broke even near 0.2 s of serial work (composite,
+# 7-point angles, 6 x 31 rows: 0.21 s serial, 0.25 s pooled; 8 x 31: 0.23 s, 0.20 s).
+_POOL_MIN_S = 0.2
+
+
 def _run_surfaces(row, surfaces, grid: GridSpec, workers: int | None):
     """The rows of each (phi, noise kind) surface, yielded once its last alpha
-    row is done. Every alpha row of every surface goes to one pool, in
-    surface order, so a run starts one pool."""
+    row is done. The first alpha row runs in this process and is timed; the
+    rest go, in surface order, to one pool of up to `workers` processes when
+    more than one is allowed and their predicted time exceeds _POOL_MIN_S, and
+    run here otherwise. Forked workers inherit the grid tables built so far."""
     tasks = [(row, phi, noise_kind, alpha, grid)
              for phi, noise_kind in surfaces for alpha in grid.alphas]
-    n, k = resolve_workers(workers, len(tasks)), len(grid.alphas)
-    with ProcessPoolExecutor(max_workers=n) if n > 1 else contextlib.nullcontext() as pool:
-        chunks = (pool.map if pool else map)(_alpha_row, tasks)
+    n, k = resolve_workers(workers, len(tasks) - 1), len(grid.alphas)
+    start = time.perf_counter()
+    first = [_alpha_row(task) for task in tasks[:1]]  # none for no surfaces
+    pooled = n > 1 and (len(tasks) - 1) * (time.perf_counter() - start) > _POOL_MIN_S
+    if pooled:  # imported here, so that a run that never pools never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=n) if pooled else contextlib.nullcontext() as pool:
+        chunks = itertools.chain(first, (pool.map if pool else map)(_alpha_row, tasks[1:]))
         for _ in range(len(tasks) // k):
             yield tuple(line for chunk in itertools.islice(chunks, k) for line in chunk)
 
 
 def sweep_fig6_surfaces(surfaces, grid: GridSpec, workers: int | None = None):
     """Comparison tables over the full (alpha, r) grid, one per (phi, channel
-    kind) in surfaces, all computed on one process pool; an iterator that
+    kind) in surfaces, computed on at most one process pool; an iterator that
     yields each table as soon as its rows are done."""
     return (SweepResult(columns=FIG6_COLUMNS, rows=rows)
             for rows in _run_surfaces(_fig6_row, surfaces, grid, workers))

@@ -290,6 +290,37 @@ class TestSweepCommand:
         assert ran == []
 
 
+class TestPoolDecision:
+    TINY_FLAGS = ("--angle-count", "4", "--alpha-count", "2", "--r-count", "3")
+
+    def test_tiny_runs_start_no_pool(self, capsys, tmp_path, pools):
+        # at the real threshold a tiny run's rows left are too little work to
+        # repay a pool, so --workers 2 runs serially and writes the same bytes
+        for workers in ("2", "1"):
+            outdir = tmp_path / workers
+            code, _, _ = run_cli(capsys, "fig6", *self.TINY_FLAGS, "--workers", workers,
+                                 "--outdir", str(outdir))
+            assert code == 0
+            code, _, _ = run_cli(capsys, "sweep", "--scheme", "wmqmr", *self.TINY_FLAGS,
+                                 "--workers", workers, "--out", str(outdir / "sweep.csv"))
+            assert code == 0
+        assert pools == []
+        files = sorted((tmp_path / "1").glob("*.csv"))
+        assert len(files) == 6 + 1
+        for f in files:
+            assert (tmp_path / "2" / f.name).read_bytes() == f.read_bytes()
+
+    @pytest.mark.parametrize("command", ("fig6", "sweep"))
+    def test_zero_workers_rejected_before_any_row(self, capsys, tmp_path, monkeypatch, command):
+        ran = []
+        monkeypatch.setattr(optimize, "_alpha_row", ran.append)
+        target = ["--outdir", str(tmp_path)] if command == "fig6" else ["--scheme", "wmqmr"]
+        code, _, err = run_cli(capsys, command, *target, *self.TINY_FLAGS, "--workers", "0")
+        assert code == 1
+        assert "worker count must be >= 1" in err
+        assert ran == []
+
+
 class TestFig6Command:
     def test_six_files_and_determinism(self, capsys, tmp_path):
         args = ["fig6", "--angle-count", "4", "--alpha-count", "2", "--r-count", "3",
@@ -311,17 +342,10 @@ class TestFig6Command:
         for f in files:
             assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
 
-    def test_one_pool_per_run(self, capsys, tmp_path, monkeypatch):
-        # all six surfaces share one process pool, and the pooled run writes
-        # the bytes of the serial one
-        pools = []
-
-        class SpyPool(optimize.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(optimize, "ProcessPoolExecutor", SpyPool)
+    def test_one_pool_per_run(self, capsys, tmp_path, monkeypatch, pools):
+        # with the threshold at 0 the rows after the first share one process
+        # pool, and the pooled run writes the bytes of the serial one
+        monkeypatch.setattr(optimize, "_POOL_MIN_S", 0.0)
         args = ["fig6", "--angle-count", "4", "--alpha-count", "2", "--r-count", "3"]
         for workers in ("2", "1"):
             code, _, _ = run_cli(capsys, *args, "--workers", workers,

@@ -2,7 +2,10 @@ import dataclasses
 import functools
 import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from decoguard.channels import (
     make_channel,
     pd_kraus,
 )
-from decoguard.measurements import flips
+from decoguard.measurements import flips, povm_axis, rotation
 from decoguard.optimize import (
     GridSpec,
     f_diff,
@@ -35,6 +38,8 @@ from test_golden import MIXED_BLOCH
 
 SMALL = GridSpec.default(angle_count=7, alpha_count=4, r_count=4)
 TINY = GridSpec.default(angle_count=4, alpha_count=2, r_count=3)
+# a tiny grid with enough alpha rows after the first for a pool of 2
+POOLED = GridSpec.default(angle_count=4, alpha_count=3, r_count=3)
 _DEFAULT = GridSpec.default()
 # a non-uniform eta grid out of order, which GridSpec accepts
 _UNORDERED = GridSpec(theta=SMALL.theta, eta=(0.0, np.pi / 4, np.pi / 60, np.pi / 2),
@@ -260,9 +265,19 @@ class TestSweeps:
         b = sweep_fig6(0.0, "pd", TINY, workers=1).to_csv()
         assert a == b
 
-    def test_parallel_matches_serial(self):
-        a = sweep_fig6(np.pi / 2, "ad", TINY, workers=1).to_csv()
-        b = sweep_fig6(np.pi / 2, "ad", TINY, workers=2).to_csv()
+    def test_parallel_matches_serial(self, monkeypatch, pools):
+        # a pool forced by a zero threshold writes the bytes of the serial run
+        monkeypatch.setattr(optimize, "_POOL_MIN_S", 0.0)
+        a = sweep_fig6(np.pi / 2, "ad", POOLED, workers=1).to_csv()
+        b = sweep_fig6(np.pi / 2, "ad", POOLED, workers=2).to_csv()
+        assert pools == [2]
+        assert a == b
+
+    def test_sweep_optimal_pooled_matches_serial(self, monkeypatch, pools):
+        monkeypatch.setattr(optimize, "_POOL_MIN_S", 0.0)
+        a = sweep_optimal("composite", np.pi / 4, "ad", POOLED, workers=1).to_csv()
+        b = sweep_optimal("composite", np.pi / 4, "ad", POOLED, workers=2).to_csv()
+        assert pools == [2]
         assert a == b
 
     def test_fig6_zero_damping_column(self):
@@ -323,6 +338,46 @@ class TestWorkers:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
         assert resolve_workers(None, 180) == 3
         assert resolve_workers(None, 2) == 2
+
+
+class TestPoolDecision:
+    SURFACES = ((0.0, "ad"), (np.pi / 4, "pd"))
+
+    def _expected_rows(self):
+        return [(alpha, phi, r, kind) for phi, kind in self.SURFACES
+                for alpha in POOLED.alphas for r in POOLED.rs]
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_serial_run_computes_each_row_once(self, monkeypatch, pools, workers):
+        # below the real threshold every row runs here, once, in surface order
+        ran = []
+        monkeypatch.setattr(optimize, "_alpha_row", _logging(ran, optimize._alpha_row))
+        tables = list(optimize.sweep_fig6_surfaces(self.SURFACES, POOLED, workers))
+        assert pools == []
+        assert [args[1:4] for (args,) in ran] == [
+            (phi, kind, alpha) for phi, kind in self.SURFACES for alpha in POOLED.alphas]
+        assert [row[:4] for table in tables for row in table.rows] == self._expected_rows()
+
+    def test_pooled_run_keeps_row_count_and_order(self, monkeypatch, pools):
+        monkeypatch.setattr(optimize, "_POOL_MIN_S", 0.0)
+        tables = list(optimize.sweep_fig6_surfaces(self.SURFACES, POOLED, 2))
+        assert pools == [2]
+        assert [row[:4] for table in tables for row in table.rows] == self._expected_rows()
+
+    def test_no_surfaces_no_rows(self, pools):
+        assert list(optimize.sweep_fig6_surfaces((), POOLED, 2)) == []
+        assert pools == []
+
+    def test_unpooled_run_never_loads_the_pool_module(self):
+        script = ("import sys; from decoguard import optimize; optimize.sweep_optimal("
+                  "'wmqmr', 0.0, 'ad', optimize.GridSpec.default(4, 2, 3), workers=2); print("
+                  "sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+        src = str(Path(optimize.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestSearchLoop:
@@ -438,6 +493,19 @@ class TestGridAndKetTables:
         assert optimize._loop_tables.cache_info().misses == 1
         optimize._alpha_row((row, 1.1, "ad", 0.9, TINY))
         assert optimize._loop_tables.cache_info().misses == 1
+
+    @pytest.mark.parametrize("grid", (SMALL, _DEFAULT), ids=("small", "default"))
+    def test_qfbc_blocks_equal_stacked_build(self, grid):
+        # the blocks filled in place hold the bytes of the stacked per-pair einsums
+        se = optimize._signed_etas(grid.eta)
+        meas = [np.stack([np.stack(povm_axis(ma, t).ops) for t in grid.theta])
+                for ma in optimize.AXES]
+        rots = [np.stack([rotation(ra, abs(e), +1 if e >= 0 else -1).matrix for e in se])
+                for ra in optimize.AXES]
+        stacked = np.stack([np.einsum("eij,tmjk->tmeik", r, m) for m in meas for r in rots]).conj()
+        blocks = optimize._qfbc_tables(grid)["blocks"]
+        assert (blocks.shape, blocks.dtype) == (stacked.shape, stacked.dtype)
+        assert blocks.tobytes() == stacked.tobytes()
 
     def test_warm_calls_build_no_rotations(self, monkeypatch):
         made = []
