@@ -53,7 +53,7 @@ class KrausChannel:
         dim = self.ops[0].shape[0]
         total = sum(dagger(a) @ a for a in self.ops)
         err = np.abs(total - np.eye(dim)).max()
-        if err > COMPLETENESS_ATOL:
+        if not err <= COMPLETENESS_ATOL:  # NaN fails too
             raise ValueError(f"Kraus completeness violated by {err}")
         object.__setattr__(self, "stack", np.array(self.ops))
 

@@ -306,7 +306,7 @@ def _add_grid_flags(p: argparse.ArgumentParser):
                    help="r grid points incl. endpoints 0 and 0.999 (default 31)")
     p.add_argument("--workers", type=int,
                    help="at most this many sweep processes (default: the CPUs this process may "
-                        "run on); the timed first row decides if one pool starts; 1 never pools")
+                        "run on); the timed second row decides if one pool starts; 1 never pools")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -51,7 +51,7 @@ class MeasurementPair:
     def __post_init__(self):
         total = sum(dagger(m) @ m for m in self.ops)
         err = np.abs(total - np.eye(total.shape[0])).max()
-        if err > COMPLETENESS_ATOL:
+        if not err <= COMPLETENESS_ATOL:  # NaN fails too
             raise ValueError(f"measurement pair violates completeness by {err}")
 
 

@@ -6,9 +6,9 @@ difference of the two optima builds the comparison surfaces over the
 (alpha, r) plane for fixed phi. All grid evaluation is deterministic; sweep
 alpha rows are independent pure computations and may be evaluated in
 parallel (the workers argument limits the process count), with rows always
-assembled in alpha-major, r-minor order. A run computes its first alpha
-row in this process and pools the rest only if workers > 1 (workers=1 never
-pools) and they would take over _POOL_MIN_S at that row's pace. A pooled run
+assembled in alpha-major, r-minor order. A run computes its first two alpha
+rows in this process and pools the rest only if workers > 1 (workers=1 never
+pools) and they would take over _POOL_MIN_S at the second row's pace. A pooled run
 starts one pool for the remaining alpha rows of all the surfaces it asks for
 (sweep_fig6_surfaces); each process builds a row's channels once per (noise
 kind, r grid).
@@ -33,8 +33,7 @@ branch, sign and Kraus operator over the row's shortlisted (cell, p) pairs),
 and their first maximum of the rounded scores in (theta, eta, axis pair or
 signs) order settles exact ties. An entry's bits do not depend on the others
 scored with it, so the winner, tie-break included, is the unscreened one.
-Grid tables are functools caches of the GridSpec, the ket and its products
-lru_caches.
+Grid tables are functools caches of the GridSpec; a row finds its ket once.
 
 Every other search (mixed-input qfbc, with tied +/- eta, and qffc_rot;
 wmppf, wmqmr, qffc_ps, composite) is a loop row (_loop_row) over a
@@ -64,7 +63,7 @@ from typing import Any
 import numpy as np
 
 from .channels import KrausChannel, _apply_kraus, _pauli, _ptm, make_channel
-from .measurements import flips, povm_axis, rotation
+from .measurements import flips, post_wm_ops, povm_axis, pre_wm_pair, qmr_map, rotation, wm_map
 from .qmath import (
     PURITY_PURE_THRESHOLD,
     InitialState,
@@ -74,7 +73,8 @@ from .qmath import (
     state_from_angles,
 )
 # run_qfbc is unused here but stays importable from this module for existing callers
-from .schemes import AD_ONLY_KINDS, SchemeSpec, run_qfbc, run_scheme  # noqa: F401
+from .schemes import (AD_ONLY_KINDS, SchemeSpec, matched_post_wm_strength, run_qfbc,  # noqa: F401
+                      run_scheme)
 
 # the measurement and rotation axes of the qfbc searches
 AXES = ("x", "y", "z")
@@ -182,30 +182,20 @@ def _qfbc_tables(grid: GridSpec) -> dict:
             "sinusoids": np.ascontiguousarray(coef.reshape(4, -1))}
 
 
-def _diag(a, b) -> np.ndarray:
-    """The stack of diag(a_j, b_j)."""
-    out = np.zeros((len(a), 2, 2), dtype=complex)
-    out[:, 0, 0], out[:, 1, 1] = a, b
-    return out
+def _stacks(ops) -> tuple[np.ndarray, ...]:
+    """Per position of the tuples in ops, the stack of their operators there."""
+    return tuple(map(np.stack, zip(*ops)))
 
 
 @functools.cache
 def _qffc_tables(grid: GridSpec) -> dict:
     """Per grid: the noise-free factors of the pure feed-forward search.
 
-    m: the (M_1(p), M_2(p)) stacks in theta order; r: R_y(sign eta) per sign.
+    m: the (M_1(p), M_2(p)) stacks of pre_wm_pair in theta order; r: R_y(sign eta) per sign.
     """
-    ps = np.asarray(grid.strengths)
-    sq, q = np.sqrt(ps), np.sqrt(1 - ps)
-    return {"m": (_diag(sq, q), _diag(q, sq)),
+    return {"m": _stacks(pre_wm_pair(p).ops for p in grid.strengths),
             "r": {sign: np.stack([rotation("y", e, sign).matrix for e in grid.eta])
                   for sign in (+1, -1)}}
-
-
-@functools.lru_cache(maxsize=1)
-def _pure_ket(rho_bytes: bytes) -> np.ndarray:
-    w, v = eig_hermitian(np.frombuffer(rho_bytes, dtype=complex).reshape(2, 2))
-    return v[:, 0]
 
 
 def _sinusoid(x, h: float) -> np.ndarray:
@@ -228,11 +218,9 @@ def _eta_max(coef, eta) -> np.ndarray:
         np.maximum(k - 1, 0), np.minimum(k, len(eta) - 1), 0, len(eta) - 1)))
 
 
-@functools.lru_cache(maxsize=1)
-def _qffc_ket(grid: GridSpec, rho_bytes: bytes) -> tuple:
-    """Per ket of the pure rho with these bytes: u[i] = M_i(p) |psi> and
-    w[sign][e] = <psi| R_y(sign e)."""
-    psi, tables = _pure_ket(rho_bytes), _qffc_tables(grid)
+def _qffc_ket(grid: GridSpec, psi) -> tuple:
+    """u[i] = M_i(p) |psi> and w[sign][e] = <psi| R_y(sign e) of the ket psi."""
+    tables = _qffc_tables(grid)
     u = tuple(np.einsum("pij,j->pi", m, psi) for m in tables["m"])
     w = {sign: np.einsum("j,eji->ei", psi.conj(), r) for sign, r in tables["r"].items()}
     return u, w
@@ -266,7 +254,7 @@ def _qfbc_entry_scores(v, rho_e) -> np.ndarray:
     return np.real(np.einsum("ki,kij,kj->k", v.conj(), rho_e, v))
 
 
-def _qfbc_row(rho_in, noises, grid: GridSpec) -> list[OptResult]:
+def _qfbc_row(rho_in, psi, noises, grid: GridSpec) -> list[OptResult]:
     tables = _qfbc_tables(grid)
     se, blocks = tables["signed_etas"], tables["blocks"]
     rho_es = _apply_kraus(rho_in, np.stack([noise.stack for noise in noises]))
@@ -274,7 +262,7 @@ def _qfbc_row(rho_in, noises, grid: GridSpec) -> list[OptResult]:
     approx = _eta_max(coef, np.sort(se)).sum(axis=3)
     # the shortlisted (cell, axis pair, theta) slices, cell-major
     cell, pair, t = np.nonzero(approx >= approx.max(axis=(1, 2), keepdims=True) - SCREEN_ATOL)
-    psi, e, tot = _pure_ket(rho_in.tobytes()), np.empty((len(t), 2), dtype=int), np.empty(len(t))
+    e, tot = np.empty((len(t), 2), dtype=int), np.empty(len(t))
     for at in (slice(lo, lo + _VERIFY_SLICES) for lo in range(0, len(t), _VERIFY_SLICES)):
         a, b, c = coef[:, cell[at], pair[at], t[at], :, None]
         x = a + b * np.cos(se) + c * np.sin(se)  # the screen's F^2 of each (slice, m, e)
@@ -314,8 +302,8 @@ def _qffc_pair_scores(u_i, w_sign, ops) -> np.ndarray:
     return acc
 
 
-def _qffc_row(rho_in, noises, grid: GridSpec) -> list[OptResult]:
-    u, w = _qffc_ket(grid, rho_in.tobytes())
+def _qffc_row(rho_in, psi, noises, grid: GridSpec) -> list[OptResult]:
+    u, w = _qffc_ket(grid, psi)
     # F_i A_k F_i per channel, (channel, i, k, 2, 2): the flips are I and X, so each entry is exact
     fl = np.stack(flips())[:, None]
     fa = fl @ np.stack([noise.stack for noise in noises])[:, None] @ fl
@@ -336,11 +324,12 @@ def _optimize_row(rho_in, noises, grid: GridSpec,
                   kinds=("qfbc", "qffc_rot")) -> list[list[OptResult]]:
     """The optima of each kind for one state, validated once, under each
     channel, per kind in channel order. A pure qfbc or qffc_rot row goes to
-    its row kernel, every other row to _loop_row."""
+    its row kernel, with the state's ket found once, every other row to _loop_row."""
     rho_in = check_density(rho_in)
     pure = purity(rho_in) >= PURITY_PURE_THRESHOLD
     rows = {"qfbc": _qfbc_row, "qffc_rot": _qffc_row} if pure else {}
-    return [rows[kind](rho_in, noises, grid) if kind in rows
+    psi = eig_hermitian(rho_in)[1][:, 0] if pure else None
+    return [rows[kind](rho_in, psi, noises, grid) if kind in rows
             else _loop_row(rho_in, kind, noises, grid) for kind in kinds]
 
 
@@ -410,16 +399,17 @@ _CUTOFF_BAND = (1e-16, 1e-14)
 def _loop_tables(kind: str, grid: GridSpec) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Per loop kind and grid: (pre_i, post_i) per branch i, the transfer
     matrices of a candidate's noise-free stages before and after the channel,
-    broadcastable to its _search_space shape. With the flips F_i, the
-    pre-measurements M_i(p), wm(p) = diag(1, sqrt(1-p)), qmr(p) =
-    diag(sqrt(1-p), 1), N_1 = qmr and N_2 = wm, they follow each run_*:
+    broadcastable to its _search_space shape. They are built from the
+    factories run_* call: the flips F_i, the pre-measurements M_i(p) of
+    pre_wm_pair, wm(p) of wm_map, qmr(p) of qmr_map and the recovery pair
+    (N_1, N_2) of post_wm_ops, and they follow each run_*:
       qfbc       I, and the sum over outcomes m of R(e_m) M_m(theta), with
                  e = (+eta, -eta) or, for binding -1, (-eta, +eta)
       wmqmr      wm(p1), qmr(p2)
       wmppf      F_i M_i(p), F_i
       qffc_rot   F_i M_i(p), R_y(s_i eta) F_i
       qffc_ps    F_i M_i(p), N_i F_i at p_u (N_1) and p_v (N_2)
-      composite  F_i M_i(p), R_y(s_i eta) N_i F_i with N_i matched to p
+      composite  F_i M_i(p), R_y(s_i eta) N_i F_i at matched_post_wm_strength(p)
     """
     if kind == "qfbc":
         blocks = _qfbc_tables(grid)["blocks"]  # conj(R(e) M_m(theta)), (pair, theta, m, e)
@@ -430,26 +420,25 @@ def _loop_tables(kind: str, grid: GridSpec) -> tuple[tuple[np.ndarray, np.ndarra
         tied = blocks.reshape(a, a, *blocks.shape[1:])[:, :, :, np.arange(2), signed].conj()
         post = _ptm(tied).sum(axis=5)  # (meas, rot, theta, eta, binding, 4, 4)
         return ((np.eye(4), np.ascontiguousarray(post.transpose(2, 3, 0, 1, 4, 5, 6))),)
-    ps = np.asarray(grid.strengths)
-    if kind != "qffc_rot":
-        ps = np.sort(ps)
-    one, q = np.ones_like(ps), np.sqrt(1 - ps)
-    wm, qmr = _ptm(_diag(one, q)), _ptm(_diag(q, one))
+    ps = grid.strengths if kind == "qffc_rot" else sorted(grid.strengths)
     if kind == "wmqmr":
+        wm, qmr = map(_ptm, _stacks((wm_map(p).op, qmr_map(p).op) for p in ps))
         return ((wm[:, None], qmr),)
     f = _ptm(np.stack(flips()))
-    pre = (f[0] @ _ptm(_diag(np.sqrt(ps), q)), f[1] @ _ptm(_diag(q, np.sqrt(ps))))
+    m = map(_ptm, _stacks(pre_wm_pair(p).ops for p in ps))
+    pre = tuple(f_i @ m_i for f_i, m_i in zip(f, m))
     if kind == "wmppf":
         return tuple(zip(pre, f))
     pre = tuple(p_i[:, None, None] for p_i in pre)
+    if kind in ("qffc_ps", "composite"):  # N_i at p_u and p_v, or matched to p
+        qs = ps if kind == "qffc_ps" else [matched_post_wm_strength(p) for p in ps]
+        n = tuple(map(_ptm, _stacks([pm.op for pm in post_wm_ops(q, q)] for q in qs)))
     if kind == "qffc_ps":
-        return (pre[0], (qmr @ f[0])[:, None]), (pre[1], wm @ f[1])
+        return (pre[0], (n[0] @ f[0])[:, None]), (pre[1], n[1] @ f[1])
     r = {sign: _ptm(m) for sign, m in _qffc_tables(grid)["r"].items()}
     rot = [np.stack([r[signs[i]] for signs in _SIGN_COMBOS], axis=1) for i in (0, 1)]
     if kind == "qffc_rot":
         return tuple(zip(pre, (rot[i] @ f[i] for i in (0, 1))))
-    qm = np.sqrt(1 - np.maximum(0.0, (2 * ps - 1) / ps))  # composite's matched N_i
-    n = (_ptm(_diag(qm, one)), _ptm(_diag(one, qm)))
     return tuple(zip(pre, (rot[i] @ (n[i] @ f[i])[:, None, None] for i in (0, 1))))
 
 
@@ -556,14 +545,7 @@ class SweepResult:
     rows: tuple[tuple, ...]
 
     def to_csv(self) -> str:
-        lines, forms = [",".join(self.columns)], {}
-        for row in self.rows:
-            kinds = tuple(map(type, row))
-            if kinds not in forms:  # a %-format per row signature; only _fmt renders sequences
-                forms[kinds] = None if any(issubclass(k, (tuple, list)) for k in kinds) else \
-                    ",".join("%.12g" if issubclass(k, float) else "%s" for k in kinds)
-            form = forms[kinds]
-            lines.append(form % tuple(row) if form else ",".join(_fmt(v) for v in row))
+        lines = [",".join(self.columns)] + [",".join(map(_fmt, row)) for row in self.rows]
         return "\n".join(lines) + "\n"
 
 
@@ -611,7 +593,7 @@ def _alpha_row(args) -> list[tuple]:
     return [(alpha, phi, r, noise_kind, *cell) for r, cell in zip(grid.rs, cells)]
 
 
-# Rows left x the first row's seconds above which a run pools the rest. On a 2-core
+# Rows left x the second row's seconds above which a run pools the rest. On a 2-core
 # host serial and 2-worker pooled sweeps broke even near 0.2 s of serial work (composite,
 # 7-point angles, 6 x 31 rows: 0.21 s serial, 0.25 s pooled; 8 x 31: 0.23 s, 0.20 s).
 _POOL_MIN_S = 0.2
@@ -619,20 +601,22 @@ _POOL_MIN_S = 0.2
 
 def _run_surfaces(row, surfaces, grid: GridSpec, workers: int | None):
     """The rows of each (phi, noise kind) surface, yielded once its last alpha
-    row is done. The first alpha row runs in this process and is timed; the
-    rest go, in surface order, to one pool of up to `workers` processes when
-    more than one is allowed and their predicted time exceeds _POOL_MIN_S, and
-    run here otherwise. Forked workers inherit the grid tables built so far."""
+    row is done. The first two alpha rows run in this process; the second, clear
+    of the first's table builds, is timed. The rest go, in surface order, to one
+    pool of up to `workers` processes when more than one is allowed and their
+    predicted time exceeds _POOL_MIN_S, and run here otherwise. Forked workers
+    inherit the grid tables built so far."""
     tasks = [(row, phi, noise_kind, alpha, grid)
              for phi, noise_kind in surfaces for alpha in grid.alphas]
-    n, k = resolve_workers(workers, len(tasks) - 1), len(grid.alphas)
-    start = time.perf_counter()
+    n, k = resolve_workers(workers, len(tasks) - 2), len(grid.alphas)
     first = [_alpha_row(task) for task in tasks[:1]]  # none for no surfaces
-    pooled = n > 1 and (len(tasks) - 1) * (time.perf_counter() - start) > _POOL_MIN_S
+    start = time.perf_counter()
+    first += [_alpha_row(task) for task in tasks[1:2]]
+    pooled = n > 1 and (len(tasks) - 2) * (time.perf_counter() - start) > _POOL_MIN_S
     if pooled:  # imported here, so that a run that never pools never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=n) if pooled else contextlib.nullcontext() as pool:
-        chunks = itertools.chain(first, (pool.map if pool else map)(_alpha_row, tasks[1:]))
+        chunks = itertools.chain(first, (pool.map if pool else map)(_alpha_row, tasks[2:]))
         for _ in range(len(tasks) // k):
             yield tuple(line for chunk in itertools.islice(chunks, k) for line in chunk)
 

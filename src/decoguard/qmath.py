@@ -153,7 +153,7 @@ def state_from_angles(s: InitialState) -> np.ndarray:
 def bloch_to_density(b) -> np.ndarray:
     """rho = 1/2 [[1+z, x+iy], [x-iy, 1-z]] for a Bloch vector inside the unit ball."""
     x, y, z = (float(v) for v in b)
-    if x * x + y * y + z * z > 1 + 1e-12:
+    if not x * x + y * y + z * z <= 1 + 1e-12:  # NaN fails too
         raise ValueError(f"Bloch vector ({x}, {y}, {z}) lies outside the unit ball")
     return 0.5 * np.array([[1 + z, x + 1j * y], [x - 1j * y, 1 - z]], dtype=complex)
 

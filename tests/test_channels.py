@@ -115,6 +115,11 @@ class TestKrausConstruction:
         with pytest.raises(ValueError):
             KrausChannel(ops=(np.diag([1.0, 0.5]).astype(complex),))
 
+    def test_nan_ops_rejected(self):
+        # a NaN completeness error compares False against the tolerance either way
+        with pytest.raises(ValueError, match="completeness"):
+            KrausChannel(ops=(np.array([[np.nan, 0], [0, 1]], dtype=complex),))
+
     def test_make_channel(self):
         assert make_channel("pd", 0.2).kind == "pd"
         assert make_channel("ad", 0.2).kind == "ad"

@@ -4,7 +4,9 @@ These pin what no other test does: the packed `params` column, the argmax
 and tie-break of every optimizable scheme (the fig6 `eta_opt` and `p_opt`
 columns included), and the exact float text. The gzip-compressed
 default-grid fig6 CSVs (default_fig6_*.csv.gz) are compared with the
-default-grid run that tests/test_acceptance.py makes anyway. The files in
+default-grid run that tests/test_acceptance.py makes anyway, and the
+benchmark's full-size post-selected sweeps with its reference tables in
+perfbench/ref/full, which this module only reads. The files in
 tests/golden/ are written by running this module as a script, all of them or
 only the ones named:
 
@@ -31,6 +33,7 @@ from decoguard import GridSpec, bloch_to_density, make_channel, optimize_scheme,
 from decoguard.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+PERFBENCH_FULL = Path(__file__).resolve().parents[1] / "perfbench" / "ref" / "full"
 
 SWEEP_FLAGS = ("--phi", "0.25pi", "--angle-count", "4", "--alpha-count", "2",
                "--r-count", "3", "--workers", "1")
@@ -175,6 +178,16 @@ OUTPUTS = _outputs()
 def test_matches_golden(name):
     expected = (GOLDEN / name).read_bytes()
     assert OUTPUTS[name]().encode("utf-8") == expected
+
+
+@pytest.mark.parametrize("scheme", ("wmqmr", "qffc_ps", "composite"))
+def test_full_sweep_matches_perfbench_ref(scheme, tmp_path):
+    # the sweep-postselected benchmark command; its argmax columns are pinned nowhere else
+    out = tmp_path / f"sweep_{scheme}.csv"
+    assert main(["sweep", "--scheme", scheme, "--noise", "ad", "--phi", "0.25pi",
+                 "--angle-count", "7", "--alpha-count", "6", "--r-count", "8",
+                 "--workers", "1", "--out", str(out)]) == 0
+    assert out.read_bytes() == gzip.decompress((PERFBENCH_FULL / f"{out.name}.gz").read_bytes())
 
 
 def test_no_stray_golden_files():

@@ -344,6 +344,12 @@ class TestMeasureAndBranches:
         with pytest.raises(ValueError):
             MeasurementPair(labels=("a", "b"), ops=(RHO_0, RHO_0), axis="z", theta=0.0)
 
+    def test_nan_pair_rejected(self):
+        # a NaN completeness error compares False against the tolerance either way
+        nan = np.array([[np.nan, 0], [0, 1]], dtype=complex)
+        with pytest.raises(ValueError, match="completeness"):
+            MeasurementPair(labels=("a", "b"), ops=(nan, RHO_1), axis="z", theta=0.0)
+
 
 class TestPartialMeasure:
     def test_zero_strength_accepts_everything(self):

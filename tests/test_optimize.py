@@ -5,6 +5,7 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -32,14 +33,21 @@ from decoguard.optimize import (
     sweep_fig6,
     sweep_optimal,
 )
-from decoguard.qmath import InitialState, bloch_to_density, fidelity, projector, state_from_angles
+from decoguard.qmath import (
+    InitialState,
+    bloch_to_density,
+    eig_hermitian,
+    fidelity,
+    projector,
+    state_from_angles,
+)
 from decoguard.schemes import AD_ONLY_KINDS, SchemeSpec, run_qfbc, run_qffc_rot, run_scheme
 from test_golden import MIXED_BLOCH
 
 SMALL = GridSpec.default(angle_count=7, alpha_count=4, r_count=4)
 TINY = GridSpec.default(angle_count=4, alpha_count=2, r_count=3)
-# a tiny grid with enough alpha rows after the first for a pool of 2
-POOLED = GridSpec.default(angle_count=4, alpha_count=3, r_count=3)
+# a tiny grid with enough alpha rows after the two timed ones for a pool of 2
+POOLED = GridSpec.default(angle_count=4, alpha_count=4, r_count=3)
 _DEFAULT = GridSpec.default()
 # a non-uniform eta grid out of order, which GridSpec accepts
 _UNORDERED = GridSpec(theta=SMALL.theta, eta=(0.0, np.pi / 4, np.pi / 60, np.pi / 2),
@@ -48,6 +56,11 @@ _UNORDERED = GridSpec(theta=SMALL.theta, eta=(0.0, np.pi / 4, np.pi / 60, np.pi 
 
 def a_state(alpha=0.8, phi=0.6):
     return state_from_angles(InitialState(alpha=alpha, phi=phi))
+
+
+def _ket(rho):
+    """The ket of a pure rho, found as _optimize_row finds it."""
+    return eig_hermitian(rho)[1][:, 0]
 
 
 class TestGridSpec:
@@ -299,7 +312,7 @@ class TestSweeps:
         st.text(), st.tuples(st.floats(), st.text()), st.lists(st.floats(), max_size=3)),
         max_size=6), max_size=6))
     def test_csv_rows_render_as_fmt(self, rows):
-        # one %-format per row signature renders every value as _fmt does
+        # every value renders as _fmt renders it
         kinds = [-0.0, np.nan, np.inf, -np.inf, np.float64(1 / 3), 7, True, None, "a%s"]
         rows = rows + [kinds + [(0.5, -0.0)], kinds] * 2
         table = optimize.SweepResult(columns=("c",), rows=tuple(map(tuple, rows)))
@@ -340,6 +353,18 @@ class TestWorkers:
         assert resolve_workers(None, 2) == 2
 
 
+# the fake clock of TestPoolDecision and the seconds each next _clocked_row moves it on by
+_FAKE_TIME = {"now": 0.0, "costs": []}
+
+
+def _clocked_row(rho, noises, grid):
+    """A row that computes nothing and moves the fake clock on by its planned
+    seconds; module-level, so that a pool can run it."""
+    costs = _FAKE_TIME["costs"]
+    _FAKE_TIME["now"] += costs.pop(0) if costs else 0.0
+    return [()] * len(noises)
+
+
 class TestPoolDecision:
     SURFACES = ((0.0, "ad"), (np.pi / 4, "pd"))
 
@@ -363,6 +388,18 @@ class TestPoolDecision:
         tables = list(optimize.sweep_fig6_surfaces(self.SURFACES, POOLED, 2))
         assert pools == [2]
         assert [row[:4] for table in tables for row in table.rows] == self._expected_rows()
+
+    # (first row's seconds, second row's seconds): a cold first row (the grid
+    # tables' build) predicts nothing; the second row's pace x the 6 rows left does
+    @pytest.mark.parametrize("costs, pooled", (((60.0, 0.01), False), ((0.0, 0.1), True)),
+                             ids=("cold-first", "slow-second"))
+    def test_second_row_predicts_the_rest(self, monkeypatch, pools, costs, pooled):
+        monkeypatch.setattr(optimize, "time",
+                            types.SimpleNamespace(perf_counter=lambda: _FAKE_TIME["now"]))
+        monkeypatch.setitem(_FAKE_TIME, "costs", list(costs))
+        tables = list(optimize._run_surfaces(_clocked_row, self.SURFACES, POOLED, 2))
+        assert pools == ([2] if pooled else [])
+        assert [row for table in tables for row in table] == self._expected_rows()
 
     def test_no_surfaces_no_rows(self, pools):
         assert list(optimize.sweep_fig6_surfaces((), POOLED, 2)) == []
@@ -419,31 +456,25 @@ def _logging(log, fn):
 
 
 _GRID_CACHES = (optimize._qfbc_tables, optimize._qffc_tables)
-_KET_CACHES = (optimize._qffc_ket,)
 
 
 class TestGridAndKetTables:
-    """The pure fast paths keep grid tables per grid and ket products for the
-    last ket; neither may leak into a result computed for other inputs."""
+    """The pure fast paths keep grid tables per grid and find a row's ket
+    once; no table may leak into a result computed for other inputs."""
 
     def test_memo_results_equal_fresh_results(self):
         kets = (a_state(0.8, 0.6), a_state(0.3, 2.1))
         # runs of one (ket, grid) with the channel changing, then another ket,
-        # grid or both, so the ket memo both hits and misses
+        # grid or both, each computed on warm tables and again on fresh ones
         cells = ((0, TINY, "ad", 0.3), (0, TINY, "pd", 0.6), (1, TINY, "ad", 0.3),
                  (1, SMALL, "pd", 0.5), (0, SMALL, "ad", 0.7), (0, SMALL, "ad", 0.2),
                  (1, TINY, "pd", 0.9), (1, TINY, "ad", 0.4), (1, SMALL, "pd", 0.5),
                  (0, TINY, "pd", 0.6))
-        misses = sum(i == 0 or cells[i][:2] != cells[i - 1][:2] for i in range(len(cells)))
         calls = [(fn, kets[k], make_channel(kind, r), grid)
                  for k, grid, kind, r in cells for fn in (optimize_qfbc, optimize_qffc_rot)]
-        for cache in _KET_CACHES:
-            cache.cache_clear()
         memoized = [fn(rho, noise, grid) for fn, rho, noise, grid in calls]
-        builds = sum(cache.cache_info().misses for cache in _KET_CACHES)
-        assert builds == misses and misses < len(cells)
         for (fn, rho, noise, grid), got in zip(calls, memoized):
-            for cache in _GRID_CACHES + _KET_CACHES:
+            for cache in _GRID_CACHES:
                 cache.cache_clear()
             assert fn(rho, noise, grid) == got
 
@@ -465,19 +496,12 @@ class TestGridAndKetTables:
                    workers=1)
         assert len(validated) == 2
 
-    def test_pickled_grid_and_equal_rho_hit_the_caches(self):
-        # pool workers receive each task's GridSpec pickled and build their
-        # row's rho afresh; both must find what the last cell cached
+    def test_pickled_grid_hits_the_grid_tables(self):
+        # pool workers receive each task's GridSpec pickled
         grid = pickle.loads(pickle.dumps(SMALL))
         assert grid is not SMALL
         for cache in _GRID_CACHES:
             assert cache(grid) is cache(SMALL)
-        optimize_qfbc(a_state(0.4, 1.3), ad_kraus(0.2), SMALL)
-        optimize_qffc_rot(a_state(0.4, 1.3), ad_kraus(0.2), SMALL)
-        misses = [cache.cache_info().misses for cache in _KET_CACHES]
-        optimize_qfbc(a_state(0.4, 1.3), pd_kraus(0.7), grid)
-        optimize_qffc_rot(a_state(0.4, 1.3), pd_kraus(0.7), grid)
-        assert [cache.cache_info().misses for cache in _KET_CACHES] == misses
 
     def test_pickled_grid_hits_the_loop_tables(self):
         grid = pickle.loads(pickle.dumps(SMALL))
@@ -551,14 +575,17 @@ def _candidates(kind, noise, grid):
 
 
 def _loop_channels(kind):
-    """Every channel a loop kind accepts, at r in {0, 0.45, 0.999}; identity
+    """Every channel a loop kind accepts, at r in {0, 0.45, 0.999, 1}; identity
     for the kinds that take any channel."""
     kinds = ("ad",) if kind in AD_ONLY_KINDS else ("ad", "pd")
-    chans = [make_channel(k, r) for k in kinds for r in (0.0, 0.45, 0.999)]
+    chans = [make_channel(k, r) for k in kinds for r in (0.0, 0.45, 0.999, 1.0)]
     return chans if kinds == ("ad",) else chans + [identity_channel()]
 
 
+# r = 1 and |1><1| add cells with candidates that score 0 or never succeed; under
+# wmqmr with r = 1 damping every candidate scores 0 for |1><1|
 _LOOP_INPUTS = (tuple(a_state(alpha, 0.6) for alpha in (0.0, np.pi / 2, 0.8))
+                + (projector(np.array([0.0, 1.0])),)
                 + tuple(bloch_to_density(b) for b in MIXED_BLOCH))
 
 
@@ -617,7 +644,7 @@ _PURE_INPUTS = (a_state(np.pi / 2, np.pi / 2), a_state(0.0, 0.0),
 def _full_qfbc_kets(rho, grid):
     """v = conj(K) psi of every (t, m, e), per axis pair: the whole table, of
     which the row kernel builds only the near-best entries of its shortlist."""
-    psi = optimize._pure_ket(rho.tobytes())
+    psi = _ket(rho)
     return [np.einsum("tmeji,j->tmei", k, psi) for k in optimize._qfbc_tables(grid)["blocks"]]
 
 
@@ -656,7 +683,7 @@ def _unscreened(rho, noise, grid):
         f_opt=float(np.sqrt(np.clip(-f2, 0.0, 1.0))), success_prob=1.0,
         params={"theta": grid.theta[t], "etas": (float(se[e0]), float(se[e1])),
                 "meas_axis": optimize.AXES[ma], "rot_axis": optimize.AXES[ra]})
-    u, w = optimize._qffc_ket(grid, rho.tobytes())
+    u, w = optimize._qffc_ket(grid, _ket(rho))
     branch = {(i, sign): _qffc_scores(u[i], w[sign], [flip @ a @ flip for a in noise.ops])
               for i, flip in enumerate(flips()) for sign in (+1, -1)}
     keys = []
@@ -737,7 +764,7 @@ class TestPureScreen:
 def _qffc_exact(rho, noise, grid) -> np.ndarray:
     """The exact feed-forward F^2 of every (sign combination, p, eta), summed
     by the einsums that settle the qffc_rot tie-breaks."""
-    u, w = optimize._qffc_ket(grid, rho.tobytes())
+    u, w = optimize._qffc_ket(grid, _ket(rho))
     t_ops = [[f @ a @ f for a in noise.ops] for f in flips()]
     return np.stack([_qffc_scores(u[0], w[s1], t_ops[0]) + _qffc_scores(u[1], w[s2], t_ops[1])
                      for s1, s2 in optimize._SIGN_COMBOS])
@@ -828,14 +855,13 @@ class TestPureScreenProperties:
         cell, entry = np.array([(c, k % np.prod(shape)) for c, picked in
                                 enumerate(picks[:len(noises)]) for k in sorted(picked)]).T
         pair, t, m, e = np.unravel_index(entry, shape)
-        kets = optimize._qfbc_kets(optimize._qfbc_tables(grid)["blocks"][pair, t, m, e],
-                                   optimize._pure_ket(rho.tobytes()))
+        kets = optimize._qfbc_kets(optimize._qfbc_tables(grid)["blocks"][pair, t, m, e], _ket(rho))
         got = optimize._qfbc_entry_scores(kets, rho_es[cell])
         full = [[_qfbc_scores(v, rho_e) for v in vs] for rho_e in rho_es]
         for n in range(len(cell)):
             assert kets[n].tobytes() == vs[pair[n]][t[n], m[n], e[n]].tobytes()
             assert got[n].tobytes() == full[cell[n]][pair[n]][t[n], m[n], e[n]].tobytes()
-        (u, w), fl = optimize._qffc_ket(grid, rho.tobytes()), np.stack(flips())
+        (u, w), fl = optimize._qffc_ket(grid, _ket(rho)), np.stack(flips())
         fa = fl[:, None] @ np.stack([noise.stack for noise in noises])[:, None] @ fl[:, None]
         mask = np.zeros((len(noises), n_t), dtype=bool)
         mask.flat[[k % mask.size for k in picks[0]]] = True

@@ -115,6 +115,11 @@ class TestBloch:
         with pytest.raises(ValueError):
             bloch_to_density((1.0, 0.1, 0.0))
 
+    @pytest.mark.parametrize("bloch", ((np.nan, 0, 0), (0, 0, np.nan)))
+    def test_nan_rejected(self, bloch):
+        with pytest.raises(ValueError, match="unit ball"):
+            bloch_to_density(bloch)
+
     def test_bloch_vector_type(self):
         b = density_to_bloch(RHO_0)
         assert isinstance(b, BlochVector)
