@@ -8,7 +8,6 @@ optimization of the control parameters and deterministic comparison sweeps.
 
 from .channels import (
     KrausChannel,
-    NoiseParams,
     ad_kraus,
     ad_rate_to_r,
     ad_unravel,

@@ -122,30 +122,6 @@ def ad_rate_to_r(gamma: float, t: float) -> float:
     return 1.0 - math.exp(-2.0 * gamma * t)
 
 
-@dataclass(frozen=True)
-class NoiseParams:
-    """One noise strength under exactly one parameterization, normalized to r."""
-
-    r: float
-    source: str = "r"
-    lam: float | None = None
-    gamma: float | None = None
-    t: float | None = None
-
-    @classmethod
-    def from_r(cls, r: float) -> "NoiseParams":
-        check_prob(r, "r")
-        return cls(r=r, source="r")
-
-    @classmethod
-    def from_pd_angle(cls, lam: float) -> "NoiseParams":
-        return cls(r=pd_lambda_to_r(lam), source="lambda", lam=lam)
-
-    @classmethod
-    def from_ad_rate(cls, gamma: float, t: float) -> "NoiseParams":
-        return cls(r=ad_rate_to_r(gamma, t), source="rate", gamma=gamma, t=t)
-
-
 def make_channel(kind: str, r: float) -> KrausChannel:
     """Construct a channel by name: 'pd', 'ad' or 'identity'."""
     kind = kind.lower()

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import optimize, schemes
-from .channels import NoiseParams, apply_channel, make_channel
+from .channels import ad_rate_to_r, apply_channel, make_channel, pd_lambda_to_r
 from .optimize import GridSpec, SweepResult
 from .qmath import (
     InitialState,
@@ -44,12 +44,12 @@ _PHI_TAGS = ((0.0, "0pi"), (np.pi / 4, "0.25pi"), (np.pi / 2, "0.5pi"))
 
 
 def parse_angle(text: str) -> float:
-    """Radians, or a multiple of pi with a 'pi' suffix (e.g. 0.25pi, pi)."""
+    """Radians, or a multiple of pi with a 'pi' suffix (e.g. 0.25pi, pi, -pi)."""
     s = text.strip().lower()
     try:
         if s.endswith("pi"):
             head = s[:-2].strip()
-            return (float(head) if head else 1.0) * np.pi
+            return float(head + "1" if head in ("", "+", "-") else head) * np.pi
         return float(s)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid angle {text!r}") from None
@@ -145,10 +145,10 @@ def _resolve_r(args, kind: str) -> float:
     if args.r is not None:
         return args.r
     if getattr(args, "lam", None) is not None:
-        return NoiseParams.from_pd_angle(args.lam).r
+        return pd_lambda_to_r(args.lam)
     if getattr(args, "gamma", None) is not None:
         t = args.time if getattr(args, "time", None) is not None else 1.0
-        return NoiseParams.from_ad_rate(args.gamma, t).r
+        return ad_rate_to_r(args.gamma, t)
     return 0.0
 
 

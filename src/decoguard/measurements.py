@@ -44,9 +44,6 @@ class MeasurementPair:
 
     labels: tuple[str, str]
     ops: tuple[np.ndarray, np.ndarray]
-    axis: str
-    theta: float
-    beta: float | None = None
 
     def __post_init__(self):
         total = sum(dagger(m) @ m for m in self.ops)
@@ -64,7 +61,6 @@ class PartialMeasurement:
     build) and from one eigendecomposition otherwise, checking op^t op <= I."""
 
     op: np.ndarray
-    strength: float
     role: str
     complement: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -135,8 +131,7 @@ def povm_axis(axis: str, theta: float) -> MeasurementPair:
         raise ValueError(f"axis must be x, y or z, got {axis!r}")
     up, down = (projector(k) for k in _AXIS_KETS[axis])
     c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return MeasurementPair(labels=("+", "-"), ops=(c * up + s * down, c * down + s * up),
-                           axis=axis, theta=theta)
+    return MeasurementPair(labels=("+", "-"), ops=(c * up + s * down, c * down + s * up))
 
 
 def povm_generalized(theta: float, beta: float) -> MeasurementPair:
@@ -146,8 +141,7 @@ def povm_generalized(theta: float, beta: float) -> MeasurementPair:
     eb = np.exp(1j * beta)
     mp = np.array([[c, 0], [0, eb * s]], dtype=complex)
     mm = np.array([[eb * s, 0], [0, c]], dtype=complex)
-    return MeasurementPair(labels=("+", "-"), ops=(mp, mm),
-                           axis="generalized", theta=theta, beta=beta)
+    return MeasurementPair(labels=("+", "-"), ops=(mp, mm))
 
 
 def _partial_op(role: str, p: float) -> np.ndarray:   # wm_map's or qmr_map's operator
@@ -157,13 +151,13 @@ def _partial_op(role: str, p: float) -> np.ndarray:   # wm_map's or qmr_map's op
 def wm_map(p1: float) -> PartialMeasurement:
     """Pre-noise weak measurement diag(1, sqrt(1-p1)); null result keeps the state."""
     check_prob(p1, "p1")
-    return PartialMeasurement(op=_partial_op("wm", p1), strength=p1, role="wm")
+    return PartialMeasurement(op=_partial_op("wm", p1), role="wm")
 
 
 def qmr_map(p2: float) -> PartialMeasurement:
     """Post-noise reversal measurement diag(sqrt(1-p2), 1)."""
     check_prob(p2, "p2")
-    return PartialMeasurement(op=_partial_op("qmr", p2), strength=p2, role="qmr")
+    return PartialMeasurement(op=_partial_op("qmr", p2), role="qmr")
 
 
 @_memoized
@@ -175,8 +169,7 @@ def pre_wm_pair(p: float) -> MeasurementPair:
     check_prob(p, "p")
     m1 = np.diag([np.sqrt(p), np.sqrt(1 - p)]).astype(complex)
     m2 = np.diag([np.sqrt(1 - p), np.sqrt(p)]).astype(complex)
-    return MeasurementPair(labels=("M1", "M2"), ops=(m1, m2), axis="z",
-                           theta=2 * np.arccos(np.clip(np.sqrt(p), 0, 1)))
+    return MeasurementPair(labels=("M1", "M2"), ops=(m1, m2))
 
 
 def flips() -> tuple[np.ndarray, np.ndarray]:
@@ -193,8 +186,8 @@ def post_wm_ops(p_u: float, p_v: float) -> tuple[PartialMeasurement, PartialMeas
     """
     check_prob(p_u, "p_u")
     check_prob(p_v, "p_v")
-    return (PartialMeasurement(op=_partial_op("qmr", p_u), strength=p_u, role="post-wm-n"),
-            PartialMeasurement(op=_partial_op("wm", p_v), strength=p_v, role="post-wm-w"))
+    return (PartialMeasurement(op=_partial_op("qmr", p_u), role="post-wm-n"),
+            PartialMeasurement(op=_partial_op("wm", p_v), role="post-wm-w"))
 
 
 @dataclass(frozen=True)

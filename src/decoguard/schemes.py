@@ -271,7 +271,7 @@ def run_ent_wmqmr(rho_2q, r1: float, r2: float, p1: float,
         op = measurements._partial_op(role, p)   # lifted with no 2x2 measurement built
         for q in (1,) if side == "one" else (1, 2):
             pm = PartialMeasurement(op=qmath._kron(op, ID2) if q == 1 else qmath._kron(ID2, op),
-                                    strength=p, role=f"{role}@q{q}")
+                                    role=f"{role}@q{q}")
             rejected.append(Branch(label=f"{pm.role}/discard", state=_conj(pm.complement, s),
                                    accepted=False))
             s = _conj(pm.op, s)

@@ -332,15 +332,15 @@ def test_criterion_5d_phi0_alpha_trend(fig6_run):
     _report("5d phi=0 alpha ordering", ok, "; ".join(details))
 
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+REF_FULL = Path(__file__).resolve().parents[1] / "perfbench" / "ref" / "full"
 
 
 def test_default_grid_matches_golden(fig6_run):
-    # pins the default-grid argmax columns (eta_opt, p_opt) byte for byte;
-    # the files are written by tests/test_golden.py
+    # pins the default-grid argmax columns (eta_opt, p_opt) byte for byte against
+    # the benchmark's reference tables, which perfbench/make_refs.py writes
     assert len(fig6_run["surfaces"]) == 6
     for surf in fig6_run["surfaces"].values():
-        golden = gzip.decompress((GOLDEN / f"default_{surf['name']}.gz").read_bytes())
+        golden = gzip.decompress((REF_FULL / f"{surf['name']}.gz").read_bytes())
         assert surf["raw"] == golden, surf["name"]
 
 

@@ -4,7 +4,6 @@ import pytest
 from decoguard import channels
 from decoguard.channels import (
     KrausChannel,
-    NoiseParams,
     _pauli,
     _ptm,
     ad_kraus,
@@ -79,13 +78,6 @@ class TestParameterizations:
         assert ad_rate_to_r(1.0, np.log(2) / 2) == pytest.approx(0.5, abs=1e-12)
         with pytest.raises(ValueError):
             ad_rate_to_r(-1.0, 1.0)
-
-    def test_noise_params_constructors(self):
-        assert NoiseParams.from_r(0.3).r == pytest.approx(0.3)
-        assert NoiseParams.from_pd_angle(np.pi / 2).r == pytest.approx(0.5)
-        assert NoiseParams.from_ad_rate(1.0, np.log(2) / 2).r == pytest.approx(0.5)
-        with pytest.raises(ValueError):
-            NoiseParams.from_r(1.5)
 
     def test_flip_to_kraus_equivalence(self):
         rng = np.random.default_rng(2)

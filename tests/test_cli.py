@@ -1,3 +1,6 @@
+import itertools
+import types
+
 import numpy as np
 import pytest
 
@@ -22,8 +25,20 @@ class TestParsing:
         assert parse_angle("0.25pi") == pytest.approx(np.pi / 4)
         assert parse_angle("pi") == pytest.approx(np.pi)
         assert parse_angle("1.5") == pytest.approx(1.5)
+        assert (parse_angle("-pi"), parse_angle("+pi"), parse_angle("-0.5pi")) == \
+            (-np.pi, np.pi, -0.5 * np.pi)
         with pytest.raises(Exception):
             parse_angle("quarter")
+
+    def test_bare_signed_pi_as_flag_and_config_line(self, capsys, tmp_path):
+        argv = ("scheme", "--kind", "qfbc", "--noise", "pd", "--r", "0.2", "--theta", "0.3",
+                "--eta", "0.2", "--alpha", "0.4")
+        cfg = tmp_path / "beta.cfg"
+        cfg.write_text("beta = -pi\n")
+        runs = [run_cli(capsys, *argv, extra) for extra in ("--beta=-1pi", "--beta=-pi")]
+        runs.append(run_cli(capsys, *argv, "--config", str(cfg)))
+        assert runs[0][0] == 0 and runs[0][1]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
     def test_signs(self):
         assert parse_signs("+-") == (1, -1)
@@ -293,9 +308,13 @@ class TestSweepCommand:
 class TestPoolDecision:
     TINY_FLAGS = ("--angle-count", "4", "--alpha-count", "2", "--r-count", "3")
 
-    def test_tiny_runs_start_no_pool(self, capsys, tmp_path, pools):
+    def test_tiny_runs_start_no_pool(self, capsys, tmp_path, monkeypatch, pools):
         # at the real threshold a tiny run's rows left are too little work to
-        # repay a pool, so --workers 2 runs serially and writes the same bytes
+        # repay a pool, so --workers 2 runs serially and writes the same bytes;
+        # the clock moves by a warm tiny row's 1.2 ms between any two readings,
+        # so the decision does not depend on the host's pace
+        clock = itertools.count(0.0, 0.0012)
+        monkeypatch.setattr(optimize, "time", types.SimpleNamespace(perf_counter=clock.__next__))
         for workers in ("2", "1"):
             outdir = tmp_path / workers
             code, _, _ = run_cli(capsys, "fig6", *self.TINY_FLAGS, "--workers", workers,

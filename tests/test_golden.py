@@ -2,11 +2,11 @@
 
 These pin what no other test does: the packed `params` column, the argmax
 and tie-break of every optimizable scheme (the fig6 `eta_opt` and `p_opt`
-columns included), and the exact float text. The gzip-compressed
-default-grid fig6 CSVs (default_fig6_*.csv.gz) are compared with the
-default-grid run that tests/test_acceptance.py makes anyway, and the
-benchmark's full-size post-selected sweeps with its reference tables in
-perfbench/ref/full, which this module only reads. The files in
+columns included), and the exact float text. Outputs that the benchmark's
+reference tables in perfbench/ref already hold (the tiny fig6 CSVs and the
+post-selected tiny sweeps in REF_TABLES, the full-size post-selected sweeps
+here and the default-grid fig6 CSVs in tests/test_acceptance.py) are compared
+with those tables, which only perfbench/make_refs.py writes. The files in
 tests/golden/ are written by running this module as a script, all of them or
 only the ones named:
 
@@ -33,7 +33,7 @@ from decoguard import GridSpec, bloch_to_density, make_channel, optimize_scheme,
 from decoguard.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-PERFBENCH_FULL = Path(__file__).resolve().parents[1] / "perfbench" / "ref" / "full"
+PERFBENCH_REF = Path(__file__).resolve().parents[1] / "perfbench" / "ref"
 
 SWEEP_FLAGS = ("--phi", "0.25pi", "--angle-count", "4", "--alpha-count", "2",
                "--r-count", "3", "--workers", "1")
@@ -43,7 +43,10 @@ SWEEP_CASES = tuple((s, n) for s in ("qfbc", "qffc_rot", "wmppf") for n in ("ad"
 
 FIG6_FLAGS = ("--angle-count", "4", "--alpha-count", "3", "--r-count", "3", "--workers", "1")
 FIG6_NAMES = tuple(f"fig6_{n}_phi{t}.csv" for n in ("ad", "pd") for t in ("0pi", "0.25pi", "0.5pi"))
-FIG6_DEFAULT_GOLDENS = {f"default_{name}.gz": name for name in FIG6_NAMES}
+# outputs of the tiny benchmark commands, by output name -> reference table
+REF_TABLES = {**{name: PERFBENCH_REF / "tiny" / f"{name}.gz" for name in FIG6_NAMES},
+              **{f"sweep_{s}_ad.csv": PERFBENCH_REF / "tiny" / f"sweep_{s}.csv.gz"
+                 for s in ("wmqmr", "qffc_ps", "composite")}}
 
 SCHEME_CASES = {
     "wmqmr_state": ("--kind", "wmqmr", "--r", "0.5", "--p1", "0.8", "--state", "+x"),
@@ -113,17 +116,12 @@ def _text(value) -> str:
     return str(value)
 
 
-def _fig6_bytes(*flags) -> dict[str, bytes]:
-    """Every fig6 CSV of one run with the given flags, by file name."""
-    with tempfile.TemporaryDirectory() as outdir:
-        _cli_stdout(("fig6", "--outdir", outdir, *flags))
-        return {name: (Path(outdir) / name).read_bytes() for name in FIG6_NAMES}
-
-
 @functools.cache
 def _fig6_texts() -> dict[str, str]:
     """Every fig6 CSV of one TINY-grid run, by file name."""
-    return {name: text.decode("utf-8") for name, text in _fig6_bytes(*FIG6_FLAGS).items()}
+    with tempfile.TemporaryDirectory() as outdir:
+        _cli_stdout(("fig6", "--outdir", outdir, *FIG6_FLAGS))
+        return {name: (Path(outdir) / name).read_bytes().decode("utf-8") for name in FIG6_NAMES}
 
 
 def _optimize_text(kind: str, noise_kind: str) -> str:
@@ -176,7 +174,8 @@ OUTPUTS = _outputs()
 
 @pytest.mark.parametrize("name", sorted(OUTPUTS))
 def test_matches_golden(name):
-    expected = (GOLDEN / name).read_bytes()
+    ref = REF_TABLES.get(name)
+    expected = gzip.decompress(ref.read_bytes()) if ref else (GOLDEN / name).read_bytes()
     assert OUTPUTS[name]().encode("utf-8") == expected
 
 
@@ -187,29 +186,28 @@ def test_full_sweep_matches_perfbench_ref(scheme, tmp_path):
     assert main(["sweep", "--scheme", scheme, "--noise", "ad", "--phi", "0.25pi",
                  "--angle-count", "7", "--alpha-count", "6", "--r-count", "8",
                  "--workers", "1", "--out", str(out)]) == 0
-    assert out.read_bytes() == gzip.decompress((PERFBENCH_FULL / f"{out.name}.gz").read_bytes())
+    full = gzip.decompress((PERFBENCH_REF / "full" / f"{out.name}.gz").read_bytes())
+    assert out.read_bytes() == full
 
 
 def test_no_stray_golden_files():
-    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted([*OUTPUTS, *FIG6_DEFAULT_GOLDENS])
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(OUTPUTS.keys() - REF_TABLES.keys())
 
 
 def _write_goldens(names):
-    """Rewrite the named files of tests/golden/; the default-grid fig6 run is
-    made only when one of its archives is named."""
-    unknown = sorted(set(names) - set(OUTPUTS) - set(FIG6_DEFAULT_GOLDENS))
+    """Rewrite the named files of tests/golden/."""
+    refs = sorted(set(names) & {*REF_TABLES, *(f"default_{n}.gz" for n in FIG6_NAMES)})
+    if refs:
+        raise SystemExit(f"{', '.join(refs)}: compared with the benchmark's reference "
+                         "tables in perfbench/ref, which perfbench/make_refs.py writes")
+    unknown = sorted(set(names) - set(OUTPUTS))
     if unknown:
         raise SystemExit(f"unknown golden files: {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    default_csvs = _fig6_bytes() if set(names) & set(FIG6_DEFAULT_GOLDENS) else {}
     for name in names:
-        if name in FIG6_DEFAULT_GOLDENS:
-            data = gzip.compress(default_csvs[FIG6_DEFAULT_GOLDENS[name]], mtime=0)
-        else:
-            data = OUTPUTS[name]().encode("utf-8")
-        (GOLDEN / name).write_bytes(data)
+        (GOLDEN / name).write_bytes(OUTPUTS[name]().encode("utf-8"))
         print(f"wrote {GOLDEN / name}", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    _write_goldens(sys.argv[1:] or [*OUTPUTS, *FIG6_DEFAULT_GOLDENS])
+    _write_goldens(sys.argv[1:] or sorted(OUTPUTS.keys() - REF_TABLES.keys()))

@@ -123,8 +123,7 @@ class TestPartialMeasurementBoundaries:
     @pytest.mark.parametrize("dim", [2, 4])
     def test_scaled_identity_rejected(self, dim):
         with pytest.raises(ValueError, match="exceeds identity"):
-            PartialMeasurement(op=(1 + 1e-9) * np.eye(dim, dtype=complex),
-                               strength=0.0, role="test")
+            PartialMeasurement(op=(1 + 1e-9) * np.eye(dim, dtype=complex), role="test")
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_non_diagonal_norm_above_one_rejected(self, dim):
@@ -133,7 +132,7 @@ class TestPartialMeasurementBoundaries:
             a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             op = a * ((1 + 1e-9) / np.linalg.norm(a, 2))
             with pytest.raises(ValueError, match="exceeds identity"):
-                PartialMeasurement(op=op, strength=1.0, role="test")
+                PartialMeasurement(op=op, role="test")
 
     @pytest.mark.parametrize("op, match", [
         (np.diag([1.0, 0.5, 0.2]), "dimension 2 or 4"),
@@ -142,7 +141,7 @@ class TestPartialMeasurementBoundaries:
     def test_malformed_diagonal_rejected(self, op, match):
         # the closed-form complement keeps the eigensolve path's input checks
         with pytest.raises(ValueError, match=match):
-            PartialMeasurement(op=op.astype(complex), strength=0.0, role="test")
+            PartialMeasurement(op=op.astype(complex), role="test")
 
     @pytest.mark.parametrize("op, match", [
         ([[1, 0, 0], [0, 1, 0]], "op must be square"),
@@ -150,19 +149,19 @@ class TestPartialMeasurementBoundaries:
     ])
     def test_op_checked_like_any_matrix_input(self, op, match):
         with pytest.raises(ValueError, match=match):
-            PartialMeasurement(op=op, strength=0.0, role="test")
+            PartialMeasurement(op=op, role="test")
 
     def test_list_op_is_coerced(self):
-        pm = PartialMeasurement(op=[[1, 0], [0, 0.5]], strength=0.75, role="test")
+        pm = PartialMeasurement(op=[[1, 0], [0, 0.5]], role="test")
         assert pm.op.tobytes() == np.diag([1, 0.5]).astype(complex).tobytes()
         assert pm.complement.tobytes() == np.diag([0, np.sqrt(0.75)]).astype(complex).tobytes()
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_identity_and_projector_accepted(self, dim):
         rng = np.random.default_rng(70 + dim)
-        PartialMeasurement(op=np.eye(dim, dtype=complex), strength=0.0, role="test")
+        PartialMeasurement(op=np.eye(dim, dtype=complex), role="test")
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        PartialMeasurement(op=projector(v / np.linalg.norm(v)), strength=1.0, role="test")
+        PartialMeasurement(op=projector(v / np.linalg.norm(v)), role="test")
 
 
 def _eigensolved_complement(op):
@@ -188,7 +187,7 @@ class TestClosedFormComplement:
     def test_diagonal_equals_eigensolve_bitwise(self, p0, p1, phase):
         op = np.diag([np.sqrt(1 - p0), np.exp(1j * phase) * np.sqrt(1 - p1)])
         for lifted in _lifts(op):
-            pm = PartialMeasurement(op=lifted, strength=p0, role="test")
+            pm = PartialMeasurement(op=lifted, role="test")
             assert pm.complement.tobytes() == _eigensolved_complement(lifted).tobytes()
 
     def test_scheme_operators_skip_the_eigensolve(self, monkeypatch):
@@ -197,7 +196,7 @@ class TestClosedFormComplement:
                             _logging(solves, measurements.eig_hermitian))
         for pm in (wm_map(0.4), qmr_map(0.7), *post_wm_ops(0.2, 0.9)):
             for op in _lifts(pm.op):
-                PartialMeasurement(op=op, strength=pm.strength, role=pm.role)
+                PartialMeasurement(op=op, role=pm.role)
         assert solves == []
 
     @pytest.mark.parametrize("dim", [2, 4])
@@ -208,7 +207,7 @@ class TestClosedFormComplement:
         solves = []
         monkeypatch.setattr(measurements, "eig_hermitian",
                             _logging(solves, measurements.eig_hermitian))
-        pm = PartialMeasurement(op=op, strength=0.8, role="test")
+        pm = PartialMeasurement(op=op, role="test")
         assert len(solves) == 1
         assert pm.complement.tobytes() == _eigensolved_complement(op).tobytes()
 
@@ -219,7 +218,7 @@ class TestClosedFormComplement:
                                  - lifted.conj().T @ lifted)
             message = f"partial measurement operator exceeds identity: {1 - w[-1]}"
             with pytest.raises(ValueError) as err:
-                PartialMeasurement(op=lifted, strength=0.0, role="test")
+                PartialMeasurement(op=lifted, role="test")
             assert str(err.value) == message
 
 
@@ -342,13 +341,13 @@ class TestMeasureAndBranches:
 
     def test_incomplete_pair_rejected(self):
         with pytest.raises(ValueError):
-            MeasurementPair(labels=("a", "b"), ops=(RHO_0, RHO_0), axis="z", theta=0.0)
+            MeasurementPair(labels=("a", "b"), ops=(RHO_0, RHO_0))
 
     def test_nan_pair_rejected(self):
         # a NaN completeness error compares False against the tolerance either way
         nan = np.array([[np.nan, 0], [0, 1]], dtype=complex)
         with pytest.raises(ValueError, match="completeness"):
-            MeasurementPair(labels=("a", "b"), ops=(nan, RHO_1), axis="z", theta=0.0)
+            MeasurementPair(labels=("a", "b"), ops=(nan, RHO_1))
 
 
 class TestPartialMeasure:
@@ -386,7 +385,7 @@ class TestPartialMeasure:
         for scale in (1.0, 0.9, 0.6, 0.3):
             a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             op = a * (scale / np.linalg.norm(a, 2))
-            pm = PartialMeasurement(op=op, strength=scale, role="test")
+            pm = PartialMeasurement(op=op, role="test")
             # Tr(op E_ij op^t) + Tr(comp E_ij comp^t) = (op^t op + comp^t comp)[j, i]
             total = np.zeros((dim, dim), dtype=complex)
             for i in range(dim):
@@ -415,7 +414,7 @@ class TestPartialMeasure:
             w, v = eig_hermitian(np.eye(dim, dtype=complex) - op.conj().T @ op)
             comp = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
             lost = comp @ rho @ comp.conj().T
-            ens = partial_measure(rho, PartialMeasurement(op=op, strength=scale, role="test"))
+            ens = partial_measure(rho, PartialMeasurement(op=op, role="test"))
             assert ens.branches[1].state.tobytes() == lost.tobytes()
 
 
@@ -477,7 +476,7 @@ class TestMemoizedFactories:
 
     def test_directly_built_objects_stay_writeable(self):
         op = np.diag([1, 0.5]).astype(complex)
-        for obj in (Rotation("y", 0.3), PartialMeasurement(op=op, strength=0.75, role="t"),
+        for obj in (Rotation("y", 0.3), PartialMeasurement(op=op, role="t"),
                     rotation("y", 0.3), wm_map(0.3), qmr_map(0.3)):   # uncached factories
             assert all(a.flags.writeable for a in _arrays(obj))
 

@@ -306,18 +306,12 @@ class TestSweeps:
                           "theta_opt,eta_opt,meas_axis,rot_axis,p_opt")
         assert text.endswith("\n") and "\r" not in text
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
-    @given(st.lists(st.lists(st.one_of(
-        st.floats(), st.floats().map(np.float64), st.integers(), st.booleans(), st.none(),
-        st.text(), st.tuples(st.floats(), st.text()), st.lists(st.floats(), max_size=3)),
-        max_size=6), max_size=6))
-    def test_csv_rows_render_as_fmt(self, rows):
-        # every value renders as _fmt renders it
-        kinds = [-0.0, np.nan, np.inf, -np.inf, np.float64(1 / 3), 7, True, None, "a%s"]
-        rows = rows + [kinds + [(0.5, -0.0)], kinds] * 2
-        table = optimize.SweepResult(columns=("c",), rows=tuple(map(tuple, rows)))
-        assert table.to_csv() == "".join(
-            ",".join(optimize._fmt(v) for v in row) + "\n" for row in [["c"], *rows])
+    def test_csv_rows_render_as_fmt(self):
+        # signed zero, nan, inf, a numpy float, bool, None, a packed tuple and text
+        table = optimize.SweepResult(("a", "b", "c"), ((-0.0, np.nan, np.inf),
+                                                       (np.float64(0.1), True, None),
+                                                       ((1.0, -2), 1e-13, "x")))
+        assert table.to_csv() == "a,b,c\n-0,nan,inf\n0.1,True,None\n1|-2,1e-13,x\n"
 
     def test_sweep_optimal_rows(self):
         table = sweep_optimal("wmppf", 0.0, "ad", TINY, workers=1)
