@@ -25,7 +25,6 @@ from .measurements import (
     BranchEnsemble,
     MeasurementPair,
     PartialMeasurement,
-    Rotation,
     flips,
     measure,
     partial_measure,
@@ -63,7 +62,6 @@ from .qmath import (
 )
 from .schemes import (
     SchemeResult,
-    SchemeSpec,
     matched_post_wm_strength,
     matched_qmr_strength,
     pair_average_fidelity,

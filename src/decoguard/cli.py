@@ -232,8 +232,7 @@ def cmd_scheme(args) -> int:
             params["r"] = r
         rho_in = _input_state(args)
     noise = make_channel(noise_kind, r)
-    result = schemes.run_scheme(rho_in, schemes.SchemeSpec(kind=kind, noise=noise,
-                                                           params=params))
+    result = schemes.run_scheme(rho_in, kind, noise, **params)
     if not 0.0 <= result.success_prob <= 1.0:
         raise ValueError(f"success probability {result.success_prob} outside [0, 1]")
     packed = ";".join(f"{k}={optimize._fmt(v)}" for k, v in sorted(params.items()))

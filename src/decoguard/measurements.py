@@ -76,26 +76,15 @@ class PartialMeasurement:
                            if diagonal else (v * root) @ dagger(v))
 
 
-@dataclass(frozen=True)
-class Rotation:
-    """Axis rotation R_axis(sign * eta), eta in [0, pi/2]."""
-
-    axis: str
-    eta: float
-    sign: int = +1
-    matrix: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.axis not in ("x", "y", "z"):
-            raise ValueError(f"rotation axis must be x, y or z, got {self.axis!r}")
-        if not 0.0 <= self.eta <= np.pi / 2 + 1e-15:
-            raise ValueError(f"eta must be in [0, pi/2], got {self.eta}")
-        if self.sign not in (+1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        object.__setattr__(self, "matrix", _rotation_matrix(self.axis, self.sign * self.eta))
-
-
-def _rotation_matrix(axis: str, angle: float) -> np.ndarray:
+def rotation(axis: str, eta: float, sign: int = +1) -> np.ndarray:
+    """Unitary R_axis(sign * eta) about a Bloch axis, eta in [0, pi/2]."""
+    if axis not in ("x", "y", "z"):
+        raise ValueError(f"rotation axis must be x, y or z, got {axis!r}")
+    if not 0.0 <= eta <= np.pi / 2 + 1e-15:
+        raise ValueError(f"eta must be in [0, pi/2], got {eta}")
+    if sign not in (+1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    angle = sign * eta
     c, s = np.cos(angle / 2), np.sin(angle / 2)
     if axis == "x":
         # unitary exp(-i angle X / 2); the variant with opposite-sign lower
@@ -105,11 +94,6 @@ def _rotation_matrix(axis: str, angle: float) -> np.ndarray:
         return np.array([[c, -s], [s, c]], dtype=complex)
     return np.array([[np.exp(1j * angle / 2), 0], [0, np.exp(-1j * angle / 2)]],
                     dtype=complex)
-
-
-def rotation(axis: str, eta: float, sign: int = +1) -> Rotation:
-    """Unitary rotation about a Bloch axis with strength eta in [0, pi/2]."""
-    return Rotation(axis=axis, eta=eta, sign=sign)
 
 
 def _check_theta(theta: float):

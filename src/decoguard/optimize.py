@@ -72,9 +72,9 @@ from .qmath import (
     purity,
     state_from_angles,
 )
+from .schemes import AD_ONLY_KINDS, matched_post_wm_strength, run_scheme
 # run_qfbc is unused here but stays importable from this module for existing callers
-from .schemes import (AD_ONLY_KINDS, SchemeSpec, matched_post_wm_strength, run_qfbc,  # noqa: F401
-                      run_scheme)
+from .schemes import run_qfbc  # noqa: F401
 
 # the measurement and rotation axes of the qfbc searches
 AXES = ("x", "y", "z")
@@ -169,7 +169,7 @@ def _qfbc_tables(grid: GridSpec) -> dict:
     (3, pair, t, m, 4), of the Pauli 4-vectors of K^dagger rho K / 2."""
     se = _signed_etas(grid.eta)
     meas = [np.stack([np.stack(povm_axis(ma, t).ops) for t in grid.theta]) for ma in AXES]
-    rots = [np.stack([rotation(ra, abs(e), +1 if e >= 0 else -1).matrix for e in se])
+    rots = [np.stack([rotation(ra, abs(e), +1 if e >= 0 else -1) for e in se])
             for ra in AXES]
     blocks = np.empty((len(meas) * len(rots), *meas[0].shape[:2], len(se), 2, 2), dtype=complex)
     for i, (m, r) in enumerate(itertools.product(meas, rots)):
@@ -194,7 +194,7 @@ def _qffc_tables(grid: GridSpec) -> dict:
     m: the (M_1(p), M_2(p)) stacks of pre_wm_pair in theta order; r: R_y(sign eta) per sign.
     """
     return {"m": _stacks(pre_wm_pair(p).ops for p in grid.strengths),
-            "r": {sign: np.stack([rotation("y", e, sign).matrix for e in grid.eta])
+            "r": {sign: np.stack([rotation("y", e, sign) for e in grid.eta])
                   for sign in (+1, -1)}}
 
 
@@ -500,7 +500,7 @@ def _optimize_by_loop(rho_in, kind: str, noise: KrausChannel | None, candidates)
     _search_space order, so the winner is that of the exhaustive loop."""
     best = None
     for params in candidates:
-        res = run_scheme(rho_in, SchemeSpec(kind=kind, noise=noise, params=params))
+        res = run_scheme(rho_in, kind, noise, **params)
         if best is None or res.fidelity > best.f_opt:
             best = OptResult(f_opt=res.fidelity, params=params, success_prob=res.success_prob)
     return best

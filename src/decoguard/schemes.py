@@ -13,8 +13,6 @@ from __future__ import annotations
 import functools
 import inspect
 from dataclasses import dataclass, replace
-from types import MappingProxyType
-from typing import Any, Mapping
 
 import numpy as np
 
@@ -52,22 +50,6 @@ class SchemeResult:
     concurrence: float | None = None
 
 
-@dataclass(frozen=True)
-class SchemeSpec:
-    """A scheme kind plus its noise channel and named parameters.
-
-    params holds keyword arguments of the kind's run_* function; it is stored
-    as a read-only copy of the mapping given.
-    """
-
-    kind: str
-    noise: KrausChannel | None
-    params: Mapping[str, Any]
-
-    def __post_init__(self):
-        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
-
-
 def _conj(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return op @ rho @ dagger(op)
 
@@ -79,6 +61,11 @@ def _qubit_input(rho_in, noise: KrausChannel | None = None) -> np.ndarray:
     if dims != (2, 2):
         raise ValueError(f"dimension mismatch: a qubit scheme got (state, channel) dims {dims}")
     return rho_in
+
+
+def _check_pair(values, name: str):
+    if len(values) != 2:
+        raise ValueError(f"{name} must hold one entry per outcome (2), got {values!r}")
 
 
 def _deterministic(rho_in, branches: list[Branch], what: str) -> SchemeResult:
@@ -167,6 +154,9 @@ def run_qfbc(rho_in, noise: KrausChannel, theta: float, eta: float | None = None
         if sign_binding not in (+1, -1):
             raise ValueError(f"sign_binding must be +1 or -1, got {sign_binding}")
         etas = (sign_binding * eta, -sign_binding * eta)
+    elif eta is not None:
+        raise ValueError("provide eta or etas, not both")
+    _check_pair(etas, "etas")
 
     rho_e = channels._apply_kraus(rho_in, noise.stack)
     pair = povm_generalized(theta, beta) if beta is not None \
@@ -174,7 +164,7 @@ def run_qfbc(rho_in, noise: KrausChannel, theta: float, eta: float | None = None
     rotated = []
     for label, m, angle in zip(pair.labels, pair.ops, etas):
         rot = rotation(rot_axis, abs(angle), +1 if angle >= 0 else -1)
-        rotated.append(Branch(label=f"{label}/rot", state=_conj(rot.matrix, _conj(m, rho_e))))
+        rotated.append(Branch(label=f"{label}/rot", state=_conj(rot, _conj(m, rho_e))))
     return _deterministic(rho_in, rotated, "feedback")
 
 
@@ -201,7 +191,7 @@ def _qffc_ps_branches(rho_in: np.ndarray, r: float, p: float, p_u: float | None,
                                    post_wm_ops(p_u, p_v), rotations, strict=True):
         label, kept = f"{label}/{pm.role}", _conj(pm.op, s)
         branches.append(Branch(label=f"{label}/accept", state=kept) if rot is None else
-                        Branch(label=f"{label}/accept/rot", state=_conj(rot.matrix, kept)))
+                        Branch(label=f"{label}/accept/rot", state=_conj(rot, kept)))
         branches.append(Branch(label=f"{label}/discard", state=_conj(pm.complement, s),
                                accepted=False))
     return branches
@@ -227,10 +217,9 @@ def run_qffc_rot(rho_in, noise: KrausChannel, p: float, eta: float,
     keyed to its pre-measurement outcome.
     """
     rho_in = _qubit_input(rho_in, noise)
-    branches = []
-    for (label, s), sign in zip(_flip_sandwich(rho_in, noise, p), signs):
-        rot = rotation("y", eta, sign)
-        branches.append(Branch(label=f"{label}/rot", state=_conj(rot.matrix, s)))
+    _check_pair(signs, "signs")
+    branches = [Branch(label=f"{label}/rot", state=_conj(rotation("y", eta, sign), s))
+                for (label, s), sign in zip(_flip_sandwich(rho_in, noise, p), signs)]
     return _deterministic(rho_in, branches, "feed-forward")
 
 
@@ -244,6 +233,7 @@ def run_composite(rho_in, r: float, p: float, eta: float,
                   signs: tuple[int, int] = (+1, -1)) -> SchemeResult:
     """Feed-forward control with an added feedback rotation per accepted branch."""
     rho_in = _qubit_input(rho_in)
+    _check_pair(signs, "signs")
     rotations = [rotation("y", eta, sign) for sign in signs]
     return _postselected(rho_in, _qffc_ps_branches(rho_in, r, p, p_u, p_v, rotations))
 
@@ -304,43 +294,40 @@ AD_ONLY_KINDS = tuple(kind for kind in SCHEME_KINDS
                       if "noise" not in _keywords(globals()[f"run_{kind}"])[0])
 
 
-def run_scheme(rho_in, spec: SchemeSpec) -> SchemeResult:
-    """Dispatch a SchemeSpec to its run_* pipeline.
+def run_scheme(rho_in, kind: str, noise: KrausChannel | None = None, **params) -> SchemeResult:
+    """Run the scheme named kind: its run_* pipeline with params as keyword arguments.
 
-    spec.params are passed as the run_* keyword arguments of the same name;
-    keys the runner does not take are ignored. spec.noise goes to runners
-    with a noise argument, which need one; the others (AD_ONLY_KINDS) fix
-    their own amplitude damping and reject any other channel, or one whose r
-    differs from params["r"].
+    Keys the runner does not take are ignored. noise goes to runners with a
+    noise argument, which need one; the others (AD_ONLY_KINDS) fix their own
+    amplitude damping and reject any other channel, or one whose r differs
+    from params["r"].
     """
-    kind = spec.kind.lower()
-    if kind not in SCHEME_KINDS:
-        raise ValueError(f"unknown scheme kind {spec.kind!r}; expected one of {SCHEME_KINDS}")
+    if kind.lower() not in SCHEME_KINDS:
+        raise ValueError(f"unknown scheme kind {kind!r}; expected one of {SCHEME_KINDS}")
+    kind = kind.lower()
     # looked up at call time, so a rebound run_* (a tracing wrapper) is seen
     runner = globals()[f"run_{kind}"]
     names, required = _keywords(runner)
-    kwargs = {k: v for k, v in spec.params.items() if k in names}
+    kwargs = {k: v for k, v in params.items() if k in names}
     if kind not in AD_ONLY_KINDS:
-        if spec.noise is None:
+        if noise is None:
             raise ValueError(f"{kind} needs a noise channel")
-        kwargs["noise"] = spec.noise
-    elif spec.noise is not None:
-        if spec.noise.kind != "ad":
-            raise ValueError(f"{kind} needs an amplitude-damping channel, "
-                             f"got {spec.noise.kind!r}")
-        if "r" in kwargs and kwargs["r"] != spec.noise.r:
+        kwargs["noise"] = noise
+    elif noise is not None:
+        if noise.kind != "ad":
+            raise ValueError(f"{kind} needs an amplitude-damping channel, got {noise.kind!r}")
+        if "r" in kwargs and kwargs["r"] != noise.r:
             raise ValueError(f"{kind}: params r = {kwargs['r']} differs from the "
-                             f"channel's r = {spec.noise.r}")
+                             f"channel's r = {noise.r}")
     for name in required:
         if name not in kwargs:
             raise ValueError(f"missing required parameter {name!r}")
     return runner(rho_in, **kwargs)
 
 
-def pair_average_fidelity(spec: SchemeSpec, alpha: float, phi: float) -> float:
-    """Equal-prior average fidelity over the nonorthogonal pair |psi+->, |psi-->."""
-    fids = []
-    for sign in (+1, -1):
-        rho = state_from_angles(InitialState(alpha=alpha, phi=phi, pair_sign=sign))
-        fids.append(run_scheme(rho, spec).fidelity)
-    return 0.5 * (fids[0] + fids[1])
+def pair_average_fidelity(alpha: float, phi: float, kind: str,
+                          noise: KrausChannel | None = None, **params) -> float:
+    """Equal-prior average fidelity over the nonorthogonal pair |psi+->, |psi-->
+    of run_scheme(rho, kind, noise, **params)."""
+    rhos = (state_from_angles(InitialState(alpha=alpha, phi=phi, pair_sign=s)) for s in (+1, -1))
+    return 0.5 * sum(run_scheme(rho, kind, noise, **params).fidelity for rho in rhos)

@@ -97,7 +97,7 @@ def test_criterion_2_operator_completeness():
         ok &= np.abs(total - eye).max() < 1e-12
         for axis in ("x", "y", "z"):
             for sign in (+1, -1):
-                m = rotation(axis, theta, sign).matrix
+                m = rotation(axis, theta, sign)
                 ok &= np.abs(m.conj().T @ m - eye).max() < 1e-12
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 1.0

@@ -12,7 +12,6 @@ from decoguard.measurements import (
     BranchEnsemble,
     MeasurementPair,
     PartialMeasurement,
-    Rotation,
     flips,
     measure,
     partial_measure,
@@ -286,23 +285,23 @@ class TestPostWmOps:
 class TestRotations:
     def test_zero_angle_identity(self):
         for axis in "xyz":
-            assert np.abs(rotation(axis, 0.0).matrix - np.eye(2)).max() < 1e-15
+            assert np.abs(rotation(axis, 0.0) - np.eye(2)).max() < 1e-15
 
     def test_unitarity_full_grid(self):
         for axis in "xyz":
             for eta in THETA_GRID:
                 for sign in (+1, -1):
-                    m = rotation(axis, eta, sign).matrix
+                    m = rotation(axis, eta, sign)
                     assert np.abs(m.conj().T @ m - np.eye(2)).max() < 1e-12
 
     def test_ry_half_pi_maps_ground_to_plus(self):
-        out = rotation("y", np.pi / 2, +1).matrix @ KET_0
+        out = rotation("y", np.pi / 2, +1) @ KET_0
         assert np.abs(out - KET_PLUS).max() < 1e-12
 
     def test_rz_preserves_z_component(self):
         rho = state_from_angles(InitialState(alpha=0.7, phi=0.9))
         for sign in (+1, -1):
-            m = rotation("z", 0.8, sign).matrix
+            m = rotation("z", 0.8, sign)
             out = m @ rho @ m.conj().T
             assert density_to_bloch(out).z == pytest.approx(density_to_bloch(rho).z,
                                                             abs=1e-12)
@@ -312,6 +311,13 @@ class TestRotations:
             rotation("y", 2.0)
         with pytest.raises(ValueError):
             rotation("q", 0.3)
+        with pytest.raises(ValueError, match="sign"):
+            rotation("y", 0.3, 0)
+
+    def test_returns_a_new_complex_array(self):
+        m = rotation("x", 0.3, -1)
+        assert (m.shape, m.dtype, m.flags.writeable) == ((2, 2), complex, True)
+        assert m is not rotation("x", 0.3, -1)
 
 
 class TestMeasureAndBranches:
@@ -476,7 +482,7 @@ class TestMemoizedFactories:
 
     def test_directly_built_objects_stay_writeable(self):
         op = np.diag([1, 0.5]).astype(complex)
-        for obj in (Rotation("y", 0.3), PartialMeasurement(op=op, role="t"),
+        for obj in (PartialMeasurement(op=op, role="t"),
                     rotation("y", 0.3), wm_map(0.3), qmr_map(0.3)):   # uncached factories
             assert all(a.flags.writeable for a in _arrays(obj))
 

@@ -41,7 +41,7 @@ from decoguard.qmath import (
     projector,
     state_from_angles,
 )
-from decoguard.schemes import AD_ONLY_KINDS, SchemeSpec, run_qfbc, run_qffc_rot, run_scheme
+from decoguard.schemes import AD_ONLY_KINDS, run_qfbc, run_qffc_rot, run_scheme
 from test_golden import MIXED_BLOCH
 
 SMALL = GridSpec.default(angle_count=7, alpha_count=4, r_count=4)
@@ -518,7 +518,7 @@ class TestGridAndKetTables:
         se = optimize._signed_etas(grid.eta)
         meas = [np.stack([np.stack(povm_axis(ma, t).ops) for t in grid.theta])
                 for ma in optimize.AXES]
-        rots = [np.stack([rotation(ra, abs(e), +1 if e >= 0 else -1).matrix for e in se])
+        rots = [np.stack([rotation(ra, abs(e), +1 if e >= 0 else -1) for e in se])
                 for ra in optimize.AXES]
         stacked = np.stack([np.einsum("eij,tmjk->tmeik", r, m) for m in meas for r in rots]).conj()
         blocks = optimize._qfbc_tables(grid)["blocks"]
@@ -623,7 +623,7 @@ class TestScreenKernelAccuracy:
         fid, success = optimize._loop_scores(rho, kind, noise, grid)
         for pick in picks:
             i = pick % len(candidates)
-            res = run_scheme(rho, SchemeSpec(kind=kind, noise=noise, params=candidates[i]))
+            res = run_scheme(rho, kind, noise, **candidates[i])
             assert abs(fid[i] - res.fidelity) <= optimize.SCREEN_ATOL / 100
             assert abs(success[i] - res.success_prob) <= 1e-12
 

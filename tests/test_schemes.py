@@ -9,7 +9,6 @@ from decoguard.measurements import Branch, PartialMeasurement, qmr_map, wm_map
 from decoguard.qmath import ID2, InitialState, bloch_to_density, projector, state_from_angles
 from decoguard.schemes import (
     AD_ONLY_KINDS,
-    SchemeSpec,
     matched_post_wm_strength,
     matched_qmr_strength,
     pair_average_fidelity,
@@ -118,6 +117,15 @@ class TestQfbc:
         with pytest.raises(ValueError):
             run_qfbc(RHO_0, ad_kraus(0.1), theta=0.4)
 
+    def test_etas_need_one_angle_per_outcome(self):
+        for etas in ((0.2,), (0.2, -0.1, 0.5)):
+            with pytest.raises(ValueError, match="etas"):
+                run_qfbc(RHO_0, ad_kraus(0.1), theta=0.4, etas=etas)
+
+    def test_eta_with_etas_rejected(self):
+        with pytest.raises(ValueError, match="not both"):
+            run_qfbc(RHO_0, ad_kraus(0.1), theta=0.4, eta=0.3, etas=(0.2, -0.1))
+
 
 class TestQffcPs:
     def test_no_measurement_no_noise(self):
@@ -172,6 +180,11 @@ class TestQffcRot:
                            pd_kraus(0.5), p=0.8, eta=0.3)
         assert 0.0 < res.fidelity <= 1.0
 
+    def test_signs_need_one_entry_per_branch(self):
+        for signs in ((1,), (1, -1, 1)):
+            with pytest.raises(ValueError, match="signs"):
+                run_qffc_rot(RHO_0, ad_kraus(0.3), p=0.7, eta=0.2, signs=signs)
+
 
 class TestWmppf:
     def test_equals_rotationless_feedforward(self):
@@ -222,7 +235,7 @@ class TestComposite:
 
     def test_signs_need_one_entry_per_branch(self):
         for signs in ((1,), (1, -1, 1)):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="signs"):
                 run_composite(RHO_0, r=0.3, p=0.7, eta=0.2, signs=signs)
 
 
@@ -375,57 +388,38 @@ class TestDispatcherAndPairs:
 
     def test_dispatcher_matches_direct_call(self):
         rho = state_from_angles(InitialState(alpha=0.35, phi=0.15))
-        spec = SchemeSpec(kind="qffc_rot", noise=ad_kraus(0.3),
-                          params={"p": 0.7, "eta": 0.2})
-        assert run_scheme(rho, spec).fidelity == pytest.approx(
+        assert run_scheme(rho, "qffc_rot", ad_kraus(0.3), p=0.7, eta=0.2).fidelity == pytest.approx(
             run_qffc_rot(rho, ad_kraus(0.3), p=0.7, eta=0.2).fidelity, abs=1e-15)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            run_scheme(RHO_0, SchemeSpec(kind="teleport", noise=None, params={}))
+            run_scheme(RHO_0, "teleport")
 
     def test_pair_average_degenerate_at_alpha_zero(self):
         # at alpha = 0 both pair members are the same state
-        spec = SchemeSpec(kind="wmppf", noise=ad_kraus(0.4), params={"p": 0.8})
-        avg = pair_average_fidelity(spec, alpha=0.0, phi=0.3)
+        avg = pair_average_fidelity(0.0, 0.3, "wmppf", ad_kraus(0.4), p=0.8)
         rho = state_from_angles(InitialState(alpha=0.0, phi=0.3))
-        assert avg == pytest.approx(run_scheme(rho, spec).fidelity, abs=1e-14)
+        assert avg == pytest.approx(run_scheme(rho, "wmppf", ad_kraus(0.4), p=0.8).fidelity,
+                                    abs=1e-14)
 
     def test_pair_average_is_mean_of_members(self):
-        spec = SchemeSpec(kind="wmppf", noise=ad_kraus(0.4), params={"p": 0.8})
         fids = []
         for sign in (+1, -1):
             rho = state_from_angles(InitialState(alpha=0.6, phi=0.7, pair_sign=sign))
-            fids.append(run_scheme(rho, spec).fidelity)
-        assert pair_average_fidelity(spec, alpha=0.6, phi=0.7) == pytest.approx(
-            np.mean(fids), abs=1e-14)
-
-
-class TestSchemeSpec:
-    def test_params_are_read_only(self):
-        spec = SchemeSpec(kind="wmppf", noise=ad_kraus(0.4), params={"p": 0.8})
-        with pytest.raises(TypeError):
-            spec.params["p"] = 0.5
-
-    def test_params_are_a_copy(self):
-        params = {"p": 0.8}
-        spec = SchemeSpec(kind="wmppf", noise=ad_kraus(0.4), params=params)
-        params["p"] = 0.5
-        params["eta"] = 0.1
-        assert dict(spec.params) == {"p": 0.8}
+            fids.append(run_scheme(rho, "wmppf", ad_kraus(0.4), p=0.8).fidelity)
+        assert pair_average_fidelity(0.6, 0.7, "wmppf", noise=ad_kraus(0.4), p=0.8) \
+            == pytest.approx(np.mean(fids), abs=1e-14)
 
 
 class TestRunScheme:
     def test_missing_parameter_is_value_error(self):
-        spec = SchemeSpec(kind="qffc_rot", noise=ad_kraus(0.3), params={"eta": 0.2})
         with pytest.raises(ValueError, match="missing required parameter 'p'"):
-            run_scheme(RHO_0, spec)
+            run_scheme(RHO_0, "qffc_rot", ad_kraus(0.3), eta=0.2)
 
     def test_unused_keys_ignored(self):
         rho = state_from_angles(InitialState(alpha=0.35, phi=0.15))
-        spec = SchemeSpec(kind="wmqmr", noise=None,
-                          params={"r": 0.5, "p1": 0.8, "theta": 0.3, "theta_pre": 1.0})
-        assert run_scheme(rho, spec).fidelity == run_wmqmr(rho, r=0.5, p1=0.8).fidelity
+        res = run_scheme(rho, "wmqmr", r=0.5, p1=0.8, theta=0.3, theta_pre=1.0)
+        assert res.fidelity == run_wmqmr(rho, r=0.5, p1=0.8).fidelity
 
     @pytest.mark.parametrize("kind,params", [
         ("wmqmr", {"r": 0.5, "p1": 0.8}),
@@ -434,17 +428,15 @@ class TestRunScheme:
     ])
     @pytest.mark.parametrize("noise", [pd_kraus(0.5), identity_channel()])
     def test_amplitude_damping_only_kinds_reject_other_noise(self, kind, params, noise):
-        spec = SchemeSpec(kind=kind, noise=noise, params=params)
         with pytest.raises(ValueError, match=f"{kind} needs an amplitude-damping"):
-            run_scheme(RHO_0, spec)
+            run_scheme(RHO_0, kind, noise, **params)
 
     def test_params_r_must_match_the_channel(self):
-        spec = SchemeSpec(kind="wmqmr", noise=ad_kraus(0.9), params={"r": 0.1, "p1": 0.5})
         with pytest.raises(ValueError, match="differs from the channel"):
-            run_scheme(RHO_0, spec)
+            run_scheme(RHO_0, "wmqmr", ad_kraus(0.9), r=0.1, p1=0.5)
         rho = state_from_angles(InitialState(alpha=0.35, phi=0.15))
-        spec = SchemeSpec(kind="wmqmr", noise=ad_kraus(0.1), params={"r": 0.1, "p1": 0.5})
-        assert run_scheme(rho, spec).fidelity == run_wmqmr(rho, r=0.1, p1=0.5).fidelity
+        res = run_scheme(rho, "wmqmr", ad_kraus(0.1), r=0.1, p1=0.5)
+        assert res.fidelity == run_wmqmr(rho, r=0.1, p1=0.5).fidelity
 
     @pytest.mark.parametrize("kind,params", [
         ("qfbc", {"theta": 0.3, "eta": 0.2}),
@@ -453,7 +445,7 @@ class TestRunScheme:
     ])
     def test_noise_kinds_need_a_channel(self, kind, params):
         with pytest.raises(ValueError, match=f"{kind} needs a noise channel"):
-            run_scheme(RHO_0, SchemeSpec(kind=kind, noise=None, params=params))
+            run_scheme(RHO_0, kind, **params)
 
     def test_runner_looked_up_at_call_time(self, monkeypatch):
         # a rebound run_* (for example a tracing wrapper) must see the call
@@ -465,8 +457,16 @@ class TestRunScheme:
             return run_wmppf(rho_in, noise, p)
 
         monkeypatch.setattr(schemes, "run_wmppf", spy)
-        run_scheme(RHO_0, SchemeSpec(kind="wmppf", noise=ad_kraus(0.4), params={"p": 0.8}))
+        run_scheme(RHO_0, "wmppf", ad_kraus(0.4), p=0.8)
         assert calls == [0.8]
+
+    def test_channel_by_keyword(self):
+        rho = state_from_angles(InitialState(alpha=0.35, phi=0.15))
+        ch = pd_kraus(0.4)
+        res = run_scheme(rho, "qfbc", noise=ch, theta=0.3, eta=0.2, meas_axis="x")
+        assert res.fidelity == run_qfbc(rho, ch, theta=0.3, eta=0.2, meas_axis="x").fidelity
+        assert res.fidelity == run_scheme(rho, "qfbc", ch, theta=0.3, eta=0.2,
+                                          meas_axis="x").fidelity
 
 
 def _bloch_state(polar, azimuth, radius):
@@ -507,8 +507,7 @@ class TestSchemeInvariantProperties:
         params = data.draw(_PARAMS[kind])
         if kind in AD_ONLY_KINDS:
             channel, params["r"] = "ad", r
-        res = run_scheme(rho, SchemeSpec(kind=kind, noise=make_channel(channel, r),
-                                         params=params))
+        res = run_scheme(rho, kind, make_channel(channel, r), **params)
         # every branch, discards included, accounts for the input's weight
         assert abs(res.branches.total_weight - 1.0) <= 1e-12
         assert 0.0 <= res.success_prob <= 1.0

@@ -1,0 +1,52 @@
+"""Repository checks: the README's library example runs, and no module of
+the package imports a name it never uses."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "decoguard"
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads, except on `# noqa: F401` lines."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_unused_import_is_found():
+    source = "import os\nfrom typing import Any, Mapping\nfrom x import y  # noqa: F401\nos.sep\n"
+    assert _unused_imports(source) == ["Any (line 2)", "Mapping (line 2)"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")
+                                          if p.name != "__init__.py"))
+def test_no_unused_imports(module):
+    assert _unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "dg.run_scheme(" in block
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", block], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert len(out.splitlines()) == block.count("print(")
