@@ -120,6 +120,9 @@ def _apply_config(args: argparse.Namespace):
 
 def _input_state(args) -> np.ndarray:
     if getattr(args, "state", None) is not None:
+        if angles := [f"--{n.replace('_', '-')}" for n in ("alpha", "phi", "pair_sign")
+                      if getattr(args, n) is not None]:
+            raise ValueError(f"--state excludes {', '.join(angles)}")
         token = args.state.lower()
         if token not in _STATE_TOKENS:
             raise ValueError(f"unknown state token {args.state!r}; "
@@ -211,14 +214,14 @@ def cmd_scheme(args) -> int:
     noise_kind = args.noise if args.noise is not None else "ad"
     r = _resolve_r(args, "ad" if kind in schemes.AD_ONLY_KINDS else noise_kind)
     # a parameter flag is a run_* keyword other than the noise; the kind's own are passed on
-    takes = schemes._keywords(getattr(schemes, f"run_{kind}"))[0]
-    flags = {name for k in schemes.SCHEME_KINDS
-             for name in schemes._keywords(getattr(schemes, f"run_{k}"))[0]} - {"noise", "r"}
+    flags = set().union(*schemes.SCHEME_PARAMS.values()) - {"noise", "r"}
     if kind == "ent_wmqmr":   # its input is the fixed Bell state
         flags |= {"state", "alpha", "phi", "pair_sign"}
+        if args.r1 is not None and args.r2 is not None:   # r would damp neither qubit
+            flags |= {"r", "gamma", "time"}
     params = {name: getattr(args, name) for name in flags & set(vars(args))
               if getattr(args, name) is not None}
-    if stray := sorted(set(params) - takes):
+    if stray := sorted(set(params) - schemes.SCHEME_PARAMS[kind].keys()):
         raise ValueError(f"{kind} does not take " + ", ".join(
             f"--{name.replace('_', '-')}" for name in stray))
     if "sign_binding" in params:

@@ -10,7 +10,6 @@ normalized accepted mixture and its weight.
 
 from __future__ import annotations
 
-import functools
 import inspect
 from dataclasses import dataclass, replace
 
@@ -137,30 +136,34 @@ def run_wmqmr(rho_in, r: float, p1: float, p2: float | None = None,
 
 
 def run_qfbc(rho_in, noise: KrausChannel, theta: float, eta: float | None = None,
-             meas_axis: str = "y", rot_axis: str = "z", beta: float | None = None,
-             sign_binding: int = +1,
+             meas_axis: str | None = None, rot_axis: str = "z", beta: float | None = None,
+             sign_binding: int | None = None,
              etas: tuple[float, float] | None = None) -> SchemeResult:
     """Measure after the noise, rotate conditioned on the outcome.
 
-    The default binding rotates the '+' outcome by +eta and the '-' outcome
-    by -eta about rot_axis (sign_binding = -1 swaps them). etas overrides
-    the tied form with independently signed angles per outcome. beta selects
-    the phase-generalized measurement pair instead of an axis pair.
+    The default binding (sign_binding None or +1) rotates the '+' outcome by
+    +eta and the '-' outcome by -eta about rot_axis; -1 swaps them. etas signs
+    each outcome's angle itself and excludes eta and sign_binding. beta selects
+    the phase-generalized pair instead of the meas_axis one (default "y").
     """
     rho_in = _qubit_input(rho_in, noise)
     if etas is None:
         if eta is None:
             raise ValueError("provide eta or etas")
-        if sign_binding not in (+1, -1):
+        if sign_binding not in (None, +1, -1):
             raise ValueError(f"sign_binding must be +1 or -1, got {sign_binding}")
-        etas = (sign_binding * eta, -sign_binding * eta)
+        etas = (-eta, eta) if sign_binding == -1 else (eta, -eta)
     elif eta is not None:
         raise ValueError("provide eta or etas, not both")
+    elif sign_binding is not None:
+        raise ValueError("provide sign_binding or etas, not both")
     _check_pair(etas, "etas")
+    if beta is not None and meas_axis is not None:
+        raise ValueError("provide meas_axis or beta, not both")
+    pair = povm_generalized(theta, beta) if beta is not None \
+        else povm_axis("y" if meas_axis is None else meas_axis, theta)
 
     rho_e = channels._apply_kraus(rho_in, noise.stack)
-    pair = povm_generalized(theta, beta) if beta is not None \
-        else povm_axis(meas_axis, theta)
     rotated = []
     for label, m, angle in zip(pair.labels, pair.ops, etas):
         rot = rotation(rot_axis, abs(angle), +1 if angle >= 0 else -1)
@@ -280,35 +283,33 @@ def run_ent_wmqmr(rho_2q, r1: float, r2: float, p1: float,
 SCHEME_KINDS = ("composite", "ent_wmqmr", "qfbc", "qffc_ps", "qffc_rot", "wmppf", "wmqmr")
 
 
-@functools.cache
-def _keywords(runner) -> tuple[frozenset[str], tuple[str, ...]]:
-    """The keyword parameters of a run_* function (all but the input state)
-    and the required ones among them, in signature order."""
-    params = list(inspect.signature(runner).parameters.values())[1:]
-    return (frozenset(p.name for p in params),
-            tuple(p.name for p in params if p.default is p.empty))
-
+# each kind's run_* keyword parameters (all but the input state), read from its
+# signature, in signature order, each mapped to whether it is required
+SCHEME_PARAMS = {kind: {p.name: p.default is p.empty for p in list(
+    inspect.signature(globals()[f"run_{kind}"]).parameters.values())[1:]} for kind in SCHEME_KINDS}
 
 # the kinds whose run_* takes no noise argument: each fixes its own amplitude damping
-AD_ONLY_KINDS = tuple(kind for kind in SCHEME_KINDS
-                      if "noise" not in _keywords(globals()[f"run_{kind}"])[0])
+AD_ONLY_KINDS = tuple(kind for kind in SCHEME_KINDS if "noise" not in SCHEME_PARAMS[kind])
+
+# run_scheme accepts and drops it: the pre-measurement angle behind qffc_rot's optimal p
+_REPORTED_ONLY = {"qffc_rot": "theta_pre"}
 
 
 def run_scheme(rho_in, kind: str, noise: KrausChannel | None = None, **params) -> SchemeResult:
     """Run the scheme named kind: its run_* pipeline with params as keyword arguments.
 
-    Keys the runner does not take are ignored. noise goes to runners with a
-    noise argument, which need one; the others (AD_ONLY_KINDS) fix their own
-    amplitude damping and reject any other channel, or one whose r differs
-    from params["r"].
+    Other keys than the runner's (SCHEME_PARAMS) and qffc_rot's theta_pre are
+    rejected. noise goes to runners with a noise argument, which need one; the
+    others (AD_ONLY_KINDS) fix their own amplitude damping and reject any other
+    channel, or one whose r differs from params["r"].
     """
     if kind.lower() not in SCHEME_KINDS:
         raise ValueError(f"unknown scheme kind {kind!r}; expected one of {SCHEME_KINDS}")
     kind = kind.lower()
     # looked up at call time, so a rebound run_* (a tracing wrapper) is seen
     runner = globals()[f"run_{kind}"]
-    names, required = _keywords(runner)
-    kwargs = {k: v for k, v in params.items() if k in names}
+    takes = SCHEME_PARAMS[kind]
+    kwargs = {k: v for k, v in params.items() if k != _REPORTED_ONLY.get(kind)}
     if kind not in AD_ONLY_KINDS:
         if noise is None:
             raise ValueError(f"{kind} needs a noise channel")
@@ -319,9 +320,11 @@ def run_scheme(rho_in, kind: str, noise: KrausChannel | None = None, **params) -
         if "r" in kwargs and kwargs["r"] != noise.r:
             raise ValueError(f"{kind}: params r = {kwargs['r']} differs from the "
                              f"channel's r = {noise.r}")
-    for name in required:
-        if name not in kwargs:
+    for name, required in takes.items():
+        if required and name not in kwargs:
             raise ValueError(f"missing required parameter {name!r}")
+    if stray := sorted(kwargs.keys() - takes.keys()):
+        raise ValueError(f"{kind} does not take {', '.join(stray)}")
     return runner(rho_in, **kwargs)
 
 

@@ -147,6 +147,20 @@ class TestChannelCommand:
 
 
 class TestSchemeCommand:
+    @pytest.mark.parametrize("angles", [("--alpha", "0.3"), ("--phi", "0.5pi"),
+                                        ("--alpha", "0.3", "--phi", "0.5pi", "--pair-sign", "-")])
+    def test_state_excludes_angle_flags(self, capsys, tmp_path, angles):
+        code, out, err = run_cli(capsys, "channel", "--kind", "pd", "--r", "0.75",
+                                 "--state", "+x", *angles)
+        assert code == 1 and out == ""
+        assert all(flag in err for flag in angles[::2])
+        cfg = tmp_path / "angles.cfg"
+        cfg.write_text("".join(f"{k[2:]} = {v}\n" for k, v in zip(angles[::2], angles[1::2])))
+        code, out, err = run_cli(capsys, "scheme", "--kind", "wmppf", "--p", "0.7",
+                                 "--state", "+x", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert all(flag in err for flag in angles[::2])
+
     def test_wmqmr_trivial(self, capsys):
         code, out, _ = run_cli(capsys, "scheme", "--kind", "wmqmr", "--r", "0",
                                "--p1", "0", "--p2", "0", "--state", "+x")
@@ -194,6 +208,25 @@ class TestSchemeCommand:
         code, out, err = run_cli(capsys, "scheme", *flags)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and all(flag in err for flag in stray)
+
+    @pytest.mark.parametrize("unused", [("--r", "0.3"), ("--gamma", "0.2"),
+                                        ("--gamma", "0.2", "--time", "2")])
+    def test_ent_strength_unused_by_both_qubits_rejected(self, capsys, unused):
+        code, out, err = run_cli(capsys, "scheme", "--kind", "ent_wmqmr", *unused,
+                                 "--r1", "0.6", "--r2", "0.6", "--p1", "0.8")
+        assert code == 1 and out == ""
+        assert all(flag in err for flag in unused if flag.startswith("--"))
+        code, out, _ = run_cli(capsys, "scheme", "--kind", "ent_wmqmr", *unused,
+                               "--r1", "0.6", "--p1", "0.8")
+        assert code == 0 and out
+
+    @pytest.mark.parametrize("axis", ("x", "y"))
+    def test_beta_with_meas_axis_rejected(self, capsys, axis):
+        argv = ("scheme", "--kind", "qfbc", "--noise", "ad", "--r", "0.4", "--theta", "0.4",
+                "--eta", "0.3", "--beta", "0.7", "--alpha", "0.5", "--phi", "0.9")
+        assert run_cli(capsys, *argv)[0] == 0
+        code, out, err = run_cli(capsys, *argv, "--meas-axis", axis)
+        assert code == 1 and out == "" and "meas_axis or beta" in err
 
     def test_missing_parameter_reported(self, capsys):
         code, _, err = run_cli(capsys, "scheme", "--kind", "qffc_rot", "--noise",

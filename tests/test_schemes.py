@@ -9,6 +9,7 @@ from decoguard.measurements import Branch, PartialMeasurement, qmr_map, wm_map
 from decoguard.qmath import ID2, InitialState, bloch_to_density, projector, state_from_angles
 from decoguard.schemes import (
     AD_ONLY_KINDS,
+    SCHEME_KINDS,
     matched_post_wm_strength,
     matched_qmr_strength,
     pair_average_fidelity,
@@ -125,6 +126,23 @@ class TestQfbc:
     def test_eta_with_etas_rejected(self):
         with pytest.raises(ValueError, match="not both"):
             run_qfbc(RHO_0, ad_kraus(0.1), theta=0.4, eta=0.3, etas=(0.2, -0.1))
+
+    @pytest.mark.parametrize("sign_binding", (7, +1))
+    def test_sign_binding_with_etas_rejected(self, sign_binding):
+        with pytest.raises(ValueError, match="sign_binding or etas, not both"):
+            run_qfbc(RHO_0, ad_kraus(0.1), theta=0.4, etas=(0.3, -0.3),
+                     sign_binding=sign_binding)
+
+    @pytest.mark.parametrize("meas_axis", ("q", "x"))
+    def test_meas_axis_with_beta_rejected(self, meas_axis):
+        with pytest.raises(ValueError, match="meas_axis or beta, not both"):
+            run_qfbc(RHO_0, ad_kraus(0.1), theta=0.4, eta=0.3, beta=0.7, meas_axis=meas_axis)
+
+    def test_unset_sign_binding_and_axis_are_plus_and_y(self):
+        rho = state_from_angles(InitialState(alpha=0.5, phi=0.9))
+        res = run_qfbc(rho, ad_kraus(0.4), theta=0.4, eta=0.3)
+        assert res.fidelity == run_qfbc(rho, ad_kraus(0.4), theta=0.4, eta=0.3,
+                                        meas_axis="y", sign_binding=+1).fidelity
 
 
 class TestQffcPs:
@@ -274,18 +292,17 @@ _FULL_RANK_PAIR /= np.trace(_FULL_RANK_PAIR).real
 class TestEigensolveCounts:
     # eigensolves that run (LAPACK eigh, the 2x2 Jacobi branch of _eig_core)
     # only where their eigenvectors produce output: a 2x2 state is checked in
-    # closed form, the schemes' partial measurements are diagonal, each
-    # distinct 4x4 matrix is decomposed once, and a fidelity input's square
-    # root is built once; both caches are cleared so the first call is cold
+    # closed form, the schemes' partial measurements are diagonal, and a
+    # fidelity input's square root is built once; its cache is cleared so
+    # the first call is cold
     @pytest.mark.parametrize("call, eigs", [
         (lambda x: run_wmqmr(_MIXED, r=0.3, p1=x), 2),
         (lambda x: run_qffc_ps(_MIXED, r=0.3, p=x), 2),
         (lambda x: run_composite(_MIXED, r=0.3, p=0.7, eta=x), 2),
-        (lambda x: run_ent_wmqmr(_FULL_RANK_PAIR, r1=0.3, r2=0.5, p1=x, side="both"), 4),
+        (lambda x: run_ent_wmqmr(_FULL_RANK_PAIR, r1=0.3, r2=0.5, p1=x, side="both"), 7),
     ], ids=("wmqmr", "qffc_ps", "composite", "ent_wmqmr"))
     def test_mixed_input_call(self, call, eigs, monkeypatch):
         entries, lapack, fidelities = [], [], []
-        qmath._eigh4.cache_clear()
         qmath._input_root.cache_clear()
         monkeypatch.setattr(np.linalg, "eigh", _logging(lapack, np.linalg.eigh))
         monkeypatch.setattr(qmath, "_eig_core", _logging(entries, qmath._eig_core))
@@ -293,7 +310,7 @@ class TestEigensolveCounts:
                             _logging(fidelities, qmath._fidelity_general))
         solves = []
         # a cold call, then a warm one on the same input with another parameter:
-        # the input's decomposition (its square root, or its 4x4 check) is reused
+        # the input's square root is reused
         for x in (0.6, 0.7):
             call(x)
             solves.append(len(lapack) + sum(len(a) == 2 for a, in entries))
@@ -416,10 +433,31 @@ class TestRunScheme:
         with pytest.raises(ValueError, match="missing required parameter 'p'"):
             run_scheme(RHO_0, "qffc_rot", ad_kraus(0.3), eta=0.2)
 
-    def test_unused_keys_ignored(self):
+    def test_unused_keys_rejected(self):
+        with pytest.raises(ValueError, match="wmqmr does not take bogus, theta$"):
+            run_scheme(RHO_0, "wmqmr", r=0.5, p1=0.8, theta=0.3, bogus=1)
+
+    # one valid call per kind: its input state and run_scheme keywords
+    _VALID = {**{kind: (RHO_0, kw) for kind, kw in TestQubitCheck._KW.items()},
+              "ent_wmqmr": (BELL, {"r1": 0.3, "r2": 0.3, "p1": 0.5})}
+
+    @pytest.mark.parametrize("kind", SCHEME_KINDS)
+    def test_every_kind_rejects_an_unknown_key(self, kind):
+        rho, params = self._VALID[kind]
+        run_scheme(rho, kind, ad_kraus(0.3), **params)
+        with pytest.raises(ValueError, match=f"^{kind} does not take bogus$"):
+            run_scheme(rho, kind, ad_kraus(0.3), **params, bogus=1)
+
+    @pytest.mark.parametrize("kind", SCHEME_KINDS)
+    def test_theta_pre_is_reported_only_for_qffc_rot(self, kind):
+        rho, params = self._VALID[kind]
+        if kind != "qffc_rot":
+            with pytest.raises(ValueError, match=f"^{kind} does not take theta_pre$"):
+                run_scheme(rho, kind, ad_kraus(0.3), **params, theta_pre=1.0)
+            return
         rho = state_from_angles(InitialState(alpha=0.35, phi=0.15))
-        res = run_scheme(rho, "wmqmr", r=0.5, p1=0.8, theta=0.3, theta_pre=1.0)
-        assert res.fidelity == run_wmqmr(rho, r=0.5, p1=0.8).fidelity
+        res = run_scheme(rho, kind, ad_kraus(0.3), **params, theta_pre=1.0)
+        assert res.fidelity == run_qffc_rot(rho, ad_kraus(0.3), **params).fidelity
 
     @pytest.mark.parametrize("kind,params", [
         ("wmqmr", {"r": 0.5, "p1": 0.8}),

@@ -1,16 +1,22 @@
-"""Repository checks: the README's library example runs, and no module of
-the package imports a name it never uses."""
+"""Repository checks: the README's library and CLI examples run, and no
+module of the package imports a name it never uses."""
 
 import ast
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from decoguard import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "decoguard"
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+CLI_EXAMPLES = [line for line in README.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+                .split("```", 1)[0].splitlines() if line.startswith("decoguard ")]
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -42,11 +48,20 @@ def test_no_unused_imports(module):
 
 
 def test_readme_library_example_runs():
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    block = README.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     assert "dg.run_scheme(" in block
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))}
     out = subprocess.run([sys.executable, "-c", block], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout
     assert len(out.splitlines()) == block.count("print(")
+
+
+def test_readme_cli_block_found():
+    assert CLI_EXAMPLES
+
+
+@pytest.mark.parametrize("line", CLI_EXAMPLES)
+def test_readme_cli_example_runs(line, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(shlex.split(line)[1:]) == 0, capsys.readouterr().err
