@@ -120,8 +120,7 @@ def _apply_config(args: argparse.Namespace):
 
 def _input_state(args) -> np.ndarray:
     if getattr(args, "state", None) is not None:
-        if angles := [f"--{n.replace('_', '-')}" for n in ("alpha", "phi", "pair_sign")
-                      if getattr(args, n) is not None]:
+        if angles := [f"--{n}" for n in ("alpha", "phi") if getattr(args, n) is not None]:
             raise ValueError(f"--state excludes {', '.join(angles)}")
         token = args.state.lower()
         if token not in _STATE_TOKENS:
@@ -130,8 +129,7 @@ def _input_state(args) -> np.ndarray:
         return bloch_to_density(_STATE_TOKENS[token])
     alpha = args.alpha if args.alpha is not None else 0.0
     phi = args.phi if args.phi is not None else 0.0
-    sign = -1 if getattr(args, "pair_sign", None) == "-" else +1
-    return state_from_angles(InitialState(alpha=alpha, phi=phi, pair_sign=sign))
+    return state_from_angles(InitialState(alpha=alpha, phi=phi))
 
 
 def _resolve_r(args, kind: str) -> float:
@@ -216,7 +214,7 @@ def cmd_scheme(args) -> int:
     # a parameter flag is a run_* keyword other than the noise; the kind's own are passed on
     flags = set().union(*schemes.SCHEME_PARAMS.values()) - {"noise", "r"}
     if kind == "ent_wmqmr":   # its input is the fixed Bell state
-        flags |= {"state", "alpha", "phi", "pair_sign"}
+        flags |= {"state", "alpha", "phi"}
         if args.r1 is not None and args.r2 is not None:   # r would damp neither qubit
             flags |= {"r", "gamma", "time"}
     params = {name: getattr(args, name) for name in flags & set(vars(args))
@@ -224,8 +222,6 @@ def cmd_scheme(args) -> int:
     if stray := sorted(set(params) - schemes.SCHEME_PARAMS[kind].keys()):
         raise ValueError(f"{kind} does not take " + ", ".join(
             f"--{name.replace('_', '-')}" for name in stray))
-    if "sign_binding" in params:
-        params["sign_binding"] = +1 if params["sign_binding"] == "+" else -1
     if kind == "ent_wmqmr":
         params = {"r1": r, "r2": r, "side": "one", **params}
         rho_in = np.zeros((4, 4), dtype=complex)  # the Bell state (|00> + |11>)/sqrt(2)
@@ -287,8 +283,6 @@ def _add_state_flags(p: argparse.ArgumentParser):
                    help="state angle alpha in radians, [0, pi/2] (e.g. 0.25pi)")
     p.add_argument("--phi", type=parse_angle,
                    help="state phase phi in radians, [0, 2pi)")
-    p.add_argument("--pair-sign", choices=("+", "-"), dest="pair_sign",
-                   help="member of the nonorthogonal pair (default +)")
 
 
 def _add_noise_flags(p: argparse.ArgumentParser):
@@ -348,15 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=parse_angle,
                    help="measurement angle in radians, [0, pi/2]")
     p.add_argument("--eta", type=parse_angle,
-                   help="rotation angle in radians, [0, pi/2]")
+                   help="rotation angle in radians, [0, pi/2]; qfbc takes [-pi/2, pi/2] "
+                        "(write a negative value as --eta=-0.15pi)")
     p.add_argument("--beta", type=parse_angle,
                    help="generalized-measurement phase in radians")
     p.add_argument("--meas-axis", choices=("x", "y", "z"), dest="meas_axis",
                    help="measurement axis (qfbc)")
     p.add_argument("--rot-axis", choices=("x", "y", "z"), dest="rot_axis",
                    help="rotation axis (qfbc)")
-    p.add_argument("--sign-binding", choices=("+", "-"), dest="sign_binding",
-                   help="which outcome gets +eta (qfbc)")
     p.add_argument("--signs", type=parse_signs, action=_SignsAction,
                    help="per-branch rotation signs for qffc_rot/composite, e.g. "
                         "--signs=+- (the = form is needed for values starting with -)")

@@ -76,15 +76,18 @@ class PartialMeasurement:
                            if diagonal else (v * root) @ dagger(v))
 
 
-def rotation(axis: str, eta: float, sign: int = +1) -> np.ndarray:
-    """Unitary R_axis(sign * eta) about a Bloch axis, eta in [0, pi/2]."""
+def _check_angle(angle: float, name: str, signed: bool = False):
+    """Reject an angle outside [0, pi/2] ([-pi/2, pi/2] if signed), up to 1e-15; NaN too."""
+    hi = np.pi / 2 + 1e-15
+    if not (-hi if signed else 0.0) <= angle <= hi:
+        raise ValueError(f"{name} must be in [{'-pi/2' if signed else '0'}, pi/2], got {angle}")
+
+
+def rotation(axis: str, angle: float) -> np.ndarray:
+    """Unitary R_axis(angle) about a Bloch axis, angle in [-pi/2, pi/2]."""
     if axis not in ("x", "y", "z"):
         raise ValueError(f"rotation axis must be x, y or z, got {axis!r}")
-    if not 0.0 <= eta <= np.pi / 2 + 1e-15:
-        raise ValueError(f"eta must be in [0, pi/2], got {eta}")
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    angle = sign * eta
+    _check_angle(angle, "angle", signed=True)
     c, s = np.cos(angle / 2), np.sin(angle / 2)
     if axis == "x":
         # unitary exp(-i angle X / 2); the variant with opposite-sign lower
@@ -96,11 +99,6 @@ def rotation(axis: str, eta: float, sign: int = +1) -> np.ndarray:
                     dtype=complex)
 
 
-def _check_theta(theta: float):
-    if not 0.0 <= theta <= np.pi / 2 + 1e-15:
-        raise ValueError(f"theta must be in [0, pi/2], got {theta}")
-
-
 def povm_axis(axis: str, theta: float) -> MeasurementPair:
     """Variable-strength pair along a Bloch axis.
 
@@ -110,7 +108,7 @@ def povm_axis(axis: str, theta: float) -> MeasurementPair:
     which (unlike a literal transcription with both cos terms on the same
     projector) satisfies completeness.
     """
-    _check_theta(theta)
+    _check_angle(theta, "theta")
     if axis not in _AXIS_KETS:
         raise ValueError(f"axis must be x, y or z, got {axis!r}")
     up, down = (projector(k) for k in _AXIS_KETS[axis])
@@ -120,7 +118,7 @@ def povm_axis(axis: str, theta: float) -> MeasurementPair:
 
 def povm_generalized(theta: float, beta: float) -> MeasurementPair:
     """Phase-generalized z pair: M+ = cos(t/2)|0><0| + e^{i b} sin(t/2)|1><1|."""
-    _check_theta(theta)
+    _check_angle(theta, "theta")
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     eb = np.exp(1j * beta)
     mp = np.array([[c, 0], [0, eb * s]], dtype=complex)

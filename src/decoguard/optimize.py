@@ -169,8 +169,7 @@ def _qfbc_tables(grid: GridSpec) -> dict:
     (3, pair, t, m, 4), of the Pauli 4-vectors of K^dagger rho K / 2."""
     se = _signed_etas(grid.eta)
     meas = [np.stack([np.stack(povm_axis(ma, t).ops) for t in grid.theta]) for ma in AXES]
-    rots = [np.stack([rotation(ra, abs(e), +1 if e >= 0 else -1) for e in se])
-            for ra in AXES]
+    rots = [np.stack([rotation(ra, e) for e in se]) for ra in AXES]
     blocks = np.empty((len(meas) * len(rots), *meas[0].shape[:2], len(se), 2, 2), dtype=complex)
     for i, (m, r) in enumerate(itertools.product(meas, rots)):
         np.einsum("eij,tmjk->tmeik", r, m, out=blocks[i])
@@ -194,7 +193,7 @@ def _qffc_tables(grid: GridSpec) -> dict:
     m: the (M_1(p), M_2(p)) stacks of pre_wm_pair in theta order; r: R_y(sign eta) per sign.
     """
     return {"m": _stacks(pre_wm_pair(p).ops for p in grid.strengths),
-            "r": {sign: np.stack([rotation("y", e, sign) for e in grid.eta])
+            "r": {sign: np.stack([rotation("y", sign * e) for e in grid.eta])
                   for sign in (+1, -1)}}
 
 
@@ -356,7 +355,7 @@ def _search_space(kind: str, noise: KrausChannel | None, grid: GridSpec):
     and the params of the candidate at an index of it, run_* keyword
     arguments plus any reported-only entries. C order is the tie order.
 
-    qfbc: tied +/- eta over (theta, eta, meas axis, rot axis, binding);
+    qfbc: tied +/- eta over (theta, eta, meas axis, rot axis, sign of eta);
     qffc_rot: (p in theta order, eta, branch signs); wmppf: p; wmqmr:
     (p1, p2); qffc_ps: (p, p_u, p_v); composite: (p, eta, signs) with matched
     post-measurements. The last four run strengths in ascending order, so
@@ -404,7 +403,7 @@ def _loop_tables(kind: str, grid: GridSpec) -> tuple[tuple[np.ndarray, np.ndarra
     pre_wm_pair, wm(p) of wm_map, qmr(p) of qmr_map and the recovery pair
     (N_1, N_2) of post_wm_ops, and they follow each run_*:
       qfbc       I, and the sum over outcomes m of R(e_m) M_m(theta), with
-                 e = (+eta, -eta) or, for binding -1, (-eta, +eta)
+                 e = (s eta, -s eta), s = +1 then -1 the sign of eta
       wmqmr      wm(p1), qmr(p2)
       wmppf      F_i M_i(p), F_i
       qffc_rot   F_i M_i(p), R_y(s_i eta) F_i
@@ -418,7 +417,7 @@ def _loop_tables(kind: str, grid: GridSpec) -> tuple[tuple[np.ndarray, np.ndarra
         plus, minus = np.r_[0, 1:2 * n - 1:2], np.r_[0, 2:2 * n - 1:2]
         signed = np.stack([np.stack([plus, minus], -1), np.stack([minus, plus], -1)], 1)
         tied = blocks.reshape(a, a, *blocks.shape[1:])[:, :, :, np.arange(2), signed].conj()
-        post = _ptm(tied).sum(axis=5)  # (meas, rot, theta, eta, binding, 4, 4)
+        post = _ptm(tied).sum(axis=5)  # (meas, rot, theta, eta, sign of eta, 4, 4)
         return ((np.eye(4), np.ascontiguousarray(post.transpose(2, 3, 0, 1, 4, 5, 6))),)
     ps = grid.strengths if kind == "qffc_rot" else sorted(grid.strengths)
     if kind == "wmqmr":

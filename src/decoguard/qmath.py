@@ -121,28 +121,25 @@ class BlochVector(NamedTuple):
 
 @dataclass(frozen=True)
 class InitialState:
-    """Input state |psi> = cos(alpha/2)|+> + e^{i phi} (pair_sign) sin(alpha/2)|->.
+    """Input state |psi> = cos(alpha/2)|+> + e^{i phi} sin(alpha/2)|->.
 
     alpha in [0, pi/2] and phi in [0, 2 pi) place the state anywhere on the
-    Bloch sphere octant swept in the comparison study; pair_sign selects a
-    member of the nonorthogonal pair.
+    Bloch sphere octant swept in the comparison study. The other member of
+    the nonorthogonal pair is the state at phi + pi (mod 2 pi).
     """
 
     alpha: float
     phi: float = 0.0
-    pair_sign: int = +1
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= np.pi / 2 + 1e-15:
             raise ValueError(f"alpha must be in [0, pi/2], got {self.alpha}")
         if not 0.0 <= self.phi < 2 * np.pi:
             raise ValueError(f"phi must be in [0, 2*pi), got {self.phi}")
-        if self.pair_sign not in (+1, -1):
-            raise ValueError(f"pair_sign must be +1 or -1, got {self.pair_sign}")
 
     def ket(self) -> np.ndarray:
         return (np.cos(self.alpha / 2) * KET_PLUS
-                + self.pair_sign * np.exp(1j * self.phi) * np.sin(self.alpha / 2) * KET_MINUS)
+                + np.exp(1j * self.phi) * np.sin(self.alpha / 2) * KET_MINUS)
 
 
 def state_from_angles(s: InitialState) -> np.ndarray:

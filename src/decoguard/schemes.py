@@ -137,26 +137,21 @@ def run_wmqmr(rho_in, r: float, p1: float, p2: float | None = None,
 
 def run_qfbc(rho_in, noise: KrausChannel, theta: float, eta: float | None = None,
              meas_axis: str | None = None, rot_axis: str = "z", beta: float | None = None,
-             sign_binding: int | None = None,
              etas: tuple[float, float] | None = None) -> SchemeResult:
     """Measure after the noise, rotate conditioned on the outcome.
 
-    The default binding (sign_binding None or +1) rotates the '+' outcome by
-    +eta and the '-' outcome by -eta about rot_axis; -1 swaps them. etas signs
-    each outcome's angle itself and excludes eta and sign_binding. beta selects
-    the phase-generalized pair instead of the meas_axis one (default "y").
+    eta rotates the '+' outcome by +eta and the '-' outcome by -eta about
+    rot_axis, so a negative eta swaps them; etas signs each outcome's angle
+    itself and excludes eta. Angles are in [-pi/2, pi/2]. beta selects the
+    phase-generalized pair instead of the meas_axis one (default "y").
     """
     rho_in = _qubit_input(rho_in, noise)
     if etas is None:
         if eta is None:
             raise ValueError("provide eta or etas")
-        if sign_binding not in (None, +1, -1):
-            raise ValueError(f"sign_binding must be +1 or -1, got {sign_binding}")
-        etas = (-eta, eta) if sign_binding == -1 else (eta, -eta)
+        etas = (eta, -eta)
     elif eta is not None:
         raise ValueError("provide eta or etas, not both")
-    elif sign_binding is not None:
-        raise ValueError("provide sign_binding or etas, not both")
     _check_pair(etas, "etas")
     if beta is not None and meas_axis is not None:
         raise ValueError("provide meas_axis or beta, not both")
@@ -164,10 +159,8 @@ def run_qfbc(rho_in, noise: KrausChannel, theta: float, eta: float | None = None
         else povm_axis("y" if meas_axis is None else meas_axis, theta)
 
     rho_e = channels._apply_kraus(rho_in, noise.stack)
-    rotated = []
-    for label, m, angle in zip(pair.labels, pair.ops, etas):
-        rot = rotation(rot_axis, abs(angle), +1 if angle >= 0 else -1)
-        rotated.append(Branch(label=f"{label}/rot", state=_conj(rot, _conj(m, rho_e))))
+    rotated = [Branch(label=f"{label}/rot", state=_conj(rotation(rot_axis, angle), _conj(m, rho_e)))
+               for label, m, angle in zip(pair.labels, pair.ops, etas)]
     return _deterministic(rho_in, rotated, "feedback")
 
 
@@ -212,6 +205,15 @@ def run_qffc_ps(rho_in, r: float, p: float, p_u: float | None = None,
     return _postselected(rho_in, _qffc_ps_branches(rho_in, r, p, p_u, p_v))
 
 
+def _y_rotations(eta: float, signs: tuple[int, int]) -> list[np.ndarray]:
+    """R_y(sign * eta) per branch of the feed-forward schemes, eta in [0, pi/2]."""
+    _check_pair(signs, "signs")
+    if not set(signs) <= {+1, -1}:
+        raise ValueError(f"signs must be +1 or -1, got {signs!r}")
+    measurements._check_angle(eta, "eta")
+    return [rotation("y", sign * eta) for sign in signs]
+
+
 def run_qffc_rot(rho_in, noise: KrausChannel, p: float, eta: float,
                  signs: tuple[int, int] = (+1, -1)) -> SchemeResult:
     """Deterministic feed-forward control: rotations instead of post-measurements.
@@ -220,9 +222,8 @@ def run_qffc_rot(rho_in, noise: KrausChannel, p: float, eta: float,
     keyed to its pre-measurement outcome.
     """
     rho_in = _qubit_input(rho_in, noise)
-    _check_pair(signs, "signs")
-    branches = [Branch(label=f"{label}/rot", state=_conj(rotation("y", eta, sign), s))
-                for (label, s), sign in zip(_flip_sandwich(rho_in, noise, p), signs)]
+    branches = [Branch(label=f"{label}/rot", state=_conj(rot, s)) for (label, s), rot
+                in zip(_flip_sandwich(rho_in, noise, p), _y_rotations(eta, signs))]
     return _deterministic(rho_in, branches, "feed-forward")
 
 
@@ -236,8 +237,7 @@ def run_composite(rho_in, r: float, p: float, eta: float,
                   signs: tuple[int, int] = (+1, -1)) -> SchemeResult:
     """Feed-forward control with an added feedback rotation per accepted branch."""
     rho_in = _qubit_input(rho_in)
-    _check_pair(signs, "signs")
-    rotations = [rotation("y", eta, sign) for sign in signs]
+    rotations = _y_rotations(eta, signs)
     return _postselected(rho_in, _qffc_ps_branches(rho_in, r, p, p_u, p_v, rotations))
 
 
@@ -330,7 +330,8 @@ def run_scheme(rho_in, kind: str, noise: KrausChannel | None = None, **params) -
 
 def pair_average_fidelity(alpha: float, phi: float, kind: str,
                           noise: KrausChannel | None = None, **params) -> float:
-    """Equal-prior average fidelity over the nonorthogonal pair |psi+->, |psi-->
-    of run_scheme(rho, kind, noise, **params)."""
-    rhos = (state_from_angles(InitialState(alpha=alpha, phi=phi, pair_sign=s)) for s in (+1, -1))
+    """Equal-prior average fidelity over the nonorthogonal pair, the states at phi and
+    (phi + pi) mod 2 pi, of run_scheme(rho, kind, noise, **params)."""
+    rhos = (state_from_angles(InitialState(alpha=alpha, phi=ph))
+            for ph in (phi, (phi + np.pi) % (2 * np.pi)))
     return 0.5 * sum(run_scheme(rho, kind, noise, **params).fidelity for rho in rhos)

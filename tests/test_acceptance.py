@@ -47,10 +47,13 @@ def _report(name: str, ok: bool, detail: str = ""):
 
 def random_states(n, seed):
     rng = np.random.default_rng(seed)
-    return [state_from_angles(InitialState(alpha=rng.uniform(0, np.pi / 2),
-                                           phi=rng.uniform(0, 2 * np.pi),
-                                           pair_sign=rng.choice([-1, 1])))
-            for _ in range(n)]
+    states = []
+    for _ in range(n):
+        alpha, phi = rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi)
+        if rng.choice([-1, 1]) == -1:   # the nonorthogonal pair's other member
+            phi = (phi + np.pi) % (2 * np.pi)
+        states.append(state_from_angles(InitialState(alpha=alpha, phi=phi)))
+    return states
 
 
 def test_criterion_1_channel_algebra():
@@ -97,7 +100,7 @@ def test_criterion_2_operator_completeness():
         ok &= np.abs(total - eye).max() < 1e-12
         for axis in ("x", "y", "z"):
             for sign in (+1, -1):
-                m = rotation(axis, theta, sign)
+                m = rotation(axis, sign * theta)
                 ok &= np.abs(m.conj().T @ m - eye).max() < 1e-12
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 1.0

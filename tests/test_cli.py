@@ -148,7 +148,7 @@ class TestChannelCommand:
 
 class TestSchemeCommand:
     @pytest.mark.parametrize("angles", [("--alpha", "0.3"), ("--phi", "0.5pi"),
-                                        ("--alpha", "0.3", "--phi", "0.5pi", "--pair-sign", "-")])
+                                        ("--alpha", "0.3", "--phi", "0.5pi")])
     def test_state_excludes_angle_flags(self, capsys, tmp_path, angles):
         code, out, err = run_cli(capsys, "channel", "--kind", "pd", "--r", "0.75",
                                  "--state", "+x", *angles)
@@ -201,8 +201,8 @@ class TestSchemeCommand:
         (("--kind", "qfbc", "--r", "0.5", "--theta", "0.3", "--eta", "0.2", "--r1", "0.3",
           "--side", "both"), ("--r1", "--side")),
         (("--kind", "ent_wmqmr", "--r", "0.5", "--p1", "0.8", "--state", "+x", "--alpha",
-          "0.3", "--phi", "0.1", "--pair-sign", "-"),
-         ("--state", "--alpha", "--phi", "--pair-sign")),
+          "0.3", "--phi", "0.1"),
+         ("--state", "--alpha", "--phi")),
     ])
     def test_flag_the_kind_does_not_take_rejected(self, capsys, flags, stray):
         code, out, err = run_cli(capsys, "scheme", *flags)
@@ -238,6 +238,19 @@ class TestSchemeCommand:
             main(["scheme", "--kind", "wmppf", "--noise", "ad", "--r", "1.5",
                   "--p", "0.5"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ("--pair-sign", "--sign-binding"))
+    def test_sign_flags_are_gone(self, capsys, tmp_path, flag):
+        # a sign is written into its angle: --eta=-0.15pi, or phi + pi for the pair
+        argv = ("scheme", "--kind", "qfbc", "--noise", "pd", "--r", "0.3", "--theta", "0.25pi",
+                "--eta", "0.15pi", "--state", "+x")
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, "-"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "sign.cfg"
+        cfg.write_text(f"{flag[2:]} = -\n")
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 1 and out == "" and "unknown config keys" in err
 
 
 _WMPPF = ("scheme", "--kind", "wmppf", "--p", "0.5", "--out")

@@ -55,9 +55,8 @@ SCHEME_CASES = {
     "qfbc_axes": ("--kind", "qfbc", "--noise", "ad", "--r", "0.4", "--theta", "0.2pi",
                   "--eta", "0.1pi", "--meas-axis", "x", "--rot-axis", "y",
                   "--alpha", "0.2pi", "--phi", "0.5pi"),
-    "qfbc_sign_binding": ("--kind", "qfbc", "--noise", "pd", "--r", "0.3",
-                          "--theta", "0.25pi", "--eta", "0.15pi", "--sign-binding", "-",
-                          "--state", "+x"),
+    "qfbc_negative_eta": ("--kind", "qfbc", "--noise", "pd", "--r", "0.3",
+                          "--theta", "0.25pi", "--eta=-0.15pi", "--state", "+x"),
     "qfbc_beta": ("--kind", "qfbc", "--noise", "pd", "--r", "0.2", "--theta", "0.3",
                   "--eta", "0.2", "--beta", "0.5", "--alpha", "0.4"),
     "qffc_ps": ("--kind", "qffc_ps", "--r", "0.6", "--p", "0.7", "--alpha", "0.3pi"),

@@ -291,17 +291,30 @@ class TestRotations:
         for axis in "xyz":
             for eta in THETA_GRID:
                 for sign in (+1, -1):
-                    m = rotation(axis, eta, sign)
+                    m = rotation(axis, sign * eta)
                     assert np.abs(m.conj().T @ m - np.eye(2)).max() < 1e-12
 
+    @pytest.mark.parametrize("axis", "xyz")
+    def test_signed_angle_matches_closed_form(self, axis):
+        # R(angle) = exp(-i angle sigma / 2), written out, at both signs of each grid angle
+        for eta in (*THETA_GRID, np.pi / 2 + 1e-15):
+            for sign in (+1, -1):
+                angle = sign * eta
+                c, s = np.cos(angle / 2), np.sin(angle / 2)
+                expected = np.array({
+                    "x": [[c, -1j * s], [-1j * s, c]], "y": [[c, -s], [s, c]],
+                    "z": [[np.exp(1j * angle / 2), 0], [0, np.exp(-1j * angle / 2)]],
+                }[axis], dtype=complex)
+                assert rotation(axis, angle).tobytes() == expected.tobytes()
+
     def test_ry_half_pi_maps_ground_to_plus(self):
-        out = rotation("y", np.pi / 2, +1) @ KET_0
+        out = rotation("y", np.pi / 2) @ KET_0
         assert np.abs(out - KET_PLUS).max() < 1e-12
 
     def test_rz_preserves_z_component(self):
         rho = state_from_angles(InitialState(alpha=0.7, phi=0.9))
         for sign in (+1, -1):
-            m = rotation("z", 0.8, sign)
+            m = rotation("z", sign * 0.8)
             out = m @ rho @ m.conj().T
             assert density_to_bloch(out).z == pytest.approx(density_to_bloch(rho).z,
                                                             abs=1e-12)
@@ -311,13 +324,19 @@ class TestRotations:
             rotation("y", 2.0)
         with pytest.raises(ValueError):
             rotation("q", 0.3)
-        with pytest.raises(ValueError, match="sign"):
-            rotation("y", 0.3, 0)
+        with pytest.raises(TypeError):   # the sign belongs to the angle
+            rotation("y", 0.3, -1)
+
+    @pytest.mark.parametrize("angle", (-2.0, np.nextafter(np.pi / 2 + 1e-15, 2.0),
+                                       -np.nextafter(np.pi / 2 + 1e-15, 2.0), np.nan))
+    def test_angle_beyond_half_pi_rejected(self, angle):
+        with pytest.raises(ValueError, match=r"angle must be in \[-pi/2, pi/2\]"):
+            rotation("y", angle)
 
     def test_returns_a_new_complex_array(self):
-        m = rotation("x", 0.3, -1)
+        m = rotation("x", -0.3)
         assert (m.shape, m.dtype, m.flags.writeable) == ((2, 2), complex, True)
-        assert m is not rotation("x", 0.3, -1)
+        assert m is not rotation("x", -0.3)
 
 
 class TestMeasureAndBranches:

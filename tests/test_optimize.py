@@ -174,19 +174,18 @@ class TestOptimizers:
         noise = ad_kraus(0.5)
         got = optimize_qfbc(rho, noise, TINY)
         # the documented tie order: the first maximum over (theta, eta, meas
-        # axis, rot axis, binding) wins
+        # axis, rot axis, sign of eta) wins
         best, argmax = -1.0, None
         for theta in TINY.theta:
             for eta in TINY.eta:
                 for ma in optimize.AXES:
                     for ra in optimize.AXES:
-                        for binding in (+1, -1):
-                            res = run_qfbc(rho, noise, theta=theta, eta=eta,
-                                           meas_axis=ma, rot_axis=ra,
-                                           sign_binding=binding)
+                        for sign in (+1, -1):
+                            res = run_qfbc(rho, noise, theta=theta, eta=sign * eta,
+                                           meas_axis=ma, rot_axis=ra)
                             if res.fidelity > best:
                                 best, argmax = res.fidelity, {
-                                    "theta": theta, "etas": (binding * eta, -binding * eta),
+                                    "theta": theta, "etas": (sign * eta, -sign * eta),
                                     "meas_axis": ma, "rot_axis": ra}
         assert got.f_opt == pytest.approx(best, abs=1e-12)
         assert got.params == argmax
@@ -518,8 +517,7 @@ class TestGridAndKetTables:
         se = optimize._signed_etas(grid.eta)
         meas = [np.stack([np.stack(povm_axis(ma, t).ops) for t in grid.theta])
                 for ma in optimize.AXES]
-        rots = [np.stack([rotation(ra, abs(e), +1 if e >= 0 else -1) for e in se])
-                for ra in optimize.AXES]
+        rots = [np.stack([rotation(ra, e) for e in se]) for ra in optimize.AXES]
         stacked = np.stack([np.einsum("eij,tmjk->tmeik", r, m) for m in meas for r in rots]).conj()
         blocks = optimize._qfbc_tables(grid)["blocks"]
         assert (blocks.shape, blocks.dtype) == (stacked.shape, stacked.dtype)

@@ -8,6 +8,8 @@ from decoguard.qmath import (
     ID2,
     KET_0,
     KET_1,
+    KET_MINUS,
+    KET_PLUS,
     PAULI_Y,
     PAULI_Z,
     BlochVector,
@@ -66,25 +68,37 @@ class TestStateFromAngles:
         assert np.allclose(rho, RHO_PLUS, atol=1e-12)
 
     def test_alpha_half_pi_plus_is_ground(self):
-        rho = state_from_angles(InitialState(alpha=HALF, phi=0.0, pair_sign=+1))
+        rho = state_from_angles(InitialState(alpha=HALF, phi=0.0))
         assert np.allclose(rho, RHO_0, atol=1e-12)
 
     def test_alpha_half_pi_minus_is_excited(self):
-        rho = state_from_angles(InitialState(alpha=HALF, phi=0.0, pair_sign=-1))
+        rho = state_from_angles(InitialState(alpha=HALF, phi=np.pi))   # the pair's other member
         assert np.allclose(rho, RHO_1, atol=1e-12)
+
+    def test_other_pair_member_is_phi_plus_pi(self):
+        # the state at (phi + pi) mod 2 pi is cos(alpha/2)|+> - e^{i phi} sin(alpha/2)|->
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            alpha, phi = rng.uniform(0, HALF), rng.uniform(0, 2 * np.pi)
+            ket = InitialState(alpha=alpha, phi=(phi + np.pi) % (2 * np.pi)).ket()
+            expected = (np.cos(alpha / 2) * KET_PLUS
+                        - np.exp(1j * phi) * np.sin(alpha / 2) * KET_MINUS)
+            assert np.abs(ket - expected).max() <= 1e-15
 
     def test_always_pure(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            s = InitialState(alpha=rng.uniform(0, HALF), phi=rng.uniform(0, 2 * np.pi),
-                             pair_sign=rng.choice([-1, 1]))
+            alpha, phi = rng.uniform(0, HALF), rng.uniform(0, 2 * np.pi)
+            if rng.choice([-1, 1]) == -1:   # the nonorthogonal pair's other member
+                phi = (phi + np.pi) % (2 * np.pi)
+            s = InitialState(alpha=alpha, phi=phi)
             rho = state_from_angles(s)
             check_density(rho)
             assert abs(purity(rho) - 1) < 1e-12
 
     @pytest.mark.parametrize("kwargs", [
         {"alpha": -0.1}, {"alpha": 2.0}, {"alpha": 0.3, "phi": -0.5},
-        {"alpha": 0.3, "phi": 7.0}, {"alpha": 0.3, "pair_sign": 2},
+        {"alpha": 0.3, "phi": 7.0},
     ])
     def test_out_of_range_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -105,9 +105,20 @@ class TestQfbc:
     def test_independent_angles_extend_tied_form(self):
         rho = state_from_angles(InitialState(alpha=0.5, phi=0.9))
         noise = ad_kraus(0.4)
-        tied = run_qfbc(rho, noise, theta=0.4, eta=0.3, sign_binding=-1)
+        tied = run_qfbc(rho, noise, theta=0.4, eta=-0.3)
         via_pair = run_qfbc(rho, noise, theta=0.4, etas=(-0.3, +0.3))
         assert np.abs(tied.output_state - via_pair.output_state).max() < 1e-15
+
+    @pytest.mark.parametrize("x", (0.3, 0.0, -0.0, np.pi / 2))
+    def test_negative_eta_has_the_bits_of_swapped_etas(self, x):
+        # eta = -x rotates the '+' outcome by -x and the '-' outcome by +x
+        rho = state_from_angles(InitialState(alpha=0.5, phi=0.9))
+        tied = run_qfbc(rho, pd_kraus(0.3), theta=0.4, eta=-x, rot_axis="x")
+        via_pair = run_qfbc(rho, pd_kraus(0.3), theta=0.4, etas=(-x, x), rot_axis="x")
+        assert tied.fidelity == via_pair.fidelity
+        assert tied.output_state.tobytes() == via_pair.output_state.tobytes()
+        assert [b.state.tobytes() for b in tied.branches.branches] == \
+            [b.state.tobytes() for b in via_pair.branches.branches]
 
     def test_generalized_measurement_accepted(self):
         rho = state_from_angles(InitialState(alpha=0.5, phi=0.9))
@@ -127,22 +138,17 @@ class TestQfbc:
         with pytest.raises(ValueError, match="not both"):
             run_qfbc(RHO_0, ad_kraus(0.1), theta=0.4, eta=0.3, etas=(0.2, -0.1))
 
-    @pytest.mark.parametrize("sign_binding", (7, +1))
-    def test_sign_binding_with_etas_rejected(self, sign_binding):
-        with pytest.raises(ValueError, match="sign_binding or etas, not both"):
-            run_qfbc(RHO_0, ad_kraus(0.1), theta=0.4, etas=(0.3, -0.3),
-                     sign_binding=sign_binding)
-
     @pytest.mark.parametrize("meas_axis", ("q", "x"))
     def test_meas_axis_with_beta_rejected(self, meas_axis):
         with pytest.raises(ValueError, match="meas_axis or beta, not both"):
             run_qfbc(RHO_0, ad_kraus(0.1), theta=0.4, eta=0.3, beta=0.7, meas_axis=meas_axis)
 
     def test_unset_sign_binding_and_axis_are_plus_and_y(self):
+        # a bare eta rotates the '+' outcome by +eta; the measurement axis defaults to y
         rho = state_from_angles(InitialState(alpha=0.5, phi=0.9))
         res = run_qfbc(rho, ad_kraus(0.4), theta=0.4, eta=0.3)
-        assert res.fidelity == run_qfbc(rho, ad_kraus(0.4), theta=0.4, eta=0.3,
-                                        meas_axis="y", sign_binding=+1).fidelity
+        assert res.fidelity == run_qfbc(rho, ad_kraus(0.4), theta=0.4, etas=(0.3, -0.3),
+                                        meas_axis="y").fidelity
 
 
 class TestQffcPs:
@@ -199,9 +205,13 @@ class TestQffcRot:
         assert 0.0 < res.fidelity <= 1.0
 
     def test_signs_need_one_entry_per_branch(self):
-        for signs in ((1,), (1, -1, 1)):
+        for signs in ((1,), (1, -1, 1), (2, -1)):   # two entries, each +1 or -1
             with pytest.raises(ValueError, match="signs"):
                 run_qffc_rot(RHO_0, ad_kraus(0.3), p=0.7, eta=0.2, signs=signs)
+
+    def test_negative_eta_rejected(self):
+        with pytest.raises(ValueError, match=r"eta must be in \[0, pi/2\], got -0.1"):
+            run_qffc_rot(RHO_0, ad_kraus(0.3), p=0.7, eta=-0.1)
 
 
 class TestWmppf:
@@ -252,9 +262,13 @@ class TestComposite:
         assert np.array_equal(res.output_state, RHO_0) and res.fidelity == 1.0
 
     def test_signs_need_one_entry_per_branch(self):
-        for signs in ((1,), (1, -1, 1)):
+        for signs in ((1,), (1, -1, 1), (2, -1)):   # two entries, each +1 or -1
             with pytest.raises(ValueError, match="signs"):
                 run_composite(RHO_0, r=0.3, p=0.7, eta=0.2, signs=signs)
+
+    def test_negative_eta_rejected(self):
+        with pytest.raises(ValueError, match=r"eta must be in \[0, pi/2\], got -0.1"):
+            run_composite(RHO_0, r=0.3, p=0.7, eta=-0.1)
 
 
 class TestEntWmqmr:
@@ -421,11 +435,19 @@ class TestDispatcherAndPairs:
 
     def test_pair_average_is_mean_of_members(self):
         fids = []
-        for sign in (+1, -1):
-            rho = state_from_angles(InitialState(alpha=0.6, phi=0.7, pair_sign=sign))
+        for phi in (0.7, 0.7 + np.pi):   # the pair: phi and phi + pi
+            rho = state_from_angles(InitialState(alpha=0.6, phi=phi))
             fids.append(run_scheme(rho, "wmppf", ad_kraus(0.4), p=0.8).fidelity)
         assert pair_average_fidelity(0.6, 0.7, "wmppf", noise=ad_kraus(0.4), p=0.8) \
             == pytest.approx(np.mean(fids), abs=1e-14)
+
+    def test_pair_average_wraps_the_other_member_past_two_pi(self):
+        # at phi = 1.5 pi the other member sits at 0.5 pi, not at 2.5 pi
+        fids = [run_scheme(state_from_angles(InitialState(alpha=0.6, phi=phi)), "qfbc",
+                           pd_kraus(0.4), theta=0.3, eta=0.2).fidelity
+                for phi in (1.5 * np.pi, 0.5 * np.pi)]
+        assert pair_average_fidelity(0.6, 1.5 * np.pi, "qfbc", pd_kraus(0.4), theta=0.3,
+                                     eta=0.2) == pytest.approx(np.mean(fids), abs=1e-14)
 
 
 class TestRunScheme:

@@ -1,8 +1,10 @@
-"""Repository checks: the README's library and CLI examples run, and no
-module of the package imports a name it never uses."""
+"""Repository checks: the README's library and CLI examples run, every CLI
+flag it names exists, and no module of the package imports a name it never uses."""
 
+import argparse
 import ast
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -65,3 +67,15 @@ def test_readme_cli_block_found():
 def test_readme_cli_example_runs(line, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(shlex.split(line)[1:]) == 0, capsys.readouterr().err
+
+
+def test_readme_flags_are_cli_options():
+    # every --flag the README names, outside its pip and pytest command lines
+    text = "\n".join(line for line in README.splitlines()
+                     if not line.lstrip().startswith(("pip ", "pytest ")))
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = {opt for p in subparsers.choices.values() for a in p._actions
+               for opt in a.option_strings}
+    assert named and sorted(named - options) == []
