@@ -3,8 +3,9 @@
 Everything here works on numpy arrays (complex128) of dimension 2 or 4. Density
 matrices are validated Hermitian, unit-trace and positive semidefinite (a 2x2
 state's smallest eigenvalue in closed form). Hermitian matrices are diagonalized
-by one Jacobi rotation (2x2) or LAPACK once per distinct 4x4 matrix, only where
-eigenvectors are used: square roots (a fidelity input's is cached) and
+by one Jacobi rotation (2x2) or LAPACK (4x4), only where eigenvectors are used:
+square roots (a qubit fidelity input's is cached; a 4x4 state's comes from the
+decomposition that checked it, so LAPACK runs once per distinct 4x4 matrix) and
 non-diagonal measurement complements. _memoized caches the operator factories.
 """
 
@@ -92,20 +93,27 @@ def check_prob(value: float, name: str, hi: float = 1.0):
 
 def check_density(rho, name: str = "rho") -> np.ndarray:
     """Validate a density matrix: Hermitian, trace 1, positive semidefinite."""
+    return _checked_density(rho, name)[0]
+
+
+def _checked_density(rho, name: str = "rho") -> tuple[np.ndarray, tuple | None]:
+    """check_density's matrix, with the (w, v) that bounded a 4x4 one's eigenvalues (None for
+    2x2): eig_hermitian's bits, which its square root and metrics reuse."""
     rho = as_matrix(rho, name)
     if np.abs(rho - dagger(rho)).max() > HERMITICITY_ATOL:
         raise ValueError(f"{name} is not Hermitian within {HERMITICITY_ATOL}")
     tr = np.trace(rho)
     if abs(tr - 1.0) > TRACE_ATOL:
         raise ValueError(f"{name} has trace {tr}, expected 1")
+    eig = None
     if rho.shape[0] == 2:   # the symmetrized matrix's smallest eigenvalue
         (a, b), (c, d) = rho.tolist()
         low = (a.real + d.real) / 2 - math.hypot((a.real - d.real) / 2, abs(b + c.conjugate()) / 2)
     else:
-        low = _eig_core(0.5 * (rho + dagger(rho)))[0][-1]
+        low = (eig := _eig_core(0.5 * (rho + dagger(rho))))[0][-1]
     if low < EIGENVALUE_FLOOR:
         raise ValueError(f"{name} has negative eigenvalue {low}")
-    return rho
+    return rho, eig
 
 
 def purity(rho: np.ndarray) -> float:
@@ -214,8 +222,8 @@ def _clip_spectrum(w: np.ndarray, what: str) -> np.ndarray:
     return w
 
 
-def _sqrtm_psd(rho: np.ndarray) -> np.ndarray:
-    w, v = eig_hermitian(rho)
+def _sqrtm_psd(rho: np.ndarray, eig: tuple | None = None) -> np.ndarray:
+    w, v = eig_hermitian(rho) if eig is None else eig   # eig: rho's decomposition, if at hand
     w = _clip_spectrum(w, "matrix square root input")
     return (v * np.sqrt(w)) @ dagger(v)
 
@@ -225,9 +233,9 @@ def _input_root(rho_bytes: bytes, dim: int) -> np.ndarray:
     return _read_only(_sqrtm_psd(np.frombuffer(rho_bytes, dtype=complex).reshape(dim, dim)))
 
 
-def _fidelity_general(rho_in: np.ndarray, rho_f: np.ndarray) -> float:
-    """Tr sqrt(sqrt(rho_in) rho_f sqrt(rho_in)) without the purity shortcut."""
-    root = _input_root(rho_in.tobytes(), len(rho_in))
+def _fidelity_general(rho_in: np.ndarray, rho_f: np.ndarray, eig_in: tuple | None = None) -> float:
+    """Tr sqrt(sqrt(rho_in) rho_f sqrt(rho_in)) without the purity shortcut (eig_in: _fidelity)."""
+    root = _sqrtm_psd(rho_in, eig_in) if eig_in else _input_root(rho_in.tobytes(), len(rho_in))
     w, _ = eig_hermitian(root @ rho_f @ root)
     w = _clip_spectrum(w, "fidelity inner matrix")
     return min(1.0, float(np.sum(np.sqrt(w))))
@@ -239,12 +247,12 @@ def fidelity(rho_in, rho_f) -> float:
     For a pure rho_in this reduces to sqrt(<psi|rho_f|psi>), which is used
     whenever Tr(rho_in^2) >= 1 - 1e-10.
     """
-    return _fidelity(check_density(rho_in, "rho_in"), rho_f)
+    rho_in, eig_in = _checked_density(rho_in, "rho_in")
+    return _fidelity(rho_in, check_density(rho_f, "rho_f"), eig_in)
 
 
-def _fidelity(rho_in: np.ndarray, rho_f) -> float:
-    """fidelity against an already validated rho_in; rho_f is validated here."""
-    rho_f = check_density(rho_f, "rho_f")
+def _fidelity(rho_in: np.ndarray, rho_f: np.ndarray, eig_in: tuple | None = None) -> float:
+    """fidelity of validated states; sqrt(rho_in) from eig_in (its 4x4 check's) or _input_root."""
     if rho_in.shape != rho_f.shape:
         raise ValueError(f"dimension mismatch: {rho_in.shape} vs {rho_f.shape}")
     if purity(rho_in) >= PURITY_PURE_THRESHOLD:
@@ -252,7 +260,7 @@ def _fidelity(rho_in: np.ndarray, rho_f) -> float:
         if overlap < EIGENVALUE_FLOOR:
             raise ValueError(f"negative overlap {overlap} beyond tolerance")
         return min(1.0, np.sqrt(max(overlap, 0.0)))
-    return _fidelity_general(rho_in, rho_f)
+    return _fidelity_general(rho_in, rho_f, eig_in)
 
 
 def concurrence(rho) -> float:
@@ -263,11 +271,16 @@ def concurrence(rho) -> float:
     equivalent sqrt(rho) rho_tilde sqrt(rho) so only a Hermitian
     eigensolver is needed.
     """
-    rho = check_density(rho)
+    rho, eig = _checked_density(rho)
     if rho.shape[0] != 4:
         raise ValueError("concurrence is defined for two-qubit states (dim 4)")
+    return _concurrence(rho, eig)
+
+
+def _concurrence(rho: np.ndarray, eig: tuple) -> float:
+    """concurrence of a validated two-qubit rho, eig its _checked_density decomposition."""
     rho_tilde = _SY_SY @ rho.conj() @ _SY_SY
-    root = _sqrtm_psd(rho)
+    root = _sqrtm_psd(rho, eig)
     w, _ = eig_hermitian(root @ rho_tilde @ root)
     w = _clip_spectrum(w, "concurrence spectrum")
     lam = np.sqrt(w)

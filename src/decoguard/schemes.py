@@ -11,7 +11,7 @@ normalized accepted mixture and its weight.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,22 +76,24 @@ def _deterministic(rho_in, branches: list[Branch], what: str) -> SchemeResult:
         raise ValueError(f"{what} map is not trace preserving: trace {tr}")
     out = out / tr
     return SchemeResult(output_state=out, success_prob=1.0,
-                        fidelity=qmath._fidelity(rho_in, out),
+                        fidelity=qmath._fidelity(rho_in, qmath.check_density(out, "rho_f")),
                         branches=BranchEnsemble(branches=tuple(branches)))
 
 
-def _postselected(rho_in, branches: list[Branch]) -> SchemeResult:
+def _postselected(rho_in, branches: list[Branch], eig_in: tuple | None = None) -> SchemeResult:
     """Result of a post-selected scheme: the accepted weight (at most 1; its
     float sum can round past 1) and the accepted mixture normalized by the
-    unclipped sum (None, with fidelity 0, when nothing is kept)."""
+    unclipped sum (None, with fidelity 0, when nothing is kept). A two-qubit
+    result adds its concurrence (0 if nothing is kept); eig_in: qmath._fidelity."""
     ensemble = BranchEnsemble(tuple(branches))
     success = ensemble.success_prob
-    out, fid = None, 0.0
+    out, fid, conc = None, 0.0, 0.0 if len(rho_in) == 4 else None
     if success > 1e-15:
-        out = sum(b.state for b in branches if b.accepted) / success
-        fid = qmath._fidelity(rho_in, out)
+        out, eig = qmath._checked_density(ensemble.accepted_state(), "rho_f")
+        fid = qmath._fidelity(rho_in, out, eig_in)
+        conc = conc if eig is None else qmath._concurrence(out, eig)
     return SchemeResult(output_state=out, success_prob=min(success, 1.0), fidelity=fid,
-                        branches=ensemble)
+                        branches=ensemble, concurrence=conc)
 
 
 def matched_qmr_strength(p1: float, r: float) -> float:
@@ -249,7 +251,7 @@ def run_ent_wmqmr(rho_2q, r1: float, r2: float, p1: float,
     weak measurement and its reversal act on qubit 1 only (side='one') or
     on both (side='both'). Reports the concurrence of the accepted state.
     """
-    rho_2q = qmath.check_density(rho_2q)
+    rho_2q, eig = qmath._checked_density(rho_2q)
     if rho_2q.shape[0] != 4:
         raise ValueError("run_ent_wmqmr expects a two-qubit state (dim 4)")
     for name, v in (("r1", r1), ("r2", r2), ("p1", p1)):
@@ -261,13 +263,13 @@ def run_ent_wmqmr(rho_2q, r1: float, r2: float, p1: float,
     check_prob(p2, "p2")
 
     def measure_sides(s, role: str, p: float):   # s kept by each side; discards to rejected
-        op = measurements._partial_op(role, p)   # lifted with no 2x2 measurement built
+        pm = PartialMeasurement(op=measurements._partial_op(role, p), role=role)   # p checked
         for q in (1,) if side == "one" else (1, 2):
-            pm = PartialMeasurement(op=qmath._kron(op, ID2) if q == 1 else qmath._kron(ID2, op),
-                                    role=f"{role}@q{q}")
-            rejected.append(Branch(label=f"{pm.role}/discard", state=_conj(pm.complement, s),
+            op, comp = (qmath._kron(a, ID2) if q == 1 else qmath._kron(ID2, a)
+                        for a in (pm.op, pm.complement))
+            rejected.append(Branch(label=f"{role}@q{q}/discard", state=_conj(comp, s),
                                    accepted=False))
-            s = _conj(pm.op, s)
+            s = _conj(op, s)
         return s
 
     rejected: list[Branch] = []
@@ -275,9 +277,8 @@ def run_ent_wmqmr(rho_2q, r1: float, r2: float, p1: float,
     s = channels._apply_kraus(s, lift_local(ad_kraus(r1), 1).stack)
     s = channels._apply_kraus(s, lift_local(ad_kraus(r2), 2).stack)
     s = measure_sides(s, "qmr", p2)
-    res = _postselected(rho_2q, [Branch(label=f"wm[{side}]/ad/qmr/accept", state=s), *rejected])
-    out = res.output_state
-    return replace(res, concurrence=qmath.concurrence(out) if out is not None else 0.0)
+    return _postselected(rho_2q, [Branch(label=f"wm[{side}]/ad/qmr/accept", state=s), *rejected],
+                         eig)
 
 
 SCHEME_KINDS = ("composite", "ent_wmqmr", "qfbc", "qffc_ps", "qffc_rot", "wmppf", "wmqmr")

@@ -397,7 +397,8 @@ class TestConcurrence:
             assert concurrence(rotated) == pytest.approx(concurrence(rho), abs=1e-9)
 
     def test_single_qubit_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"^concurrence is defined for two-qubit states \(dim 4\)$"):
             concurrence(RHO_0)
 
 

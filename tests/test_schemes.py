@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decoguard import channels, measurements, qmath
+from decoguard import channels, measurements, qmath, schemes
 from decoguard.channels import ad_kraus, identity_channel, lift_local, make_channel, pd_kraus
 from decoguard.measurements import Branch, PartialMeasurement, qmr_map, wm_map
 from decoguard.qmath import ID2, InitialState, bloch_to_density, projector, state_from_angles
@@ -296,6 +296,73 @@ class TestEntWmqmr:
         with pytest.raises(ValueError):
             run_ent_wmqmr(RHO_0, r1=0.1, r2=0.1, p1=0.1)
 
+    @pytest.mark.parametrize("side", ("one", "both"))
+    @pytest.mark.parametrize("p2", (None, 0.55))
+    def test_metrics_are_the_public_ones_bit_for_bit(self, side, p2):
+        # the call's shared decompositions give the bits of the public
+        # fidelity and concurrence of its output
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+            r1, r2, p1 = rng.uniform(0, 1, 3)
+            res = run_ent_wmqmr(rho, r1=r1, r2=r2, p1=p1, p2=p2, side=side)
+            assert res.fidelity == qmath.fidelity(rho, res.output_state)
+            assert res.concurrence == qmath.concurrence(res.output_state)
+
+    @pytest.mark.parametrize("side", ("one", "both"))
+    def test_pure_input_metrics_are_the_public_ones_bit_for_bit(self, side):
+        res = run_ent_wmqmr(BELL, r1=0.4, r2=0.2, p1=0.7, side=side)
+        assert res.fidelity == qmath.fidelity(BELL, res.output_state)
+        assert res.concurrence == qmath.concurrence(res.output_state)
+
+    @pytest.mark.parametrize("side", ("one", "both"))
+    def test_zero_success(self, side):
+        # p1 = 1 removes every |1> on qubit 1, so |11> keeps no weight
+        res = run_ent_wmqmr(projector(np.array([0, 0, 0, 1], dtype=complex)), r1=0.5, r2=0.5,
+                            p1=1.0, side=side)
+        assert res.output_state is None and res.success_prob == 0.0
+        assert res.fidelity == 0 and res.concurrence == 0.0
+
+    # every input check, in the order run_ent_wmqmr makes them: a call with
+    # one case's fault and all the later ones reports that case's message
+    _FAULTS = [
+        ("rho_2q", np.diag([1, 0, 0, 0]).astype(complex) + np.triu(np.ones((4, 4)), 1) * 1e-3,
+         "rho is not Hermitian within 1e-12"),
+        ("rho_2q", np.diag([0.5, 0.3, 0.2, 0.1]).astype(complex),
+         r"rho has trace \(1.1\+0j\), expected 1"),
+        ("rho_2q", np.diag([0.7, 0.4, 0.1, -0.2]).astype(complex),
+         "rho has negative eigenvalue -0.2"),
+        ("rho_2q", RHO_0, r"run_ent_wmqmr expects a two-qubit state \(dim 4\)"),
+        ("r1", 1.5, r"r1 must be in \[0, 1\], got 1.5"),
+        ("r2", -0.1, r"r2 must be in \[0, 1\], got -0.1"),
+        ("p1", np.nan, r"p1 must be in \[0, 1\], got nan"),
+        ("side", "left", "side must be 'one' or 'both', got 'left'"),
+        ("p2", 1.2, r"p2 must be in \[0, 1\], got 1.2"),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(_FAULTS)))
+    def test_input_checks_in_order(self, case):
+        kw = {"rho_2q": BELL, "r1": 0.3, "r2": 0.4, "p1": 0.5, "p2": 0.6, "side": "both"}
+        for name, value, _ in reversed(self._FAULTS[case:]):   # the first rho fault wins
+            kw[name] = value
+        with pytest.raises(ValueError, match=f"^{self._FAULTS[case][2]}"):
+            run_ent_wmqmr(**kw)
+
+    def test_leaves_the_input_root_cache_alone(self):
+        # two-qubit calls take no slot, so a qubit input's cached root stays
+        qmath._input_root.cache_clear()
+        run_wmqmr(_MIXED, r=0.3, p1=0.6)
+        before = qmath._input_root.cache_info()
+        g = np.random.default_rng(32).normal(size=(9, 4, 4))
+        for a in g:   # more distinct inputs than the cache holds
+            rho = a @ a.T / np.trace(a @ a.T)
+            for side in ("one", "both"):
+                run_ent_wmqmr(rho.astype(complex), r1=0.3, r2=0.5, p1=0.4, side=side)
+                assert qmath._input_root.cache_info() == before
+        run_wmqmr(_MIXED, r=0.3, p1=0.7)
+        assert qmath._input_root.cache_info().hits == before.hits + 1
+
 
 _MIXED = bloch_to_density((0.3, -0.2, 0.4))
 _G = np.random.default_rng(5).normal(size=(2, 4, 4))
@@ -303,48 +370,68 @@ _FULL_RANK_PAIR = (_G[0] + 1j * _G[1]) @ (_G[0] + 1j * _G[1]).conj().T
 _FULL_RANK_PAIR /= np.trace(_FULL_RANK_PAIR).real
 
 
+def _count_solves(monkeypatch, call, args):
+    """call(x) for each x in args, cold (the input root cache cleared first): the
+    eigensolves (LAPACK eigh, the 2x2 Jacobi branch of _eig_core) of each call,
+    and the _fidelity_general calls of all of them."""
+    entries, lapack, fidelities = [], [], []
+    qmath._input_root.cache_clear()
+    monkeypatch.setattr(np.linalg, "eigh", _logging(lapack, np.linalg.eigh))
+    monkeypatch.setattr(qmath, "_eig_core", _logging(entries, qmath._eig_core))
+    monkeypatch.setattr(qmath, "_fidelity_general", _logging(fidelities, qmath._fidelity_general))
+    solves = []
+    for x in args:
+        call(x)
+        solves.append(len(lapack) + sum(len(a) == 2 for a, in entries))
+        lapack.clear()
+        entries.clear()
+    return solves, len(fidelities)
+
+
 class TestEigensolveCounts:
-    # eigensolves that run (LAPACK eigh, the 2x2 Jacobi branch of _eig_core)
-    # only where their eigenvectors produce output: a 2x2 state is checked in
-    # closed form, the schemes' partial measurements are diagonal, and a
-    # fidelity input's square root is built once; its cache is cleared so
-    # the first call is cold
-    @pytest.mark.parametrize("call, eigs", [
-        (lambda x: run_wmqmr(_MIXED, r=0.3, p1=x), 2),
-        (lambda x: run_qffc_ps(_MIXED, r=0.3, p=x), 2),
-        (lambda x: run_composite(_MIXED, r=0.3, p=0.7, eta=x), 2),
-        (lambda x: run_ent_wmqmr(_FULL_RANK_PAIR, r1=0.3, r2=0.5, p1=x, side="both"), 7),
+    # eigensolves run only where their eigenvectors produce output: a 2x2
+    # state is checked in closed form, the schemes' partial measurements are
+    # diagonal, a qubit fidelity input's square root is built once, and a 4x4
+    # state's check decomposition gives its square root
+    @pytest.mark.parametrize("call, cold, warm", [
+        (lambda x: run_wmqmr(_MIXED, r=0.3, p1=x), 2, 1),
+        (lambda x: run_qffc_ps(_MIXED, r=0.3, p=x), 2, 1),
+        (lambda x: run_composite(_MIXED, r=0.3, p=0.7, eta=x), 2, 1),
+        # the input's check, the output's check, the fidelity and concurrence spectra
+        (lambda x: run_ent_wmqmr(_FULL_RANK_PAIR, r1=0.3, r2=0.5, p1=x, side="both"), 4, 4),
     ], ids=("wmqmr", "qffc_ps", "composite", "ent_wmqmr"))
-    def test_mixed_input_call(self, call, eigs, monkeypatch):
-        entries, lapack, fidelities = [], [], []
-        qmath._input_root.cache_clear()
-        monkeypatch.setattr(np.linalg, "eigh", _logging(lapack, np.linalg.eigh))
-        monkeypatch.setattr(qmath, "_eig_core", _logging(entries, qmath._eig_core))
-        monkeypatch.setattr(qmath, "_fidelity_general",
-                            _logging(fidelities, qmath._fidelity_general))
-        solves = []
+    def test_mixed_input_call(self, call, cold, warm, monkeypatch):
         # a cold call, then a warm one on the same input with another parameter:
-        # the input's square root is reused
-        for x in (0.6, 0.7):
-            call(x)
-            solves.append(len(lapack) + sum(len(a) == 2 for a, in entries))
-            lapack.clear()
-            entries.clear()
-        assert (solves, len(fidelities)) == ([eigs, eigs - 1], 2)
+        # a qubit input's square root is reused
+        assert _count_solves(monkeypatch, call, (0.6, 0.7)) == ([cold, warm], 2)
+
+    @pytest.mark.parametrize("call, solves, general", [
+        (lambda rho: qmath.concurrence(rho), 2, 0),   # the check, the spectrum
+        (lambda rho: qmath.fidelity(rho, BELL), 3, 1),   # two checks, the spectrum
+    ], ids=("concurrence", "fidelity"))
+    def test_two_qubit_metric(self, call, solves, general, monkeypatch):
+        # the same numbers cold and warm: no 4x4 square root is cached
+        pairs = (_FULL_RANK_PAIR, _FULL_RANK_PAIR)
+        assert _count_solves(monkeypatch, call, pairs) == ([solves, solves], 2 * general)
 
     def test_two_sided_ent_wmqmr_lifts_each_stage_from_its_diagonal(self, monkeypatch):
-        # the 4x4 measurements are built straight from wm_map's and qmr_map's
-        # diagonal, with the same bits and with no 2x2 PartialMeasurement
+        # one 2x2 measurement per stage; each side applies the _kron-lifts of
+        # its complement and op, with the bits of a PartialMeasurement built
+        # on the lifted op
         p2 = matched_qmr_strength(0.4, 0.3)
-        wm, qmr = wm_map(0.4).op, qmr_map(p2).op
-        expected = [qmath._kron(wm, ID2), qmath._kron(ID2, wm),
-                    qmath._kron(qmr, ID2), qmath._kron(ID2, qmr)]
-        ops = []
+        stages, expected = (wm_map(0.4).op, qmr_map(p2).op), []
+        for op in stages:
+            for lifted in (qmath._kron(op, ID2), qmath._kron(ID2, op)):
+                pm = PartialMeasurement(op=lifted, role="lifted")
+                expected += [pm.complement, pm.op]
+        built, applied = [], []
         post_init = PartialMeasurement.__post_init__
         monkeypatch.setattr(PartialMeasurement, "__post_init__",
-                            lambda pm: (ops.append(pm.op), post_init(pm))[1])
+                            lambda pm: (built.append(pm.op), post_init(pm))[1])
+        monkeypatch.setattr(schemes, "_conj", _logging(applied, schemes._conj))
         run_ent_wmqmr(_FULL_RANK_PAIR, r1=0.3, r2=0.5, p1=0.4, side="both")
-        assert [op.tobytes() for op in ops] == [op.tobytes() for op in expected]
+        assert [op.tobytes() for op in built] == [op.tobytes() for op in stages]
+        assert [op.tobytes() for op, _ in applied] == [op.tobytes() for op in expected]
 
 
 # one call of every run_* on a mixed input
@@ -363,11 +450,11 @@ _RUNS = {
 class TestStageCounts:
     # each stage is applied straight to the previous stage's array: every
     # Branch is built once, with its final label, and only the input, the
-    # operators built per call (wm_map, qmr_map, the lifted measurements) and
-    # the output's fidelity and concurrence steps reach as_matrix
+    # operators built per call (wm_map, qmr_map, one 2x2 measurement per
+    # ent_wmqmr stage) and the output's check and metric spectra reach as_matrix
     @pytest.mark.parametrize("kind, branches, matrices", [
         ("wmqmr", 3, 5), ("qffc_ps", 4, 3), ("composite", 4, 3), ("qfbc", 2, 3),
-        ("qffc_rot", 2, 3), ("ent_wmqmr_one", 3, 8), ("ent_wmqmr_both", 5, 10)])
+        ("qffc_rot", 2, 3), ("ent_wmqmr_one", 3, 6), ("ent_wmqmr_both", 5, 6)])
     def test_warm_mixed_input_call(self, kind, branches, matrices, monkeypatch):
         _RUNS[kind]()   # fills the operator and square-root caches
         built, seen = [], []
