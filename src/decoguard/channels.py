@@ -148,6 +148,15 @@ def _apply_kraus(rho, stack) -> np.ndarray:
     start, and renormalized when its trace drifts by at most TRACE_DRIFT_ATOL."""
     terms = stack @ rho @ stack.conj().swapaxes(-1, -2)
     out = sum(terms[..., k, :, :] for k in range(stack.shape[-3]))
+    if out.shape == (2, 2):   # one qubit state: the same test in scalar arithmetic
+        (a, _), (_, d) = rho.tolist()
+        (a_out, _), (_, d_out) = out.tolist()
+        # + 0.0 makes a zero trace +0.0, as np.trace does; its sign reaches the scale factor
+        tr_in, tr_out = a.real + d.real + 0.0, a_out.real + d_out.real
+        drift = abs(tr_out - tr_in)
+        if drift > TRACE_DRIFT_ATOL:
+            raise ValueError(f"trace drift {drift} exceeds {TRACE_DRIFT_ATOL}")
+        return out * (tr_in / tr_out) if tr_out > 0 and drift > 0 else out
     tr_in, tr_out = rho.trace().real, out.trace(axis1=-2, axis2=-1).real
     drift = np.abs(tr_out - tr_in)
     if (drift > TRACE_DRIFT_ATOL).any():

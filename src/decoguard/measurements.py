@@ -8,6 +8,7 @@ shared objects with read-only arrays (qmath._memoized).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,7 @@ from .qmath import (
     KET_PLUS,
     KET_PLUS_I,
     PAULI_X,
+    _entries,
     _memoized,
     as_matrix,
     check_prob,
@@ -57,15 +59,25 @@ class PartialMeasurement:
     """Single measurement operator with op^t op <= I; the other outcome is discarded.
 
     complement = sqrt(I - op^t op) is the discarded outcome's operator; it is
-    built once, in closed form when op^t op is diagonal (every op the schemes
-    build) and from one eigendecomposition otherwise, checking op^t op <= I."""
+    built once, checking op^t op <= I: from a real diagonal 2x2 op's two entries
+    in scalar arithmetic (every op the schemes build), in closed form when op^t op
+    is diagonal, and from one eigendecomposition otherwise."""
 
     op: np.ndarray
     role: str
     complement: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "op", op := as_matrix(self.op, "op"))
+        op, e = _entries(self.op, "op")
+        object.__setattr__(self, "op", op)
+        if e is not None and e[0][1] == e[1][0] == e[0][0].imag == e[1][1].imag == 0:
+            # a real diagonal: 1 - x * x has the bits of numpy's I - op^t op
+            w = [1 - x.real * x.real for x in (e[0][0], e[1][1])]
+            if min(w) < -1e-12:
+                raise ValueError(f"partial measurement operator exceeds identity: {1 - min(w)}")
+            r0, r1 = (math.sqrt(max(x, 0.0)) for x in w)
+            object.__setattr__(self, "complement", np.array([[r0, 0], [0, r1]], dtype=complex))
+            return
         m = np.eye(len(op), dtype=complex) - dagger(op) @ op
         diagonal = np.count_nonzero(m) == np.count_nonzero(m.diagonal())
         w, v = (m.diagonal().real, None) if diagonal else eig_hermitian(m)

@@ -1,16 +1,21 @@
 """Small fixed-size complex matrix algebra, qubit states and metrics.
 
 Everything here works on numpy arrays (complex128) of dimension 2 or 4. Density
-matrices are validated Hermitian, unit-trace and positive semidefinite (a 2x2
-state's smallest eigenvalue in closed form). Hermitian matrices are diagonalized
-by one Jacobi rotation (2x2) or LAPACK (4x4), only where eigenvectors are used:
-square roots (a qubit fidelity input's is cached; a 4x4 state's comes from the
-decomposition that checked it, so LAPACK runs once per distinct 4x4 matrix) and
-non-diagonal measurement complements. _memoized caches the operator factories.
+matrices are validated Hermitian, unit-trace and positive semidefinite. Every
+check of a 2x2 matrix (finite entries, Hermitian, trace, smallest eigenvalue in
+closed form, a clipped 2-vector spectrum) runs in scalar arithmetic on its
+entries, and a 4x4 one in numpy and LAPACK, with the same messages; the arrays
+that become outputs are computed in numpy either way. Hermitian matrices are
+diagonalized by one Jacobi rotation (2x2) or LAPACK (4x4), only where
+eigenvectors are used: square roots (a qubit fidelity input's is cached; a 4x4
+state's comes from the decomposition that checked it, so LAPACK runs once per
+distinct 4x4 matrix) and non-diagonal measurement complements. _memoized caches
+the operator factories.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -85,6 +90,26 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _entries(m, name: str = "matrix") -> tuple[np.ndarray, list | None]:
+    """as_matrix(m, name), and a 2x2's entries [[a, b], [c, d]] as Python complex numbers
+    (None for 4x4): a 2x2 passes the same checks, in scalar arithmetic, with the same messages."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (2, 2):
+        return as_matrix(m, name), None
+    e = m.tolist()
+    if not all(map(cmath.isfinite, e[0] + e[1])):
+        raise ValueError(f"{name} has non-finite entries")
+    return m, e
+
+
+def _asymmetry(m: np.ndarray, e: list | None) -> float:
+    """max |m - m^dagger| over the entries, from a 2x2's entries e (_entries) if given."""
+    if e is None:
+        return np.abs(m - dagger(m)).max()
+    (a, b), (c, d) = e
+    return max(abs(a - a.conjugate()), abs(b - c.conjugate()), abs(d - d.conjugate()))
+
+
 def check_prob(value: float, name: str, hi: float = 1.0):
     """Reject a probability-like parameter outside [0, hi]."""
     if not 0.0 <= value <= hi:
@@ -92,22 +117,25 @@ def check_prob(value: float, name: str, hi: float = 1.0):
 
 
 def check_density(rho, name: str = "rho") -> np.ndarray:
-    """Validate a density matrix: Hermitian, trace 1, positive semidefinite."""
+    """Validate a density matrix: Hermitian, trace 1, positive semidefinite.
+
+    A 2x2 is checked in scalar arithmetic on its four entries and a 4x4 in numpy
+    (its eigenvalues by LAPACK); both raise the same messages, in the same order."""
     return _checked_density(rho, name)[0]
 
 
 def _checked_density(rho, name: str = "rho") -> tuple[np.ndarray, tuple | None]:
     """check_density's matrix, with the (w, v) that bounded a 4x4 one's eigenvalues (None for
     2x2): eig_hermitian's bits, which its square root and metrics reuse."""
-    rho = as_matrix(rho, name)
-    if np.abs(rho - dagger(rho)).max() > HERMITICITY_ATOL:
+    rho, e = _entries(rho, name)
+    if _asymmetry(rho, e) > HERMITICITY_ATOL:
         raise ValueError(f"{name} is not Hermitian within {HERMITICITY_ATOL}")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > TRACE_ATOL:
-        raise ValueError(f"{name} has trace {tr}, expected 1")
+    tr = np.trace(rho) if e is None else e[0][0] + e[1][1]
+    if abs(tr - 1.0) > TRACE_ATOL:   # the message prints np.trace's bits, zero signs included
+        raise ValueError(f"{name} has trace {np.trace(rho)}, expected 1")
     eig = None
-    if rho.shape[0] == 2:   # the symmetrized matrix's smallest eigenvalue
-        (a, b), (c, d) = rho.tolist()
+    if e is not None:   # the symmetrized matrix's smallest eigenvalue
+        (a, b), (c, d) = e
         low = (a.real + d.real) / 2 - math.hypot((a.real - d.real) / 2, abs(b + c.conjugate()) / 2)
     else:
         low = (eig := _eig_core(0.5 * (rho + dagger(rho))))[0][-1]
@@ -182,8 +210,8 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     eigenvector bits decide the round-off tie-breaks that the pinned fig6 and
     sweep outputs record.
     """
-    m = as_matrix(m, "m")
-    if np.abs(m - dagger(m)).max() > 1e-10:
+    m, e = _entries(m, "m")
+    if _asymmetry(m, e) > 1e-10:
         raise ValueError("eig_hermitian requires a Hermitian matrix")
     return _eig_core(0.5 * (m + dagger(m)))   # symmetrize away roundoff
 
@@ -208,13 +236,21 @@ def _eig_core(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array([w0, w1]), v.copy()
 
 
-def _clip_spectrum(w: np.ndarray, what: str) -> np.ndarray:
+def _clip_spectrum(w: np.ndarray, what: str) -> np.ndarray | list[float]:
     """Clip eigenvalues in [EIGENVALUE_FLOOR, 0) to 0; reject anything lower.
 
     Eigenvalues below the relative noise floor are zeroed as well: taking a
     square root amplifies O(eps) noise at zero to O(sqrt(eps)), which would
-    otherwise dominate the metric error for (near-)pure states.
+    otherwise dominate the metric error for (near-)pure states. A 2-vector is
+    clipped in scalar arithmetic and returned as a list of the same floats.
     """
+    if len(w) == 2:
+        w = w.tolist()
+        if min(w) < EIGENVALUE_FLOOR:
+            raise ValueError(f"{what} has eigenvalue {min(w)} below {EIGENVALUE_FLOOR}")
+        w = [max(x, 0.0) for x in w]
+        floor = 1e-14 * max(1.0, *w)
+        return [0.0 if x < floor else x for x in w]
     if w.min() < EIGENVALUE_FLOOR:
         raise ValueError(f"{what} has eigenvalue {w.min()} below {EIGENVALUE_FLOOR}")
     w = w.clip(0.0, None)
@@ -238,7 +274,8 @@ def _fidelity_general(rho_in: np.ndarray, rho_f: np.ndarray, eig_in: tuple | Non
     root = _sqrtm_psd(rho_in, eig_in) if eig_in else _input_root(rho_in.tobytes(), len(rho_in))
     w, _ = eig_hermitian(root @ rho_f @ root)
     w = _clip_spectrum(w, "fidelity inner matrix")
-    return min(1.0, float(np.sum(np.sqrt(w))))
+    # two entries: math.sqrt and + give np.sum(np.sqrt(w))'s bits
+    return min(1.0, math.sqrt(w[0]) + math.sqrt(w[1]) if len(w) == 2 else float(np.sum(np.sqrt(w))))
 
 
 def fidelity(rho_in, rho_f) -> float:

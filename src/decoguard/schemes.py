@@ -243,6 +243,11 @@ def run_composite(rho_in, r: float, p: float, eta: float,
     return _postselected(rho_in, _qffc_ps_branches(rho_in, r, p, p_u, p_v, rotations))
 
 
+@qmath._memoized   # like ad_kraus: calls on one input repeat r1 (r2's lift is built per call)
+def _ad_on_qubit1(r1: float) -> KrausChannel:
+    return lift_local(ad_kraus(r1), 1)
+
+
 def run_ent_wmqmr(rho_2q, r1: float, r2: float, p1: float,
                   p2: float | None = None, side: str = "one") -> SchemeResult:
     """One- or two-sided WMQMR protection of a two-qubit state.
@@ -274,7 +279,7 @@ def run_ent_wmqmr(rho_2q, r1: float, r2: float, p1: float,
 
     rejected: list[Branch] = []
     s = measure_sides(rho_2q, "wm", p1)
-    s = channels._apply_kraus(s, lift_local(ad_kraus(r1), 1).stack)
+    s = channels._apply_kraus(s, _ad_on_qubit1(r1).stack)
     s = channels._apply_kraus(s, lift_local(ad_kraus(r2), 2).stack)
     s = measure_sides(s, "qmr", p2)
     return _postselected(rho_2q, [Branch(label=f"wm[{side}]/ad/qmr/accept", state=s), *rejected],

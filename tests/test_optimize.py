@@ -789,7 +789,7 @@ class TestPureScreenProperties:
         coef = optimize._qfbc_row_screen(rho, rho_es, grid)
         a, b, c = coef[..., None]
         fb = a + b * np.cos(se) + c * np.sin(se)  # (cell, pair, t, m, e)
-        fb_max = optimize._eta_max(coef, np.sort(se))
+        fb_max = optimize._eta_max(coef, optimize._qfbc_tables(grid)["folded_etas"])
         ff = optimize._qffc_row_screen(rho, noises, grid)
         for noise, rho_e, fb_all, fb_best, ff_max in zip(noises, rho_es, fb, fb_max, ff):
             exact = np.stack([_qfbc_scores(v, rho_e) for v in vs])
@@ -813,19 +813,22 @@ class TestPureScreenProperties:
         assert np.abs(screen - exact.max(axis=(0, 2))).max() <= optimize.SCREEN_ATOL / 100
 
     @pytest.mark.parametrize("eta", (
-        np.array(SMALL.eta), np.sort(optimize._signed_etas(SMALL.eta)), np.sort(_UNORDERED.eta),
-    ), ids=("quarter", "signed", "unordered"))
+        np.array(SMALL.eta), optimize._qfbc_tables(SMALL)["folded_etas"], np.sort(_UNORDERED.eta),
+    ), ids=("quarter", "folded", "unordered"))
     def test_eta_max_equals_brute_force(self, eta):
-        # peaks all round the circle, among them (-pi, -3pi/4), behind the
-        # start of [0, pi/2], where the grid maximum is at the far end pi/2
+        # the maximum over the signed grid +-eta, each sign's sinusoid evaluated
+        # at every grid point (c sin(-eta) is -c sin(eta) bit for bit); peaks all
+        # round the circle, among them (-pi, -3pi/4), behind the start of
+        # [-pi/2, pi/2], where the grid maximum is at the far end -pi/2
         peak, size = (x.ravel() for x in np.meshgrid(np.linspace(-np.pi, np.pi, 73),
                                                      (0.1, 1.0, 3.0)))
         a, b, c = 0.25 * size, size * np.cos(peak), size * np.sin(peak)
-        brute = (a[:, None] + b[:, None] * np.cos(eta) + c[:, None] * np.sin(eta)).max(axis=1)
+        cos, sin = np.cos(eta), np.sin(eta)
+        brute = np.maximum(*(a[:, None] + b[:, None] * cos + sign * c[:, None] * sin
+                             for sign in (+1, -1))).max(axis=1)
         assert np.array_equal(optimize._eta_max((a, b, c), eta), brute)
         behind = (peak > -np.pi) & (peak < -3 * np.pi / 4)
-        if eta[0] == 0.0:
-            assert (brute[behind] == (a + b * np.cos(eta[-1]) + c * np.sin(eta[-1]))[behind]).all()
+        assert (brute[behind] == (a + b * cos[-1] - c * sin[-1])[behind]).all()
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(_ANGLES, st.lists(st.tuples(st.sampled_from(("ad", "pd")), st.floats(0.0, 1.0)),

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from decoguard import qmath
+from decoguard.channels import _apply_kraus
+from decoguard.measurements import PartialMeasurement
 from decoguard.qmath import (
     ID2,
     KET_0,
@@ -313,6 +317,168 @@ class TestEigHermitianProperties:
         phase = np.vdot(v[:, 0], ket)
         assert abs(abs(phase) - 1.0) < 1e-12
         assert np.abs(v[:, 0] * phase - ket).max() < 1e-12
+
+
+# a valid qubit state, and 2x2 inputs with one defect each (exact entries)
+_STATE = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+_OFF_HERMITIAN = _STATE + np.array([[0, 2e-12], [0, 0]])
+_TRACE_1_1 = np.diag([0.6, 0.5]).astype(complex)
+_NEGATIVE = np.array([[0.5, 0.5 + 1e-9], [0.5 + 1e-9, 0.5]])   # eigenvalues 1 + 1e-9, -1e-9
+
+
+def _two_qubit(m):
+    """A 4x4 with m's entries and trace, and its eigenvalues with two zeros added."""
+    out = np.zeros((4, 4), dtype=complex)
+    out[::2, ::2] = m
+    return out
+
+
+def _raised(fn, *args) -> str:
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+class TestScalarChecks:
+    """A 2x2 matrix is checked in scalar arithmetic and a 4x4 with numpy: every
+    check site raises the same message, in the same check order, for both
+    (the messages are the ones the numpy checks gave for these 2x2 inputs)."""
+
+    _SITES = {"check_density": (check_density, "rho"), "eig_hermitian": (eig_hermitian, "m"),
+              "PartialMeasurement": (lambda m: PartialMeasurement(op=m, role="x"), "op")}
+
+    @pytest.mark.parametrize("site", sorted(_SITES))
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_entry(self, site, entry, bad):
+        check, name = self._SITES[site]
+        m = _OFF_HERMITIAN + _TRACE_1_1   # the non-finite test comes first
+        m[entry] = bad
+        for x in (m, _two_qubit(m)):
+            assert _raised(check, x) == f"{name} has non-finite entries"
+
+    @pytest.mark.parametrize("rho, message", [
+        (_OFF_HERMITIAN, "rho is not Hermitian within 1e-12"),
+        (_OFF_HERMITIAN + _TRACE_1_1, "rho is not Hermitian within 1e-12"),
+        (_TRACE_1_1, "rho has trace (1.1+0j), expected 1"),
+        (_TRACE_1_1.conj(), "rho has trace (1.1+0j), expected 1"),   # -0 imaginary parts
+        (_NEGATIVE + _TRACE_1_1, "rho has trace (2.1+0j), expected 1"),
+        (_NEGATIVE, "rho has negative eigenvalue -9.999999717180685e-10"),
+    ], ids=("hermitian", "hermitian-before-trace", "trace", "trace-conj", "trace-before-eigenvalue",
+            "eigenvalue"))
+    def test_density_defect(self, rho, message):
+        assert _raised(check_density, rho) == message
+        assert _raised(check_density, _two_qubit(rho)) == message
+        assert _raised(fidelity, rho, _STATE) == message.replace("rho", "rho_in", 1)
+
+    def test_eig_hermitian_tolerance(self):
+        for dev, ok in ((2e-12, True), (2e-10, False)):
+            m = _STATE + np.array([[0, dev], [0, 0]])
+            for x in (m, _two_qubit(m)):
+                if ok:
+                    eig_hermitian(x)
+                else:
+                    assert _raised(eig_hermitian, x) == "eig_hermitian requires a Hermitian matrix"
+
+    @pytest.mark.parametrize("d, message", [
+        ((1.1, 0.5), "partial measurement operator exceeds identity: 1.2100000000000002"),
+        ((0.9 + 0.6j, 0.5), "partial measurement operator exceeds identity: 1.17")])
+    def test_operator_exceeding_identity(self, d, message):
+        for op in (np.diag(d), np.diag([*d, 1, 1])):
+            assert _raised(PartialMeasurement, op.astype(complex), "x") == message
+
+    def test_spectrum_below_floor(self):
+        for w in ([1 + 1e-9, -1e-9], [0.5, 0.5 + 1e-9, 0.0, -1e-9]):
+            assert (_raised(qmath._clip_spectrum, np.array(w), "fidelity inner matrix")
+                    == "fidelity inner matrix has eigenvalue -1e-09 below -1e-10")
+
+    @pytest.mark.parametrize("gain, message", [
+        (1 + 1e-11, "trace drift 5.999867269679271e-12 exceeds 1e-12"), (1 + 1e-13, None)])
+    def test_trace_drift(self, gain, message):
+        # one 2x2 state takes the scalar path, the same state as a stack of one the numpy path
+        stack = np.stack([np.diag([1, gain]), np.zeros((2, 2))]).astype(complex)
+        if message:
+            assert _raised(_apply_kraus, _STATE, stack) == message
+            assert _raised(_apply_kraus, _STATE, stack[None]) == message
+        else:
+            out = _apply_kraus(_STATE, stack)
+            assert out.tobytes() == _apply_kraus(_STATE, stack[None])[0].tobytes()
+            assert np.trace(out).real == pytest.approx(1.0, abs=1e-15)
+
+
+_TOLERANCE_MARGIN = 0.05   # property inputs stay this relative distance from each tolerance
+
+
+@st.composite
+def _near_state(draw):
+    """2x2 matrices on both sides of check_density's three tolerances: a rotated
+    diag(tr - low, low) with an off-Hermitian part added to the (0, 1) entry."""
+    tiny = st.floats(0.0, 3e-12)
+    low = draw(st.one_of(st.floats(-3e-10, 3e-10), st.floats(0.0, 0.5)))
+    tr = 1.0 + draw(st.sampled_from([-1.0, 0.0, 1.0])) * draw(tiny)
+    th, ph, dev_phase = (draw(st.floats(0.0, 2 * np.pi)) for _ in range(3))
+    u = np.array([[np.cos(th), -np.sin(th) * np.exp(1j * ph)],
+                  [np.sin(th) * np.exp(-1j * ph), np.cos(th)]])
+    m = (u * np.array([tr - low, low])) @ u.conj().T
+    m[0, 1] += draw(tiny) * np.exp(1j * dev_phase)
+    return m
+
+
+def _numpy_verdict(m):
+    """The first check_density test m fails, by the numpy forms of the three tests."""
+    if np.abs(m - m.conj().T).max() > qmath.HERMITICITY_ATOL:
+        return "not Hermitian"
+    if abs(np.trace(m) - 1.0) > qmath.TRACE_ATOL:
+        return "has trace"
+    if np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min() < qmath.EIGENVALUE_FLOOR:
+        return "negative eigenvalue"
+    return None
+
+
+class TestScalarCheckProperties:
+    @PROPERTY
+    @given(_near_state())
+    def test_predicates_match_numpy(self, m):
+        herm, tr = np.abs(m - m.conj().T).max(), np.trace(m)
+        low = np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min()
+        for value, tol in ((herm, qmath.HERMITICITY_ATOL), (abs(tr - 1.0), qmath.TRACE_ATOL),
+                           (low, qmath.EIGENVALUE_FLOOR)):
+            assume(abs(value - tol) > _TOLERANCE_MARGIN * abs(tol))
+        _, e = qmath._entries(m)
+        assert e[0][0] + e[1][1] == tr
+        want = _numpy_verdict(m)
+        if want is None:
+            check_density(m)
+        else:
+            with pytest.raises(ValueError, match=want):
+                check_density(m)
+
+    @PROPERTY
+    @given(st.floats(-1e-10, 2.0), st.floats(-1e-10, 2.0))
+    def test_clipped_spectrum_and_its_root_sum(self, w0, w1):
+        w = np.array([w0, w1])
+        want = w.clip(0.0, None)
+        want[want < 1e-14 * max(1.0, float(want.max()))] = 0.0
+        got = qmath._clip_spectrum(w, "w")
+        assert np.array(got).tobytes() == want.tobytes()
+        assert math.sqrt(got[0]) + math.sqrt(got[1]) == float(np.sum(np.sqrt(want)))
+
+    @PROPERTY
+    @given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.0, 2 * np.pi))
+    def test_diagonal_complement(self, x0, x1, phase):
+        # a real diagonal takes the scalar path: the bits of 1 - |d|^2 in numpy,
+        # and of the numpy path that its 4x4 lift takes; with a phase, a 2x2
+        # takes the numpy path, whose op^t op has the bits of Re(conj(d) d)
+        real = np.array([x0, x1], dtype=complex)
+        want = np.diag(np.sqrt(np.clip(1 - abs(real) ** 2, 0, None))).astype(complex)
+        got = PartialMeasurement(op=np.diag(real), role="x").complement
+        assert got.tobytes() == want.tobytes()
+        lifted = PartialMeasurement(op=np.diag([*real, 1, 1]), role="x").complement
+        assert lifted[:2, :2].tobytes() == want.tobytes()
+        d = real * np.exp(1j * phase)
+        assume(np.all((d.conj() * d).real <= 1.0))
+        want = np.diag(np.sqrt(np.clip(1 - (d.conj() * d).real, 0, None))).astype(complex)
+        assert PartialMeasurement(op=np.diag(d), role="x").complement.tobytes() == want.tobytes()
 
 
 class TestFidelity:

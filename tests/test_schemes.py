@@ -451,7 +451,9 @@ class TestStageCounts:
     # each stage is applied straight to the previous stage's array: every
     # Branch is built once, with its final label, and only the input, the
     # operators built per call (wm_map, qmr_map, one 2x2 measurement per
-    # ent_wmqmr stage) and the output's check and metric spectra reach as_matrix
+    # ent_wmqmr stage) and the output's check and metric spectra are checked,
+    # each once: a 2x2 by qmath._entries' scalar checks, a 4x4 by as_matrix
+    # (which _entries calls for it)
     @pytest.mark.parametrize("kind, branches, matrices", [
         ("wmqmr", 3, 5), ("qffc_ps", 4, 3), ("composite", 4, 3), ("qfbc", 2, 3),
         ("qffc_rot", 2, 3), ("ent_wmqmr_one", 3, 6), ("ent_wmqmr_both", 5, 6)])
@@ -460,9 +462,17 @@ class TestStageCounts:
         built, seen = [], []
         post_init = Branch.__post_init__
         monkeypatch.setattr(Branch, "__post_init__", lambda b: (built.append(b), post_init(b))[1])
-        as_matrix = _logging(seen, qmath.as_matrix)
+        as_matrix, entries = _logging(seen, qmath.as_matrix), qmath._entries
+
+        def scalar_checked(m, name="matrix"):
+            out = entries(m, name)
+            if out[1] is not None:
+                seen.append((m, name))
+            return out
         for module in (qmath, measurements, channels):
             monkeypatch.setattr(module, "as_matrix", as_matrix)
+        for module in (qmath, measurements):
+            monkeypatch.setattr(module, "_entries", scalar_checked)
         res = _RUNS[kind]()
         assert len(built) == len(res.branches.branches) == branches
         assert len(seen) == matrices
