@@ -193,8 +193,10 @@ class Branch:
     accepted: bool = True
     weight: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "weight", float(self.state.trace().real))
+    def __post_init__(self):   # a 2x2's diagonal sum + 0.0 has np.trace's bits, -0.0 read as +0.0
+        s = self.state
+        w = s.item(0).real + s.item(3).real + 0.0 if s.shape == (2, 2) else s.trace().real
+        object.__setattr__(self, "weight", float(w))
 
 
 @dataclass(frozen=True)

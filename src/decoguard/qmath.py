@@ -3,14 +3,13 @@
 Everything here works on numpy arrays (complex128) of dimension 2 or 4. Density
 matrices are validated Hermitian, unit-trace and positive semidefinite. Every
 check of a 2x2 matrix (finite entries, Hermitian, trace, smallest eigenvalue in
-closed form, a clipped 2-vector spectrum) runs in scalar arithmetic on its
-entries, and a 4x4 one in numpy and LAPACK, with the same messages; the arrays
-that become outputs are computed in numpy either way. Hermitian matrices are
-diagonalized by one Jacobi rotation (2x2) or LAPACK (4x4), only where
-eigenvectors are used: square roots (a qubit fidelity input's is cached; a 4x4
-state's comes from the decomposition that checked it, so LAPACK runs once per
-distinct 4x4 matrix) and non-diagonal measurement complements. _memoized caches
-the operator factories.
+closed form), and a 2x2's purity and mixed-input fidelity, run in scalar
+arithmetic on its entries; a 4x4 one is checked in numpy and LAPACK, with the
+same messages. Hermitian matrices are diagonalized by one Jacobi rotation (2x2)
+or LAPACK (4x4), only where eigenvectors are used: a 4x4 state's square root
+(from the decomposition that checked it, so LAPACK runs once per distinct 4x4
+matrix) and non-diagonal measurement complements. _memoized caches the
+operator factories.
 """
 
 from __future__ import annotations
@@ -145,8 +144,11 @@ def _checked_density(rho, name: str = "rho") -> tuple[np.ndarray, tuple | None]:
 
 
 def purity(rho: np.ndarray) -> float:
-    """Tr(rho^2), 1 for pure states."""
-    return float(np.real(np.trace(rho @ rho)))
+    """Tr(rho^2), 1 for pure states; a 2x2's from its four entries."""
+    if rho.shape != (2, 2):
+        return float(np.real(np.trace(rho @ rho)))
+    (a, b), (c, d) = rho.tolist()
+    return (a * a + 2 * (b * c) + d * d).real
 
 
 class BlochVector(NamedTuple):
@@ -236,21 +238,13 @@ def _eig_core(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array([w0, w1]), v.copy()
 
 
-def _clip_spectrum(w: np.ndarray, what: str) -> np.ndarray | list[float]:
+def _clip_spectrum(w: np.ndarray, what: str) -> np.ndarray:
     """Clip eigenvalues in [EIGENVALUE_FLOOR, 0) to 0; reject anything lower.
 
     Eigenvalues below the relative noise floor are zeroed as well: taking a
     square root amplifies O(eps) noise at zero to O(sqrt(eps)), which would
-    otherwise dominate the metric error for (near-)pure states. A 2-vector is
-    clipped in scalar arithmetic and returned as a list of the same floats.
+    otherwise dominate the metric error for (near-)pure states.
     """
-    if len(w) == 2:
-        w = w.tolist()
-        if min(w) < EIGENVALUE_FLOOR:
-            raise ValueError(f"{what} has eigenvalue {min(w)} below {EIGENVALUE_FLOOR}")
-        w = [max(x, 0.0) for x in w]
-        floor = 1e-14 * max(1.0, *w)
-        return [0.0 if x < floor else x for x in w]
     if w.min() < EIGENVALUE_FLOOR:
         raise ValueError(f"{what} has eigenvalue {w.min()} below {EIGENVALUE_FLOOR}")
     w = w.clip(0.0, None)
@@ -258,38 +252,28 @@ def _clip_spectrum(w: np.ndarray, what: str) -> np.ndarray | list[float]:
     return w
 
 
-def _sqrtm_psd(rho: np.ndarray, eig: tuple | None = None) -> np.ndarray:
-    w, v = eig_hermitian(rho) if eig is None else eig   # eig: rho's decomposition, if at hand
-    w = _clip_spectrum(w, "matrix square root input")
-    return (v * np.sqrt(w)) @ dagger(v)
-
-
-@functools.lru_cache(maxsize=8)   # the run_* pipelines compare many outputs with one input
-def _input_root(rho_bytes: bytes, dim: int) -> np.ndarray:
-    return _read_only(_sqrtm_psd(np.frombuffer(rho_bytes, dtype=complex).reshape(dim, dim)))
-
-
-def _fidelity_general(rho_in: np.ndarray, rho_f: np.ndarray, eig_in: tuple | None = None) -> float:
-    """Tr sqrt(sqrt(rho_in) rho_f sqrt(rho_in)) without the purity shortcut (eig_in: _fidelity)."""
-    root = _sqrtm_psd(rho_in, eig_in) if eig_in else _input_root(rho_in.tobytes(), len(rho_in))
-    w, _ = eig_hermitian(root @ rho_f @ root)
-    w = _clip_spectrum(w, "fidelity inner matrix")
-    # two entries: math.sqrt and + give np.sum(np.sqrt(w))'s bits
-    return min(1.0, math.sqrt(w[0]) + math.sqrt(w[1]) if len(w) == 2 else float(np.sum(np.sqrt(w))))
+def _sqrtm_psd(eig: tuple) -> np.ndarray:
+    w, v = eig   # a 4x4 state's decomposition, from the check that validated it
+    return (v * np.sqrt(_clip_spectrum(w, "matrix square root input"))) @ dagger(v)
 
 
 def fidelity(rho_in, rho_f) -> float:
     """Uhlmann fidelity Tr sqrt(sqrt(rho_in) rho_f sqrt(rho_in)).
 
-    For a pure rho_in this reduces to sqrt(<psi|rho_f|psi>), which is used
-    whenever Tr(rho_in^2) >= 1 - 1e-10.
+    A pure rho_in (Tr(rho_in^2) >= 1 - 1e-10) gives sqrt(<psi|rho_f|psi>), a
+    mixed two-qubit one the matrix square root. A mixed qubit takes the closed
+    form (Hubner 1992; Jozsa 1994): sqrt(rho_in) rho_f sqrt(rho_in) has
+    eigenvalues hi >= lo with hi + lo = Tr(rho_in rho_f) and hi lo = det rho_in
+    det rho_f, and F = sqrt(hi) + sqrt(lo), clipped as the optimizers' screen
+    clips it (an overlap below EIGENVALUE_FLOOR raises, lo < 1e-14 max(1, hi)
+    is zeroed, F <= 1).
     """
     rho_in, eig_in = _checked_density(rho_in, "rho_in")
     return _fidelity(rho_in, check_density(rho_f, "rho_f"), eig_in)
 
 
 def _fidelity(rho_in: np.ndarray, rho_f: np.ndarray, eig_in: tuple | None = None) -> float:
-    """fidelity of validated states; sqrt(rho_in) from eig_in (its 4x4 check's) or _input_root."""
+    """fidelity of validated states, a mixed qubit's from their entries (eig_in: a 4x4's check)."""
     if rho_in.shape != rho_f.shape:
         raise ValueError(f"dimension mismatch: {rho_in.shape} vs {rho_f.shape}")
     if purity(rho_in) >= PURITY_PURE_THRESHOLD:
@@ -297,7 +281,20 @@ def _fidelity(rho_in: np.ndarray, rho_f: np.ndarray, eig_in: tuple | None = None
         if overlap < EIGENVALUE_FLOOR:
             raise ValueError(f"negative overlap {overlap} beyond tolerance")
         return min(1.0, np.sqrt(max(overlap, 0.0)))
-    return _fidelity_general(rho_in, rho_f, eig_in)
+    if len(rho_in) == 4:
+        root = _sqrtm_psd(eig_in)
+        w, _ = eig_hermitian(root @ rho_f @ root)
+        return min(1.0, float(np.sum(np.sqrt(_clip_spectrum(w, "fidelity inner matrix")))))
+    (a, b), (c, d) = rho_in.tolist()
+    (p, q), (u, v) = rho_f.tolist()
+    overlap = (a * p + b * u + c * q + d * v).real
+    if overlap < EIGENVALUE_FLOOR:
+        raise ValueError(f"negative overlap {overlap} beyond tolerance")
+    det = max((a * d - b * c).real, 0.0) * max((p * v - q * u).real, 0.0)
+    hi = max(0.5 * (overlap + math.sqrt(max(overlap * overlap - 4 * det, 0.0))), 0.0)
+    lo = det / hi if hi > 0 else 0.0
+    lo = 0.0 if lo < 1e-14 * max(1.0, hi) else lo
+    return min(1.0, math.sqrt(hi) + math.sqrt(lo))
 
 
 def concurrence(rho) -> float:
@@ -317,7 +314,7 @@ def concurrence(rho) -> float:
 def _concurrence(rho: np.ndarray, eig: tuple) -> float:
     """concurrence of a validated two-qubit rho, eig its _checked_density decomposition."""
     rho_tilde = _SY_SY @ rho.conj() @ _SY_SY
-    root = _sqrtm_psd(rho, eig)
+    root = _sqrtm_psd(eig)
     w, _ = eig_hermitian(root @ rho_tilde @ root)
     w = _clip_spectrum(w, "concurrence spectrum")
     lam = np.sqrt(w)

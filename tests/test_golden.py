@@ -13,7 +13,13 @@ only the ones named:
     PYTHONPATH=src python tests/test_golden.py [NAME ...]   # e.g. scheme_qffc_ps.csv
 
 Regenerating a golden file is a behaviour change and needs a CHANGES.md entry
-saying why.
+saying why. Before writing, the report mode regenerates the named outputs (all
+by default) in memory, writes nothing, and prints one Markdown table of how
+each differs from the bytes it is compared with, per column (each key=value of
+a ;-joined field is a column of its own); it exits 1 when a float moved by more
+than REPORT_ATOL or any other field changed:
+
+    PYTHONPATH=src python tests/test_golden.py --report [NAME ...]
 """
 
 from __future__ import annotations
@@ -22,8 +28,12 @@ import contextlib
 import functools
 import gzip
 import io
+import math
+import os
+import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +203,116 @@ def test_no_stray_golden_files():
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(OUTPUTS.keys() - REF_TABLES.keys())
 
 
+REPORT_ATOL = 1e-12   # a float that moved further is a value change, not round-off
+# the columns of the headerless .txt goldens, by file name prefix (a .csv names its own)
+TXT_COLUMNS = {"optimize_mixed_": ("state", "f_opt", "success_prob", "params"),
+               "run_mixed_": ("kind", "state", "params", "fidelity", "success_prob",
+                              "concurrence", "branches")}
+
+
+def _cells(row: str, names) -> list[tuple[str, str]]:
+    """The (column, text) cells of one row; each key=value of a ;-joined field is its own."""
+    cells = []
+    for i, field in enumerate(row.split(",")):
+        name = names[i] if i < len(names) else str(i)
+        items = [item.partition("=") for item in field.split(";")]
+        if all(eq for _, eq, _ in items):
+            cells += [(f"{name}.{key}", value) for key, _, value in items]
+        else:
+            cells.append((name, field))
+    return cells
+
+
+def _delta(a: str | None, b: str | None) -> float | None:
+    """The largest |a - b| over two cells' |-joined numbers (nan equals nan), None unless
+    both are numbers of the same count."""
+    try:
+        pairs = list(zip_longest(map(float, a.split("|")), map(float, b.split("|"))))
+    except (AttributeError, TypeError, ValueError):
+        return None
+    if any(x is None or y is None for x, y in pairs):
+        return None
+    return max(0.0 if x == y or math.isnan(x) and math.isnan(y)
+               else math.inf if math.isnan(x - y) else abs(x - y) for x, y in pairs)
+
+
+def _column_changes(old: str, new: str, names) -> dict[str, list]:
+    """column -> [changed rows, largest |delta| of a float cell, changed non-float cells],
+    for the columns where new differs from old; cells are compared by position."""
+    changes = {}
+    for a, b in zip_longest(old.splitlines(), new.splitlines(), fillvalue=""):
+        if a == b:
+            continue
+        for (col, x), (col_b, y) in zip_longest(_cells(a, names), _cells(b, names),
+                                                fillvalue=(None, None)):
+            if col == col_b and x == y:
+                continue
+            change = changes.setdefault(col or col_b, [0, 0.0, 0])
+            change[0] += 1
+            d = _delta(x, y) if col == col_b else None
+            if d is None:
+                change[2] += 1
+            else:
+                change[1] = max(change[1], d)
+    return changes
+
+
+def _report(names) -> int:
+    """Print the regeneration report of the named outputs; 1 if any change fails it."""
+    unknown = sorted(set(names) - set(OUTPUTS))
+    if unknown:
+        raise SystemExit(f"unknown golden files: {', '.join(unknown)}")
+    lines = ["| file | column | changed rows | max abs delta | changed non-float cells |",
+             "|---|---|---|---|---|"]
+    failed = False
+    for name in names:
+        ref = REF_TABLES.get(name)
+        old = (gzip.decompress(ref.read_bytes()) if ref else (GOLDEN / name).read_bytes()).decode()
+        columns = (old.split("\n", 1)[0].split(",") if name.endswith(".csv") else
+                   next(v for k, v in TXT_COLUMNS.items() if name.startswith(k)))
+        changes = _column_changes(old, OUTPUTS[name](), columns)
+        lines += [f"| {name} | unchanged | 0 | 0 | 0 |"] if not changes else [
+            f"| {name} | {col} | {rows} | {delta:.2g} | {other} |"
+            for col, (rows, delta, other) in changes.items()]
+        failed |= any(delta > REPORT_ATOL or other for _, delta, other in changes.values())
+    print("\n".join(lines))
+    return int(failed)
+
+
+REPORT_SAMPLE = ("scheme_qffc_ps.csv", "optimize_mixed_wmqmr_ad.txt", "run_mixed_postselected.txt",
+                 "sweep_wmqmr_ad.csv")   # one of each kind, the last read from perfbench/ref
+
+
+def test_report_reads_unchanged(capsys):
+    assert _report(REPORT_SAMPLE) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert rows == [f"| {name} | unchanged | 0 | 0 | 0 |" for name in REPORT_SAMPLE]
+
+
+def test_report_fails_a_moved_float_or_a_changed_field(monkeypatch, capsys):
+    name = "optimize_mixed_wmqmr_ad.txt"
+    first, rest = (GOLDEN / name).read_text().split("\n", 1)
+    row = first.split(",")
+    for shift, delta, failed in ((1e-9, "1e-09", 1), (1e-15, "1e-15", 0)):
+        moved = ",".join([row[0], repr(float(row[1]) + shift), *row[2:]])
+        monkeypatch.setitem(OUTPUTS, name, lambda m=moved: f"{m}\n{rest}")
+        assert _report([name]) == failed
+        assert capsys.readouterr().out.splitlines()[2:] == [f"| {name} | f_opt | 1 | {delta} | 0 |"]
+    old = "a,b,params\n0,0.5,eta=0.1|-0.1;axis=x;p=nan\n1,2,p=1\n"
+    new = "a,b,params\n0,0.5,eta=0.1|-0.3;axis=y;p=nan\n"
+    assert _column_changes(old, new, ("a", "b", "params")) == {
+        "params.eta": [1, 0.19999999999999998, 0], "params.axis": [1, 0.0, 1],
+        "a": [1, 0.0, 1], "b": [1, 0.0, 1], "params.p": [1, 0.0, 1]}   # the row that went
+
+
+def test_report_runs_as_a_script():
+    out = subprocess.run([sys.executable, __file__, "--report", "scheme_composite.csv"],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")})
+    assert (out.returncode, out.stdout.splitlines()[2:]) == (
+        0, ["| scheme_composite.csv | unchanged | 0 | 0 | 0 |"])
+
+
 def _write_goldens(names):
     """Rewrite the named files of tests/golden/."""
     refs = sorted(set(names) & {*REF_TABLES, *(f"default_{n}.gz" for n in FIG6_NAMES)})
@@ -209,4 +329,6 @@ def _write_goldens(names):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--report"]:
+        sys.exit(_report(sys.argv[2:] or sorted(OUTPUTS)))
     _write_goldens(sys.argv[1:] or sorted(OUTPUTS.keys() - REF_TABLES.keys()))

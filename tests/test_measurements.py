@@ -360,6 +360,21 @@ class TestMeasureAndBranches:
         with pytest.raises(ValueError):
             measure(np.eye(4, dtype=complex) / 4, povm_axis("z", 0.3))
 
+    @PROPERTY
+    @given(st.lists(st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0])),
+                    min_size=8, max_size=8))
+    @example([-0.0, 0.0, 0.5, 0.0, 0.5, 0.0, -0.0, -0.0])
+    @example([1.0, -0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0])
+    def test_weight_has_the_bits_of_the_trace(self, parts):
+        # a 2x2's weight is summed from its diagonal entries in scalar
+        # arithmetic: np.trace's real part bit for bit, a zero's sign included,
+        # in either memory order
+        m = np.array([complex(x, y) for x, y in zip(parts[::2], parts[1::2])]).reshape(2, 2)
+        for state in (m, m.T):
+            weight = Branch("b", state).weight
+            assert type(weight) is float
+            assert np.float64(weight).tobytes() == np.float64(np.trace(state).real).tobytes()
+
     def test_overfull_ensemble_rejected(self):
         with pytest.raises(ValueError):
             BranchEnsemble(branches=(Branch("a", RHO_0), Branch("b", RHO_0)))

@@ -58,6 +58,20 @@ def fidelity_oracle(rho_a, rho_b):
     return float(np.sum(np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0, None))))
 
 
+def square_root_route(rho, sigma):
+    """The qubit fidelity route that the closed form replaced, copied here:
+    sqrt(rho) from its Jacobi eigendecomposition, then the spectrum of
+    sqrt(rho) sigma sqrt(rho); the fidelity and that spectrum unclipped."""
+    def clipped(w):
+        w = w.clip(0.0, None)
+        w[w < 1e-14 * max(1.0, float(w.max()))] = 0.0
+        return w
+    w, v = eig_hermitian(rho)
+    root = (v * np.sqrt(clipped(w))) @ v.conj().T
+    inner, _ = eig_hermitian(root @ sigma @ root)
+    return min(1.0, float(np.sum(np.sqrt(clipped(inner))))), inner
+
+
 def concurrence_oracle(rho):
     """Brute-force spin-flip spectrum via the general (non-Hermitian) solver."""
     sysy = np.kron(PAULI_Y, PAULI_Y)
@@ -388,9 +402,12 @@ class TestScalarChecks:
             assert _raised(PartialMeasurement, op.astype(complex), "x") == message
 
     def test_spectrum_below_floor(self):
-        for w in ([1 + 1e-9, -1e-9], [0.5, 0.5 + 1e-9, 0.0, -1e-9]):
-            assert (_raised(qmath._clip_spectrum, np.array(w), "fidelity inner matrix")
-                    == "fidelity inner matrix has eigenvalue -1e-09 below -1e-10")
+        w = np.array([0.5, 0.5 + 1e-9, 0.0, -1e-9])
+        assert (_raised(qmath._clip_spectrum, w, "fidelity inner matrix")
+                == "fidelity inner matrix has eigenvalue -1e-09 below -1e-10")
+        # a mixed qubit's closed form bounds the sum of that spectrum, the overlap
+        mixed, bad = np.diag([0.75, 0.25]).astype(complex), np.diag([-1.0, 2.0]).astype(complex)
+        assert _raised(qmath._fidelity, mixed, bad) == "negative overlap -0.25 beyond tolerance"
 
     @pytest.mark.parametrize("gain, message", [
         (1 + 1e-11, "trace drift 5.999867269679271e-12 exceeds 1e-12"), (1 + 1e-13, None)])
@@ -454,16 +471,6 @@ class TestScalarCheckProperties:
                 check_density(m)
 
     @PROPERTY
-    @given(st.floats(-1e-10, 2.0), st.floats(-1e-10, 2.0))
-    def test_clipped_spectrum_and_its_root_sum(self, w0, w1):
-        w = np.array([w0, w1])
-        want = w.clip(0.0, None)
-        want[want < 1e-14 * max(1.0, float(want.max()))] = 0.0
-        got = qmath._clip_spectrum(w, "w")
-        assert np.array(got).tobytes() == want.tobytes()
-        assert math.sqrt(got[0]) + math.sqrt(got[1]) == float(np.sum(np.sqrt(want)))
-
-    @PROPERTY
     @given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.0, 2 * np.pi))
     def test_diagonal_complement(self, x0, x1, phase):
         # a real diagonal takes the scalar path: the bits of 1 - |d|^2 in numpy,
@@ -503,24 +510,18 @@ class TestFidelity:
             assert abs(fidelity(a, b) - fidelity(b, a)) < 1e-9
 
     def test_shortcut_matches_general_formula(self):
-        from decoguard.qmath import _fidelity_general
         rng = np.random.default_rng(4)
         for _ in range(100):
             pure, mixed = random_pure(rng), random_density(rng, 2)
-            assert abs(fidelity(pure, mixed) - _fidelity_general(pure, mixed)) < 1e-9
+            assert abs(fidelity(pure, mixed) - square_root_route(pure, mixed)[0]) < 1e-9
 
-    def test_input_root_cached_read_only_and_rejections_not_cached(self):
-        rng = np.random.default_rng(6)
-        for dim in (2, 4):
-            rho = random_density(rng, dim)
-            root = qmath._input_root(rho.tobytes(), dim)
-            assert root is qmath._input_root(rho.tobytes(), dim)
-            assert root.tobytes() == qmath._sqrtm_psd(rho).tobytes()
-            assert not root.flags.writeable
-        bad = np.diag([1.5, -0.5]).astype(complex)
-        for _ in range(2):
-            with pytest.raises(ValueError, match="square root input"):
-                qmath._fidelity_general(bad, ID2 / 2)
+    def test_pure_input_keeps_the_overlap_bits(self):
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            pure, other = random_pure(rng), random_density(rng, 2)
+            for sigma in (other, random_pure(rng), pure):
+                overlap = float(np.real(np.trace(pure @ sigma)))
+                assert fidelity(pure, sigma) == min(1.0, np.sqrt(max(overlap, 0.0)))
 
     def test_oracle_agreement_mixed(self):
         rng = np.random.default_rng(5)
@@ -532,6 +533,68 @@ class TestFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             fidelity(RHO_0, BELL)
+
+
+def _qubit(radius):
+    """Qubit states of Bloch radius drawn from radius, in any direction."""
+    return st.builds(lambda r, th, ph: bloch_to_density(
+        (r * np.sin(th) * np.cos(ph), r * np.sin(th) * np.sin(ph), r * np.cos(th))),
+        radius, st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi))
+
+
+# inputs: any mixed radius, and radii whose purity (1 + r^2) / 2 lies within
+# 1e-12 of PURITY_PURE_THRESHOLD, on either side of it
+_INPUT_RADIUS = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.floats(-1e-12, 1e-12).map(
+    lambda d: math.sqrt(2 * (qmath.PURITY_PURE_THRESHOLD + d) - 1)))
+# outputs: any radius, and near-rank-deficient ones (smallest eigenvalue (1 - r) / 2 down to 5e-17)
+_OUTPUT_RADIUS = st.one_of(st.floats(0.0, 1.0), st.floats(-16.0, -4.0).map(lambda k: 1 - 10 ** k))
+
+
+class TestQubitClosedForm:
+    # The tolerance against the square-root route. Both routes find the
+    # eigenvalues hi >= lo of M = sqrt(rho) sigma sqrt(rho) within an absolute
+    # D = 16 eps: the closed form from a few sums of products of entries
+    # bounded by 1, the old route from two backward-stable Jacobi solves (the
+    # square root turns an error eps in rho's small eigenvalue mu into
+    # eps / (2 sqrt(mu)), but M carries it times sqrt(mu), so it stays O(eps));
+    # 20,000 pairs drawn like these showed at most 7.5 eps. F = sqrt(hi) +
+    # sqrt(lo), and sqrt amplifies near zero: moving x by D moves sqrt(x) by at
+    # most sqrt(x + D) - sqrt(max(x - D, 0)), which is D / (2 sqrt(x)) for
+    # x >> D but sqrt(D) = 6e-8 at x = 0. Where lo lies within D of the zeroing
+    # floor 1e-14 max(1, hi), one route may zero it and the other keep it,
+    # which moves F by up to sqrt(lo + D).
+    D = 16 * np.finfo(float).eps
+
+    @classmethod
+    def tolerance(cls, hi: float, lo: float) -> float:
+        def spread(x):
+            return math.sqrt(max(x, 0.0) + cls.D) - math.sqrt(max(x - cls.D, 0.0))
+        if abs(lo - 1e-14 * max(1.0, hi)) <= cls.D:
+            return spread(hi) + math.sqrt(max(lo, 0.0) + cls.D)
+        return spread(hi) + spread(lo)
+
+    @PROPERTY
+    @given(_qubit(_INPUT_RADIUS), _qubit(_OUTPUT_RADIUS))
+    def test_matches_the_square_root_route(self, rho, sigma):
+        got = fidelity(rho, sigma)
+        if purity(rho) >= qmath.PURITY_PURE_THRESHOLD:   # the shortcut, its bits kept
+            overlap = float(np.real(np.trace(rho @ sigma)))
+            assert got == min(1.0, np.sqrt(max(overlap, 0.0)))
+        else:
+            want, (hi, lo) = square_root_route(rho, sigma)
+            assert abs(got - want) <= self.tolerance(hi, lo)
+
+    @pytest.mark.parametrize("x, kept", [(1e-14, False), (1e-13, True)])
+    def test_small_eigenvalue_zeroed_below_the_floor(self, x, kept):
+        # commuting states: hi = 0.75 (1 - x) and lo = 0.25 x, zeroed below 1e-14
+        rho, sigma = np.diag([0.75, 0.25]), np.diag([1 - x, x])
+        want = math.sqrt(0.75 * (1 - x)) + kept * math.sqrt(0.25 * x)
+        assert fidelity(rho.astype(complex), sigma.astype(complex)) == pytest.approx(want, abs=1e-15)
+
+    def test_capped_at_one(self):
+        rng = np.random.default_rng(9)
+        got = [fidelity(rho, rho) for rho in (random_density(rng, 2) for _ in range(200))]
+        assert max(got) == 1.0 and min(got) > 1 - 1e-15
 
 
 class TestConcurrence:

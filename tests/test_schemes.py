@@ -349,20 +349,6 @@ class TestEntWmqmr:
         with pytest.raises(ValueError, match=f"^{self._FAULTS[case][2]}"):
             run_ent_wmqmr(**kw)
 
-    def test_leaves_the_input_root_cache_alone(self):
-        # two-qubit calls take no slot, so a qubit input's cached root stays
-        qmath._input_root.cache_clear()
-        run_wmqmr(_MIXED, r=0.3, p1=0.6)
-        before = qmath._input_root.cache_info()
-        g = np.random.default_rng(32).normal(size=(9, 4, 4))
-        for a in g:   # more distinct inputs than the cache holds
-            rho = a @ a.T / np.trace(a @ a.T)
-            for side in ("one", "both"):
-                run_ent_wmqmr(rho.astype(complex), r1=0.3, r2=0.5, p1=0.4, side=side)
-                assert qmath._input_root.cache_info() == before
-        run_wmqmr(_MIXED, r=0.3, p1=0.7)
-        assert qmath._input_root.cache_info().hits == before.hits + 1
-
 
 _MIXED = bloch_to_density((0.3, -0.2, 0.4))
 _G = np.random.default_rng(5).normal(size=(2, 4, 4))
@@ -371,48 +357,46 @@ _FULL_RANK_PAIR /= np.trace(_FULL_RANK_PAIR).real
 
 
 def _count_solves(monkeypatch, call, args):
-    """call(x) for each x in args, cold (the input root cache cleared first): the
-    eigensolves (LAPACK eigh, the 2x2 Jacobi branch of _eig_core) of each call,
-    and the _fidelity_general calls of all of them."""
-    entries, lapack, fidelities = [], [], []
-    qmath._input_root.cache_clear()
+    """call(x) for each x in args: the eigensolves (LAPACK eigh, the 2x2 Jacobi
+    branch of _eig_core) of each call, and the matrix square roots of all of them."""
+    entries, lapack, roots = [], [], []
     monkeypatch.setattr(np.linalg, "eigh", _logging(lapack, np.linalg.eigh))
     monkeypatch.setattr(qmath, "_eig_core", _logging(entries, qmath._eig_core))
-    monkeypatch.setattr(qmath, "_fidelity_general", _logging(fidelities, qmath._fidelity_general))
+    monkeypatch.setattr(qmath, "_sqrtm_psd", _logging(roots, qmath._sqrtm_psd))
     solves = []
     for x in args:
         call(x)
         solves.append(len(lapack) + sum(len(a) == 2 for a, in entries))
         lapack.clear()
         entries.clear()
-    return solves, len(fidelities)
+    return solves, len(roots)
 
 
 class TestEigensolveCounts:
     # eigensolves run only where their eigenvectors produce output: a 2x2
-    # state is checked in closed form, the schemes' partial measurements are
-    # diagonal, a qubit fidelity input's square root is built once, and a 4x4
-    # state's check decomposition gives its square root
-    @pytest.mark.parametrize("call, cold, warm", [
-        (lambda x: run_wmqmr(_MIXED, r=0.3, p1=x), 2, 1),
-        (lambda x: run_qffc_ps(_MIXED, r=0.3, p=x), 2, 1),
-        (lambda x: run_composite(_MIXED, r=0.3, p=0.7, eta=x), 2, 1),
-        # the input's check, the output's check, the fidelity and concurrence spectra
-        (lambda x: run_ent_wmqmr(_FULL_RANK_PAIR, r1=0.3, r2=0.5, p1=x, side="both"), 4, 4),
+    # state is checked and scored in closed form, the schemes' partial
+    # measurements are diagonal, and a 4x4 state's check decomposition gives
+    # its square root; so calls on one input cost the same every time
+    @pytest.mark.parametrize("call, solves, roots", [
+        (lambda x: run_wmqmr(_MIXED, r=0.3, p1=x), 0, 0),
+        (lambda x: run_qffc_ps(_MIXED, r=0.3, p=x), 0, 0),
+        (lambda x: run_composite(_MIXED, r=0.3, p=0.7, eta=x), 0, 0),
+        # the input's check, the output's check, the fidelity and concurrence
+        # spectra; the fidelity and concurrence square roots
+        (lambda x: run_ent_wmqmr(_FULL_RANK_PAIR, r1=0.3, r2=0.5, p1=x, side="both"), 4, 2),
     ], ids=("wmqmr", "qffc_ps", "composite", "ent_wmqmr"))
-    def test_mixed_input_call(self, call, cold, warm, monkeypatch):
-        # a cold call, then a warm one on the same input with another parameter:
-        # a qubit input's square root is reused
-        assert _count_solves(monkeypatch, call, (0.6, 0.7)) == ([cold, warm], 2)
+    def test_mixed_input_call(self, call, solves, roots, monkeypatch):
+        # two calls on the same input with another parameter
+        assert _count_solves(monkeypatch, call, (0.6, 0.7)) == ([solves, solves], 2 * roots)
 
-    @pytest.mark.parametrize("call, solves, general", [
-        (lambda rho: qmath.concurrence(rho), 2, 0),   # the check, the spectrum
-        (lambda rho: qmath.fidelity(rho, BELL), 3, 1),   # two checks, the spectrum
+    @pytest.mark.parametrize("call, solves", [
+        (lambda rho: qmath.concurrence(rho), 2),   # the check, the spectrum
+        (lambda rho: qmath.fidelity(rho, BELL), 3),   # two checks, the spectrum
     ], ids=("concurrence", "fidelity"))
-    def test_two_qubit_metric(self, call, solves, general, monkeypatch):
-        # the same numbers cold and warm: no 4x4 square root is cached
+    def test_two_qubit_metric(self, call, solves, monkeypatch):
+        # the same numbers on a repeated input: no 4x4 square root is cached
         pairs = (_FULL_RANK_PAIR, _FULL_RANK_PAIR)
-        assert _count_solves(monkeypatch, call, pairs) == ([solves, solves], 2 * general)
+        assert _count_solves(monkeypatch, call, pairs) == ([solves, solves], 2)
 
     def test_two_sided_ent_wmqmr_lifts_each_stage_from_its_diagonal(self, monkeypatch):
         # one 2x2 measurement per stage; each side applies the _kron-lifts of
@@ -451,14 +435,14 @@ class TestStageCounts:
     # each stage is applied straight to the previous stage's array: every
     # Branch is built once, with its final label, and only the input, the
     # operators built per call (wm_map, qmr_map, one 2x2 measurement per
-    # ent_wmqmr stage) and the output's check and metric spectra are checked,
-    # each once: a 2x2 by qmath._entries' scalar checks, a 4x4 by as_matrix
-    # (which _entries calls for it)
+    # ent_wmqmr stage), the output and a 4x4 output's metric spectra are
+    # checked, each once: a 2x2 by qmath._entries' scalar checks, a 4x4 by
+    # as_matrix (which _entries calls for it); a qubit fidelity forms no matrix
     @pytest.mark.parametrize("kind, branches, matrices", [
-        ("wmqmr", 3, 5), ("qffc_ps", 4, 3), ("composite", 4, 3), ("qfbc", 2, 3),
-        ("qffc_rot", 2, 3), ("ent_wmqmr_one", 3, 6), ("ent_wmqmr_both", 5, 6)])
+        ("wmqmr", 3, 4), ("qffc_ps", 4, 2), ("composite", 4, 2), ("qfbc", 2, 2),
+        ("qffc_rot", 2, 2), ("ent_wmqmr_one", 3, 6), ("ent_wmqmr_both", 5, 6)])
     def test_warm_mixed_input_call(self, kind, branches, matrices, monkeypatch):
-        _RUNS[kind]()   # fills the operator and square-root caches
+        _RUNS[kind]()   # fills the operator caches
         built, seen = [], []
         post_init = Branch.__post_init__
         monkeypatch.setattr(Branch, "__post_init__", lambda b: (built.append(b), post_init(b))[1])
