@@ -191,10 +191,7 @@ def lift_local(ch: KrausChannel, qubit: int) -> KrausChannel:
     """
     if ch.dim != 2:
         raise ValueError("lift_local expects a single-qubit channel")
-    if qubit == 1:
-        ops = tuple(_kron(a, ID2) for a in ch.ops)
-    elif qubit == 2:
-        ops = tuple(_kron(ID2, a) for a in ch.ops)
-    else:
+    if qubit not in (1, 2):
         raise ValueError(f"qubit must be 1 or 2, got {qubit}")
-    return KrausChannel(ops=ops, kind=ch.kind, r=ch.r)
+    return KrausChannel(ops=tuple(_kron(ch.stack, ID2) if qubit == 1 else _kron(ID2, ch.stack)),
+                        kind=ch.kind, r=ch.r)

@@ -15,8 +15,9 @@ kind, r grid).
 
 Every search goes through one row function (_optimize_row): the optima of
 one state, validated once, under a row of channels (a fig6 alpha row, or one
-channel). Each screens, then verifies, and equal scores go to the first
-candidate in a fixed order.
+channel), each kind and channel checked there (_check_search). Each
+screens, then verifies, and equal scores go to the first candidate in a
+fixed order.
 
 Pure qfbc and qffc_rot rows go to row kernels; the qfbc one optimizes the
 two outcome rotation angles independently. Both screen from rho's Pauli
@@ -25,7 +26,7 @@ is r_e . T r / 2, T the transfer matrix of rho -> K^dagger rho K, a sinusoid
 A + B cos(eta) + C sin(eta) of its signed rotation angle: one product r @
 table gives every coefficient, one with the row's noisy states scores every
 cell, and the maximum over the eta grid has a closed form. A qffc_rot
-candidate's F^2 is sum_i (post_i^T r) . (T pre_i r) / 2 over the loop tables.
+candidate's F^2 is sum_i (post_i^T r) . (T pre_i r) / 2 over its loop stages.
 Fixed einsums on the ket verify the theta slices (p rows) within SCREEN_ATOL
 of a cell's best (qfbc: the signed etas whose sinusoid is within SCREEN_ATOL
 of their outcome's best, gathered over the row in batches; qffc_rot: one per
@@ -36,17 +37,17 @@ scored with it, so the winner, tie-break included, is the unscreened one.
 Grid tables are functools caches of the GridSpec; a row finds its ket once.
 
 Every other search (mixed-input qfbc, with tied +/- eta, and qffc_rot;
-wmppf, wmqmr, qffc_ps, composite) is a loop row (_loop_row) over a
-candidate grid (_search_space) whose C order is its tie order. In the
-Pauli-transfer picture a channel is a real 4x4 matrix T, and every
-candidate is noise-free stages, T, noise-free stages; a per-grid table
-(_loop_tables) holds the noise-free stages' transfer matrices. A row takes
-its channels one at a time and scores every candidate from T and the
-closed-form qubit fidelity. The candidates within SCREEN_ATOL of the best
-score go through run_scheme in grid order, and the first highest fidelity
-wins. The kernel is within far less than SCREEN_ATOL / 2 of run_scheme, so
-the exhaustive loop's winner, with its success probability and params, is
-always among them.
+wmppf, wmqmr, qffc_ps, composite) is a loop row (_loop_row). In the
+Pauli-transfer picture a channel is a real 4x4 matrix T, and every candidate
+is noise-free stages, T, noise-free stages. One cached table per kind and
+grid (_loop_search) holds the candidate grid's shape, whose C order is its
+tie order, each candidate's params and its noise-free stages' transfer
+matrices. A row takes its channels one at a time and scores every candidate
+from T and the closed-form qubit fidelity. The candidates within SCREEN_ATOL
+of the best score go through run_scheme in grid order, and the first highest
+fidelity wins. The kernel is within far less than SCREEN_ATOL / 2 of
+run_scheme, so the exhaustive loop's winner, with its success probability
+and params, is always among them.
 """
 
 from __future__ import annotations
@@ -284,9 +285,9 @@ def _qfbc_row(rho_in, psi, noises, grid: GridSpec) -> list[OptResult]:
 
 def _qffc_row_screen(rho, noises, grid: GridSpec) -> np.ndarray:
     """max over (eta, signs) of the F^2 of every p under each channel, (channel,
-    p): the overlap sum_i (post_i^T r) . (T pre_i r) / 2 over
-    _loop_tables("qffc_rot"), r = _pauli(rho), T the channel's transfer matrix."""
-    r, tables = _pauli(rho), _loop_tables("qffc_rot", grid)
+    p): the overlap sum_i (post_i^T r) . (T pre_i r) / 2 over the stages of
+    _loop_search("qffc_rot"), r = _pauli(rho), T the channel's transfer matrix."""
+    r, tables = _pauli(rho), _loop_search("qffc_rot", grid)[1]
     t = np.stack([noise.transfer for noise in noises])
     after = np.concatenate([(r @ post).reshape(-1, 4) for _, post in tables], axis=1)
     before = np.concatenate([(pre @ r).reshape(-1, 4) @ t.swapaxes(1, 2) for pre, _ in tables],
@@ -325,14 +326,32 @@ def _qffc_row(rho_in, psi, noises, grid: GridSpec) -> list[OptResult]:
 def _optimize_row(rho_in, noises, grid: GridSpec,
                   kinds=("qfbc", "qffc_rot")) -> list[list[OptResult]]:
     """The optima of each kind for one state, validated once, under each
-    channel, per kind in channel order. A pure qfbc or qffc_rot row goes to
-    its row kernel, with the state's ket found once, every other row to _loop_row."""
+    channel, per kind in channel order; every (kind, channel) is checked first
+    (_check_search). A pure qfbc or qffc_rot row goes to its row kernel, with
+    the state's ket found once, every other row to _loop_row."""
     rho_in = check_density(rho_in)
+    for kind, noise in itertools.product(kinds, noises):
+        _check_search(kind, noise, len(rho_in))
     pure = purity(rho_in) >= PURITY_PURE_THRESHOLD
     rows = {"qfbc": _qfbc_row, "qffc_rot": _qffc_row} if pure else {}
     psi = eig_hermitian(rho_in)[1][:, 0] if pure else None
     return [rows[kind](rho_in, psi, noises, grid) if kind in rows
             else _loop_row(rho_in, kind, noises, grid) for kind in kinds]
+
+
+def _check_search(kind: str, noise: KrausChannel | None, dim: int = 2) -> None:
+    """Reject a kind that cannot be optimized, a missing channel, a non-AD one for
+    an AD-only kind, and a state of dimension dim or a channel that is not a qubit's."""
+    if kind not in OPTIMIZABLE_KINDS:
+        raise ValueError(f"cannot optimize scheme kind {kind!r}")
+    if kind in AD_ONLY_KINDS:
+        if noise is None or noise.r is None or noise.kind != "ad":
+            raise ValueError(f"{kind} optimization needs an amplitude-damping channel")
+    elif noise is None:
+        raise ValueError(f"{kind} optimization needs a noise channel")
+    if (dim, noise.dim) != (2, 2):
+        raise ValueError(f"dimension mismatch: a qubit scheme got (state, channel) dims "
+                         f"{(dim, noise.dim)}")
 
 
 def optimize_qfbc(rho_in, noise: KrausChannel, grid: GridSpec) -> OptResult:
@@ -353,41 +372,6 @@ def optimize_qffc_rot(rho_in, noise: KrausChannel, grid: GridSpec) -> OptResult:
 OPTIMIZABLE_KINDS = ("qfbc", "qffc_rot", "wmppf", "wmqmr", "qffc_ps", "composite")
 
 
-def _search_space(kind: str, noise: KrausChannel | None, grid: GridSpec):
-    """The exhaustive candidates of one scheme kind: the shape of their grid
-    and the params of the candidate at an index of it, run_* keyword
-    arguments plus any reported-only entries. C order is the tie order.
-
-    qfbc: tied +/- eta over (theta, eta, meas axis, rot axis, sign of eta);
-    qffc_rot: (p in theta order, eta, branch signs); wmppf: p; wmqmr:
-    (p1, p2); qffc_ps: (p, p_u, p_v); composite: (p, eta, signs) with matched
-    post-measurements. The last four run strengths in ascending order, so
-    ties prefer the weakest.
-    """
-    if kind not in OPTIMIZABLE_KINDS:
-        raise ValueError(f"cannot optimize scheme kind {kind!r}")
-    if kind in AD_ONLY_KINDS:
-        if noise is None or noise.r is None or noise.kind != "ad":
-            raise ValueError(f"{kind} optimization needs an amplitude-damping channel")
-    elif noise is None:
-        raise ValueError(f"{kind} optimization needs a noise channel")
-    theta, eta, r = grid.theta, grid.eta, noise.r
-    strengths, ps = grid.strengths, sorted(grid.strengths)
-    n, m, a, c = len(theta), len(eta), len(AXES), len(_SIGN_COMBOS)
-    return {
-        "qfbc": ((n, m, a, a, 2), lambda t, e, ma, ra, s: {
-            "theta": theta[t], "etas": ((+1, -1)[s] * eta[e], (-1, +1)[s] * eta[e]),
-            "meas_axis": AXES[ma], "rot_axis": AXES[ra]}),
-        "qffc_rot": ((n, m, c), lambda t, e, k: {
-            "p": strengths[t], "theta_pre": theta[t], "eta": eta[e], "signs": _SIGN_COMBOS[k]}),
-        "wmppf": ((n,), lambda i: {"p": ps[i]}),
-        "wmqmr": ((n, n), lambda i, j: {"r": r, "p1": ps[i], "p2": ps[j]}),
-        "qffc_ps": ((n, n, n), lambda i, j, k: {"r": r, "p": ps[i], "p_u": ps[j], "p_v": ps[k]}),
-        "composite": ((n, m, c), lambda i, j, k: {
-            "r": r, "p": ps[i], "eta": eta[j], "signs": _SIGN_COMBOS[k]}),
-    }[kind]
-
-
 # ---------------------------------------------------------------------------
 # loop searches: Pauli-transfer screen, run_scheme verification
 # ---------------------------------------------------------------------------
@@ -398,65 +382,77 @@ _CUTOFF_BAND = (1e-16, 1e-14)
 
 
 @functools.cache
-def _loop_tables(kind: str, grid: GridSpec) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per loop kind and grid: (pre_i, post_i) per branch i, the transfer
-    matrices of a candidate's noise-free stages before and after the channel,
-    broadcastable to its _search_space shape. They are built from the
-    factories run_* call: the flips F_i, the pre-measurements M_i(p) of
-    pre_wm_pair, wm(p) of wm_map, qmr(p) of qmr_map and the recovery pair
-    (N_1, N_2) of post_wm_ops, and they follow each run_*:
-      qfbc       I, and the sum over outcomes m of R(e_m) M_m(theta), with
-                 e = (s eta, -s eta), s = +1 then -1 the sign of eta
-      wmqmr      wm(p1), qmr(p2)
-      wmppf      F_i M_i(p), F_i
-      qffc_rot   F_i M_i(p), R_y(s_i eta) F_i
-      qffc_ps    F_i M_i(p), N_i F_i at p_u (N_1) and p_v (N_2)
-      composite  F_i M_i(p), R_y(s_i eta) N_i F_i at matched_post_wm_strength(p)
+def _loop_search(kind: str, grid: GridSpec):
+    """Per loop kind and grid: (shape, stages, params). shape is the candidate
+    grid's, whose C order is the tie order; stages holds (pre_i, post_i) per
+    branch i, the transfer matrices of a candidate's noise-free stages before
+    and after the channel, broadcastable to shape; params(*index) gives the
+    candidate's run_* keyword arguments (less an AD-only kind's r, its
+    channel's) and any reported-only entries. The stages are built from the
+    factories run_* call (the flips F_i, M_i(p) of pre_wm_pair, wm(p) of wm_map,
+    qmr(p) of qmr_map, the recovery pair (N_1, N_2) of post_wm_ops) and follow
+    each run_*; strengths ascend, so ties prefer the weakest (qffc_rot's p excepted):
+      qfbc       (theta, eta, meas axis, rot axis, sign s of eta): I, and the sum
+                 over outcomes m of R(e_m) M_m(theta), e = (s eta, -s eta)
+      wmqmr      (p1, p2): wm(p1), qmr(p2)
+      wmppf      (p): F_i M_i(p), F_i
+      qffc_rot   (p in theta order, eta, signs s): F_i M_i(p), R_y(s_i eta) F_i
+      qffc_ps    (p, p_u, p_v): F_i M_i(p), N_i F_i at p_u (N_1) and p_v (N_2)
+      composite  (p, eta, signs s): F_i M_i(p), R_y(s_i eta) N_i F_i at
+                 matched_post_wm_strength(p)
     """
+    theta, eta, n, m, c = grid.theta, grid.eta, len(grid.theta), len(grid.eta), len(_SIGN_COMBOS)
     if kind == "qfbc":
         blocks = _qfbc_tables(grid)["blocks"]  # conj(R(e) M_m(theta)), (pair, theta, m, e)
-        a, n = len(AXES), len(grid.eta)
+        a = len(AXES)
         # positions of +eta and -eta among _signed_etas: 0, +d, -d, +2d, ...
-        plus, minus = np.r_[0, 1:2 * n - 1:2], np.r_[0, 2:2 * n - 1:2]
+        plus, minus = np.r_[0, 1:2 * m - 1:2], np.r_[0, 2:2 * m - 1:2]
         signed = np.stack([np.stack([plus, minus], -1), np.stack([minus, plus], -1)], 1)
         tied = blocks.reshape(a, a, *blocks.shape[1:])[:, :, :, np.arange(2), signed].conj()
         post = _ptm(tied).sum(axis=5)  # (meas, rot, theta, eta, sign of eta, 4, 4)
-        return ((np.eye(4), np.ascontiguousarray(post.transpose(2, 3, 0, 1, 4, 5, 6))),)
+        stages = ((np.eye(4), np.ascontiguousarray(post.transpose(2, 3, 0, 1, 4, 5, 6))),)
+        return (n, m, a, a, 2), stages, lambda t, e, ma, ra, s: {
+            "theta": theta[t], "etas": ((+1, -1)[s] * eta[e], (-1, +1)[s] * eta[e]),
+            "meas_axis": AXES[ma], "rot_axis": AXES[ra]}
     ps = grid.strengths if kind == "qffc_rot" else sorted(grid.strengths)
     if kind == "wmqmr":
         wm, qmr = map(_ptm, _stacks((wm_map(p).op, qmr_map(p).op) for p in ps))
-        return ((wm[:, None], qmr),)
+        return (n, n), ((wm[:, None], qmr),), lambda i, j: {"p1": ps[i], "p2": ps[j]}
     f = _ptm(np.stack(flips()))
-    m = map(_ptm, _stacks(pre_wm_pair(p).ops for p in ps))
-    pre = tuple(f_i @ m_i for f_i, m_i in zip(f, m))
+    pre_m = map(_ptm, _stacks(pre_wm_pair(p).ops for p in ps))
+    pre = tuple(f_i @ m_i for f_i, m_i in zip(f, pre_m))
     if kind == "wmppf":
-        return tuple(zip(pre, f))
+        return (n,), tuple(zip(pre, f)), lambda i: {"p": ps[i]}
     pre = tuple(p_i[:, None, None] for p_i in pre)
-    if kind in ("qffc_ps", "composite"):  # N_i at p_u and p_v, or matched to p
+    if kind in ("qffc_ps", "composite"):  # N_i F_i, N_i at p_u and p_v, or matched to p
         qs = ps if kind == "qffc_ps" else [matched_post_wm_strength(p) for p in ps]
-        n = tuple(map(_ptm, _stacks([pm.op for pm in post_wm_ops(q, q)] for q in qs)))
+        post_n = map(_ptm, _stacks([pm.op for pm in post_wm_ops(q, q)] for q in qs))
+        nf = [n_i @ f_i for n_i, f_i in zip(post_n, f)]
     if kind == "qffc_ps":
-        return (pre[0], (n[0] @ f[0])[:, None]), (pre[1], n[1] @ f[1])
-    r = {sign: _ptm(m) for sign, m in _qffc_tables(grid)["r"].items()}
+        return (n, n, n), ((pre[0], nf[0][:, None]), (pre[1], nf[1])), lambda i, j, k: {
+            "p": ps[i], "p_u": ps[j], "p_v": ps[k]}
+    r = {sign: _ptm(rots) for sign, rots in _qffc_tables(grid)["r"].items()}
     rot = [np.stack([r[signs[i]] for signs in _SIGN_COMBOS], axis=1) for i in (0, 1)]
     if kind == "qffc_rot":
-        return tuple(zip(pre, (rot[i] @ f[i] for i in (0, 1))))
-    return tuple(zip(pre, (rot[i] @ (n[i] @ f[i])[:, None, None] for i in (0, 1))))
+        return (n, m, c), tuple(zip(pre, (rot[i] @ f[i] for i in (0, 1)))), lambda t, e, k: {
+            "p": ps[t], "theta_pre": theta[t], "eta": eta[e], "signs": _SIGN_COMBOS[k]}
+    stages = tuple(zip(pre, (rot[i] @ nf[i][:, None, None] for i in (0, 1))))
+    return (n, m, c), stages, lambda i, j, k: {"p": ps[i], "eta": eta[j], "signs": _SIGN_COMBOS[k]}
 
 
 def _loop_scores(rho, kind: str, noise: KrausChannel,
                  grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """(fidelity, success) of every candidate of a loop search, in
-    _search_space order, under one channel of transfer matrix T.
+    _loop_search order, under one channel of transfer matrix T.
 
-    sigma = sum_i post_i T pre_i _pauli(rho) from _loop_tables, success = Tr
+    sigma = sum_i post_i T pre_i _pauli(rho) over _loop_search's stages, success = Tr
     sigma, and the closed-form qubit fidelity F^2 = Tr rho s + 2 sqrt(det rho
     det s) of s = sigma / success (Hubner 1992; Jozsa 1994), clipped as
     qmath.fidelity clips: the overlap alone for a pure rho, zeroed spectrum
     below 1e-14, F <= 1, and F = 0 when success <= 1e-15.
     """
     r, t = _pauli(rho), noise.transfer
-    sigma = sum(post @ ((pre @ r) @ t.T)[..., None] for pre, post in _loop_tables(kind, grid))
+    sigma = sum(post @ ((pre @ r) @ t.T)[..., None] for pre, post in _loop_search(kind, grid)[1])
     sigma = sigma.reshape(-1, 4)
     success = sigma[:, 0]
     fid = np.zeros(len(success))
@@ -484,22 +480,23 @@ def _loop_row(rho_in, kind: str, noises, grid: GridSpec) -> list[OptResult]:
     every score is within delta of its run_scheme fidelity and 2 delta <=
     SCREEN_ATOL, the exhaustive loop's winner is among them, so the result is
     its OptResult, tie-breaks included."""
+    shape, _, params = _loop_search(kind, grid)
     results = []
     for noise in noises:
-        shape, params = _search_space(kind, noise, grid)
+        fixed = {"r": noise.r} if kind in AD_ONLY_KINDS else {}
         fid, success = _loop_scores(rho_in, kind, noise, grid)
         band = (success >= _CUTOFF_BAND[0]) & (success <= _CUTOFF_BAND[1])
         top = np.max(fid, where=~band, initial=-np.inf)
         keep = band | (fid >= top - SCREEN_ATOL)
         results.append(_optimize_by_loop(rho_in, kind, noise, (
-            params(*index) for index in np.argwhere(keep.reshape(shape)).tolist())))
+            {**fixed, **params(*index)} for index in np.argwhere(keep.reshape(shape)).tolist())))
     return results
 
 
 def _optimize_by_loop(rho_in, kind: str, noise: KrausChannel | None, candidates) -> OptResult:
     """Run every params candidate given through run_scheme; the first highest
     fidelity wins. The loop rows pass it their screened shortlist in
-    _search_space order, so the winner is that of the exhaustive loop."""
+    _loop_search order, so the winner is that of the exhaustive loop."""
     best = None
     for params in candidates:
         res = run_scheme(rho_in, kind, noise, **params)
@@ -513,14 +510,12 @@ def optimize_scheme(scheme_kind: str, rho_in, noise: KrausChannel | None,
     """Exhaustive grid optimization of one scheme's control parameters.
 
     Pure-input qfbc and qffc_rot run through their row kernels. The other
-    searches cover their whole space (see _search_space): a transfer-matrix
+    searches cover their whole space (see _loop_search): a transfer-matrix
     kernel screens every candidate and run_scheme verifies the near-best
     ones, which gives the result of running every candidate through
     run_scheme, tie-break included (see _loop_row).
     """
-    kind = scheme_kind.lower()
-    _search_space(kind, noise, grid)  # validates kind and noise
-    return _optimize_row(rho_in, (noise,), grid, (kind,))[0][0]
+    return _optimize_row(rho_in, (noise,), grid, (scheme_kind.lower(),))[0][0]
 
 
 def f_diff(rho_in, noise: KrausChannel, grid: GridSpec) -> float:
@@ -642,7 +637,7 @@ def sweep_optimal(scheme_kind: str, phi: float, noise_kind: str, grid: GridSpec,
                   workers: int | None = None) -> SweepResult:
     """Per-scheme optimal-fidelity table over the full (alpha, r) grid."""
     # validates the kind and the channel before any row is run
-    _search_space(scheme_kind.lower(), make_channel(noise_kind, grid.rs[0]), grid)
+    _check_search(scheme_kind.lower(), make_channel(noise_kind, grid.rs[0]))
     rows, = _run_surfaces(functools.partial(_sweep_row, scheme_kind),
                           ((phi, noise_kind),), grid, workers)
     return SweepResult(columns=SWEEP_COLUMNS, rows=rows)

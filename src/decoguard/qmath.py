@@ -331,5 +331,6 @@ def tensor(a, b) -> np.ndarray:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two 2x2 arrays: the same broadcast product, without its set-up."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+    """np.kron of 2x2 matrices, per pair of stacks (..., 2, 2): its broadcast product, no set-up."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], 4, 4)

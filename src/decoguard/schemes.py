@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels, measurements, qmath
-from .channels import KrausChannel, ad_kraus, lift_local
+from .channels import KrausChannel, ad_kraus
 from .measurements import (
     Branch,
     BranchEnsemble,
@@ -243,11 +243,6 @@ def run_composite(rho_in, r: float, p: float, eta: float,
     return _postselected(rho_in, _qffc_ps_branches(rho_in, r, p, p_u, p_v, rotations))
 
 
-@qmath._memoized   # like ad_kraus: calls on one input repeat r1 (r2's lift is built per call)
-def _ad_on_qubit1(r1: float) -> KrausChannel:
-    return lift_local(ad_kraus(r1), 1)
-
-
 def run_ent_wmqmr(rho_2q, r1: float, r2: float, p1: float,
                   p2: float | None = None, side: str = "one") -> SchemeResult:
     """One- or two-sided WMQMR protection of a two-qubit state.
@@ -269,9 +264,9 @@ def run_ent_wmqmr(rho_2q, r1: float, r2: float, p1: float,
 
     def measure_sides(s, role: str, p: float):   # s kept by each side; discards to rejected
         pm = PartialMeasurement(op=measurements._partial_op(role, p), role=role)   # p checked
+        pair = np.array((pm.op, pm.complement))
         for q in (1,) if side == "one" else (1, 2):
-            op, comp = (qmath._kron(a, ID2) if q == 1 else qmath._kron(ID2, a)
-                        for a in (pm.op, pm.complement))
+            op, comp = qmath._kron(pair, ID2) if q == 1 else qmath._kron(ID2, pair)
             rejected.append(Branch(label=f"{role}@q{q}/discard", state=_conj(comp, s),
                                    accepted=False))
             s = _conj(op, s)
@@ -279,8 +274,8 @@ def run_ent_wmqmr(rho_2q, r1: float, r2: float, p1: float,
 
     rejected: list[Branch] = []
     s = measure_sides(rho_2q, "wm", p1)
-    s = channels._apply_kraus(s, _ad_on_qubit1(r1).stack)
-    s = channels._apply_kraus(s, lift_local(ad_kraus(r2), 2).stack)
+    s = channels._apply_kraus(s, qmath._kron(ad_kraus(r1).stack, ID2))
+    s = channels._apply_kraus(s, qmath._kron(ID2, ad_kraus(r2).stack))
     s = measure_sides(s, "qmr", p2)
     return _postselected(rho_2q, [Branch(label=f"wm[{side}]/ad/qmr/accept", state=s), *rejected],
                          eig)

@@ -19,6 +19,7 @@ from decoguard.channels import (
     ad_kraus,
     apply_channel,
     identity_channel,
+    lift_local,
     make_channel,
     pd_kraus,
 )
@@ -439,6 +440,33 @@ class TestSearchLoop:
             with pytest.raises(ValueError, match="needs a noise channel"):
                 optimize_scheme(kind, a_state(), None, TINY)
 
+    _BELL = projector(np.array([1, 0, 0, 1]) / np.sqrt(2))
+    # per case: the channel, the two states (pure, mixed) and the message
+    _BAD_INPUTS = {
+        "no channel": (None, (a_state(), bloch_to_density(MIXED_BLOCH[0])),
+                       "optimization needs a noise channel"),
+        "two-qubit channel": (lift_local(ad_kraus(0.3), 1),
+                              (a_state(), bloch_to_density(MIXED_BLOCH[0])), r"dims \(2, 4\)"),
+        "two-qubit state": (ad_kraus(0.3), (_BELL, 0.5 * _BELL + np.eye(4) / 8),
+                            r"dims \(4, 2\)")}
+
+    @pytest.mark.parametrize("case", _BAD_INPUTS)
+    @pytest.mark.parametrize("search", ("optimize_qfbc", "optimize_qffc_rot", "qfbc", "wmqmr",
+                                        "f_diff"))
+    def test_bad_input_rejected_alike_for_pure_and_mixed(self, search, case):
+        # the pure kernel rows check what the loop rows check, before any scoring
+        run = {"optimize_qfbc": optimize_qfbc, "optimize_qffc_rot": optimize_qffc_rot,
+               "f_diff": f_diff}.get(search, functools.partial(optimize_scheme, search))
+        noise, inputs, message = self._BAD_INPUTS[case]
+        if search == "wmqmr" and noise is None:
+            message = "wmqmr optimization needs an amplitude-damping channel"
+        errors = []
+        for rho in inputs:
+            with pytest.raises(ValueError, match=message) as err:
+                run(rho, noise, TINY)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+
 
 def _logging(log, fn):
     """fn, appending its positional arguments to log on every call."""
@@ -499,17 +527,17 @@ class TestGridAndKetTables:
     def test_pickled_grid_hits_the_loop_tables(self):
         grid = pickle.loads(pickle.dumps(SMALL))
         for kind in optimize.OPTIMIZABLE_KINDS:
-            assert optimize._loop_tables(kind, grid) is optimize._loop_tables(kind, SMALL)
+            assert optimize._loop_search(kind, grid) is optimize._loop_search(kind, SMALL)
 
     @pytest.mark.parametrize("kind", ("wmppf", "wmqmr", "qffc_ps", "composite"))
     def test_warm_sweep_row_builds_no_table(self, kind):
         # a sweep row of a loop kind builds its kind's table once per grid
         row = functools.partial(optimize._sweep_row, kind)
-        optimize._loop_tables.cache_clear()
+        optimize._loop_search.cache_clear()
         optimize._alpha_row((row, 0.3, "ad", 0.5, TINY))
-        assert optimize._loop_tables.cache_info().misses == 1
+        assert optimize._loop_search.cache_info().misses == 1
         optimize._alpha_row((row, 1.1, "ad", 0.9, TINY))
-        assert optimize._loop_tables.cache_info().misses == 1
+        assert optimize._loop_search.cache_info().misses == 1
 
     @pytest.mark.parametrize("grid", (SMALL, _DEFAULT), ids=("small", "default"))
     def test_qfbc_blocks_equal_stacked_build(self, grid):
@@ -561,9 +589,11 @@ class TestFastPathProperties:
 
 
 def _candidates(kind, noise, grid):
-    """The params of every candidate of a loop search, in C order."""
-    shape, params = optimize._search_space(kind, noise, grid)
-    return [params(*index) for index in np.ndindex(shape)]
+    """The params of every candidate of a loop search, in C order, an AD-only kind's
+    with its channel's r."""
+    shape, _, params = optimize._loop_search(kind, grid)
+    fixed = {"r": noise.r} if kind in AD_ONLY_KINDS else {}
+    return [{**fixed, **params(*index)} for index in np.ndindex(shape)]
 
 
 def _loop_channels(kind):

@@ -438,9 +438,11 @@ class TestStageCounts:
     # ent_wmqmr stage), the output and a 4x4 output's metric spectra are
     # checked, each once: a 2x2 by qmath._entries' scalar checks, a 4x4 by
     # as_matrix (which _entries calls for it); a qubit fidelity forms no matrix
-    @pytest.mark.parametrize("kind, branches, matrices", [
-        ("wmqmr", 3, 4), ("qffc_ps", 4, 2), ("composite", 4, 2), ("qfbc", 2, 2),
-        ("qffc_rot", 2, 2), ("ent_wmqmr_one", 3, 6), ("ent_wmqmr_both", 5, 6)])
+    _COUNTS = {"wmqmr": (3, 4), "qffc_ps": (4, 2), "composite": (4, 2), "qfbc": (2, 2),
+               "qffc_rot": (2, 2), "ent_wmqmr_one": (3, 6), "ent_wmqmr_both": (5, 6)}
+
+    @pytest.mark.parametrize("kind, branches, matrices",
+                             [(kind, *counts) for kind, counts in _COUNTS.items()], ids=_COUNTS)
     def test_warm_mixed_input_call(self, kind, branches, matrices, monkeypatch):
         _RUNS[kind]()   # fills the operator caches
         built, seen = [], []

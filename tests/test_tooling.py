@@ -49,6 +49,33 @@ def test_no_unused_imports(module):
     assert _unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
+def _private_names(tree) -> list[str]:
+    """The private module-level functions, classes and constants of a module, dunders excepted."""
+    names = [node.name for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    names += [target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+              for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+              if isinstance(target, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_no_unread_private_names():
+    # a name is read where it is loaded, looked up as an attribute or imported
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    read = set()
+    for node in (n for tree in trees.values() for n in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    defined = [f"{module}: {name}" for module, tree in sorted(trees.items())
+               for name in _private_names(tree)]
+    assert len(defined) > 50
+    assert [entry for entry in defined if entry.split(": ")[1] not in read] == []
+
+
 def test_readme_library_example_runs():
     block = README.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     assert "dg.run_scheme(" in block
