@@ -1,7 +1,7 @@
 """Phase-damping and amplitude-damping channels and their parameterizations.
 
-Both channels are explicit Kraus operator lists, completeness checked at
-construction (ad_kraus returns shared ones with read-only arrays). The
+Both channels are explicit Kraus operator lists, built new on every call and
+completeness checked at construction (measurements._completeness_error). The
 phase-flip, rotation-angle and decay-rate forms convert explicitly to the Kraus
 damping probability r; channels unravel into jump/no-jump branches and lift
 onto one side of a two-qubit system.
@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measurements import COMPLETENESS_ATOL, Branch, BranchEnsemble
-from .qmath import (ID2, PAULI_X, PAULI_Y, PAULI_Z, _kron, _memoized, _read_only, as_matrix,
-                    check_prob, dagger)
+from .measurements import COMPLETENESS_ATOL, Branch, BranchEnsemble, _completeness_error
+from .qmath import ID2, PAULI_X, PAULI_Y, PAULI_Z, _kron, as_matrix, check_prob, dagger
 
 TRACE_DRIFT_ATOL = 1e-12
 _PAULIS = np.stack([ID2, PAULI_X, PAULI_Y, PAULI_Z])
@@ -50,9 +49,7 @@ class KrausChannel:
     def __post_init__(self):
         if not self.ops:
             raise ValueError("channel needs at least one Kraus operator")
-        dim = self.ops[0].shape[0]
-        total = sum(dagger(a) @ a for a in self.ops)
-        err = np.abs(total - np.eye(dim)).max()
+        err = _completeness_error(self.ops)
         if not err <= COMPLETENESS_ATOL:  # NaN fails too
             raise ValueError(f"Kraus completeness violated by {err}")
         object.__setattr__(self, "stack", np.array(self.ops))
@@ -65,7 +62,9 @@ class KrausChannel:
     def transfer(self) -> np.ndarray:
         """A qubit channel's real Pauli transfer matrix T, _pauli(out) = T @ _pauli(rho),
         (4, 4) and read-only; built on first use, so construction does not pay for it."""
-        return _read_only(_ptm(self.stack).sum(axis=0))
+        t = _ptm(self.stack).sum(axis=0)
+        t.flags.writeable = False
+        return t
 
 
 def identity_channel(dim: int = 2) -> KrausChannel:
@@ -101,17 +100,16 @@ def flip_to_kraus_r(r_flip: float) -> float:
 def pd_kraus(r: float) -> KrausChannel:
     """Dephasing Kraus pair A0 = diag(1, sqrt(1-r)), A1 = diag(0, sqrt(r))."""
     check_prob(r, "r")
-    a0 = np.diag([1, np.sqrt(1 - r)]).astype(complex)
-    a1 = np.diag([0, np.sqrt(r)]).astype(complex)
+    a0 = np.array([[1, 0], [0, math.sqrt(1 - r)]], dtype=complex)
+    a1 = np.array([[0, 0], [0, math.sqrt(r)]], dtype=complex)
     return KrausChannel(ops=(a0, a1), kind="pd", r=r)
 
 
-@_memoized
 def ad_kraus(r: float) -> KrausChannel:
     """Amplitude damping: A0 = diag(1, sqrt(1-r)), A1 = sqrt(r)|0><1|."""
     check_prob(r, "r")
-    a0 = np.diag([1, np.sqrt(1 - r)]).astype(complex)
-    a1 = np.array([[0, np.sqrt(r)], [0, 0]], dtype=complex)
+    a0 = np.array([[1, 0], [0, math.sqrt(1 - r)]], dtype=complex)
+    a1 = np.array([[0, math.sqrt(r)], [0, 0]], dtype=complex)
     return KrausChannel(ops=(a0, a1), kind="ad", r=r)
 
 

@@ -2,8 +2,9 @@
 
 Variable-strength POVM pairs along the Bloch axes, the phase-generalized pair,
 the partial (single-operator) measurements of the schemes, unitary rotations and
-outcome branches with acceptance flags. pre_wm_pair and post_wm_ops return
-shared objects with read-only arrays (qmath._memoized).
+outcome branches with acceptance flags. Every factory builds a new object
+with writeable arrays; _completeness_error is the one sum_i A_i^t A_i = I check,
+for measurement pairs and Kraus channels alike.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .qmath import (
     KET_PLUS_I,
     PAULI_X,
     _entries,
-    _memoized,
     as_matrix,
     check_prob,
     dagger,
@@ -32,6 +32,24 @@ from .qmath import (
 )
 
 COMPLETENESS_ATOL = 1e-12
+
+
+def _completeness_error(ops) -> float:
+    """max |sum_i A_i^t A_i - I| over the entries, NaN if any entry is NaN. 2x2 operators
+    are summed in scalar arithmetic from their entries (the sum is Hermitian, so three
+    entries suffice), any others in numpy, where mixed shapes raise numpy's ValueError."""
+    if any(a.shape != (2, 2) for a in ops):
+        total = sum(dagger(a) @ a for a in ops)
+        return np.abs(total - np.eye(total.shape[0])).max()
+    t00 = t11 = t01 = 0.0
+    for m in ops:
+        (a, b), (c, d) = m.tolist()
+        t00 += a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag
+        t11 += b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag
+        t01 += a.conjugate() * b + c.conjugate() * d
+    errs = (abs(t00 - 1), abs(t11 - 1), abs(t01))
+    return math.nan if any(map(math.isnan, errs)) else max(errs)   # as numpy's max would
+
 
 _AXIS_KETS = {
     "x": (KET_PLUS, KET_MINUS),
@@ -48,8 +66,7 @@ class MeasurementPair:
     ops: tuple[np.ndarray, np.ndarray]
 
     def __post_init__(self):
-        total = sum(dagger(m) @ m for m in self.ops)
-        err = np.abs(total - np.eye(total.shape[0])).max()
+        err = _completeness_error(self.ops)
         if not err <= COMPLETENESS_ATOL:  # NaN fails too
             raise ValueError(f"measurement pair violates completeness by {err}")
 
@@ -60,8 +77,8 @@ class PartialMeasurement:
 
     complement = sqrt(I - op^t op) is the discarded outcome's operator; it is
     built once, checking op^t op <= I: from a real diagonal 2x2 op's two entries
-    in scalar arithmetic (every op the schemes build), in closed form when op^t op
-    is diagonal, and from one eigendecomposition otherwise."""
+    in scalar arithmetic (every op the schemes build), and from one
+    eigendecomposition otherwise."""
 
     op: np.ndarray
     role: str
@@ -78,14 +95,10 @@ class PartialMeasurement:
             r0, r1 = (math.sqrt(max(x, 0.0)) for x in w)
             object.__setattr__(self, "complement", np.array([[r0, 0], [0, r1]], dtype=complex))
             return
-        m = np.eye(len(op), dtype=complex) - dagger(op) @ op
-        diagonal = np.count_nonzero(m) == np.count_nonzero(m.diagonal())
-        w, v = (m.diagonal().real, None) if diagonal else eig_hermitian(m)
+        w, v = eig_hermitian(np.eye(len(op), dtype=complex) - dagger(op) @ op)
         if w.min() < -1e-12:
             raise ValueError(f"partial measurement operator exceeds identity: {1 - w.min()}")
-        root = np.sqrt(w.clip(0.0, None))
-        object.__setattr__(self, "complement", np.diag(root).astype(complex)
-                           if diagonal else (v * root) @ dagger(v))
+        object.__setattr__(self, "complement", (v * np.sqrt(w.clip(0.0, None))) @ dagger(v))
 
 
 def _check_angle(angle: float, name: str, signed: bool = False):
@@ -139,7 +152,8 @@ def povm_generalized(theta: float, beta: float) -> MeasurementPair:
 
 
 def _partial_op(role: str, p: float) -> np.ndarray:   # wm_map's or qmr_map's operator
-    return np.diag([1, np.sqrt(1 - p)][::1 if role == "wm" else -1]).astype(complex)
+    d = math.sqrt(1 - p)
+    return np.array([[1, 0], [0, d]] if role == "wm" else [[d, 0], [0, 1]], dtype=complex)
 
 
 def wm_map(p1: float) -> PartialMeasurement:
@@ -154,15 +168,15 @@ def qmr_map(p2: float) -> PartialMeasurement:
     return PartialMeasurement(op=_partial_op("qmr", p2), role="qmr")
 
 
-@_memoized
 def pre_wm_pair(p: float) -> MeasurementPair:
     """Feed-forward pre-measurement pair M1 = diag(sqrt(p), sqrt(1-p)), M2 swapped.
 
     Equals the z-axis pair of povm_axis under p = cos^2(theta/2).
     """
     check_prob(p, "p")
-    m1 = np.diag([np.sqrt(p), np.sqrt(1 - p)]).astype(complex)
-    m2 = np.diag([np.sqrt(1 - p), np.sqrt(p)]).astype(complex)
+    a, b = math.sqrt(p), math.sqrt(1 - p)
+    m1 = np.array([[a, 0], [0, b]], dtype=complex)
+    m2 = np.array([[b, 0], [0, a]], dtype=complex)
     return MeasurementPair(labels=("M1", "M2"), ops=(m1, m2))
 
 
@@ -171,7 +185,6 @@ def flips() -> tuple[np.ndarray, np.ndarray]:
     return ID2.copy(), PAULI_X.copy()
 
 
-@_memoized
 def post_wm_ops(p_u: float, p_v: float) -> tuple[PartialMeasurement, PartialMeasurement]:
     """Recovery measurements N1 = diag(sqrt(1-p_u), 1), W1 = diag(1, sqrt(1-p_v)).
 

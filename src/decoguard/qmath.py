@@ -8,14 +8,13 @@ arithmetic on its entries; a 4x4 one is checked in numpy and LAPACK, with the
 same messages. Hermitian matrices are diagonalized by one Jacobi rotation (2x2)
 or LAPACK (4x4), only where eigenvectors are used: a 4x4 state's square root
 (from the decomposition that checked it, so LAPACK runs once per distinct 4x4
-matrix) and non-diagonal measurement complements. _memoized caches the
-operator factories.
+matrix) and the complements of measurement operators that are not real diagonal
+2x2s.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -27,7 +26,6 @@ HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10     # eigenvalues in [floor, 0) are numeric drift
 PURITY_PURE_THRESHOLD = 1 - 1e-10
-FACTORY_CACHE_SIZE = 8   # results each memoized stage-operator factory keeps
 
 ID2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -42,28 +40,6 @@ KET_PLUS_I = np.array([1, 1j], dtype=complex) / np.sqrt(2)
 KET_MINUS_I = np.array([1, -1j], dtype=complex) / np.sqrt(2)
 
 _SY_SY = np.kron(PAULI_Y, PAULI_Y)
-
-
-def _read_only(obj):   # obj, with the arrays it holds (in tuples, dataclasses) read-only
-    if isinstance(obj, np.ndarray):
-        obj.flags.writeable = False
-    for x in obj if isinstance(obj, tuple) else getattr(obj, "__dict__", {}).values():
-        _read_only(x)
-    return obj
-
-
-def _memoized(build):
-    """build behind a bounded lru_cache of read-only results, keyed by type, value and sign."""
-    cached = functools.lru_cache(FACTORY_CACHE_SIZE, typed=True)(   # -0.0 builds other bits
-        lambda signs, /, *a, **kw: _read_only(build(*a, **kw)))
-
-    @functools.wraps(build)
-    def factory(*a, **kw):
-        try:
-            return cached(tuple(math.copysign(1, v) for v in (*a, *kw.values())), *a, **kw)
-        except TypeError:   # unhashable or not a number; build raises its own TypeError again
-            return build(*a, **kw)
-    return factory
 
 
 def dagger(m: np.ndarray) -> np.ndarray:

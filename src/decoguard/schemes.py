@@ -260,23 +260,21 @@ def run_ent_wmqmr(rho_2q, r1: float, r2: float, p1: float,
         raise ValueError(f"side must be 'one' or 'both', got {side!r}")
     if p2 is None:
         p2 = matched_qmr_strength(p1, r1)
-    check_prob(p2, "p2")
 
-    def measure_sides(s, role: str, p: float):   # s kept by each side; discards to rejected
-        pm = PartialMeasurement(op=measurements._partial_op(role, p), role=role)   # p checked
+    def measure_sides(s, pm: PartialMeasurement):   # s kept by each side; discards to rejected
         pair = np.array((pm.op, pm.complement))
         for q in (1,) if side == "one" else (1, 2):
             op, comp = qmath._kron(pair, ID2) if q == 1 else qmath._kron(ID2, pair)
-            rejected.append(Branch(label=f"{role}@q{q}/discard", state=_conj(comp, s),
+            rejected.append(Branch(label=f"{pm.role}@q{q}/discard", state=_conj(comp, s),
                                    accepted=False))
             s = _conj(op, s)
         return s
 
     rejected: list[Branch] = []
-    s = measure_sides(rho_2q, "wm", p1)
+    s = measure_sides(rho_2q, wm_map(p1))
     s = channels._apply_kraus(s, qmath._kron(ad_kraus(r1).stack, ID2))
     s = channels._apply_kraus(s, qmath._kron(ID2, ad_kraus(r2).stack))
-    s = measure_sides(s, "qmr", p2)
+    s = measure_sides(s, qmr_map(p2))   # qmr_map checks p2
     return _postselected(rho_2q, [Branch(label=f"wm[{side}]/ad/qmr/accept", state=s), *rejected],
                          eig)
 

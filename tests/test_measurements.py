@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from decoguard import measurements
-from decoguard.channels import ad_kraus
+from decoguard.channels import KrausChannel, ad_kraus, lift_local, make_channel, pd_kraus
 from decoguard.measurements import (
     Branch,
     BranchEnsemble,
@@ -190,12 +190,12 @@ class TestClosedFormComplement:
             assert pm.complement.tobytes() == _eigensolved_complement(lifted).tobytes()
 
     def test_scheme_operators_skip_the_eigensolve(self, monkeypatch):
+        # the schemes build only these 2x2s; run_ent_wmqmr lifts their op and complement
         solves = []
         monkeypatch.setattr(measurements, "eig_hermitian",
                             _logging(solves, measurements.eig_hermitian))
-        for pm in (wm_map(0.4), qmr_map(0.7), *post_wm_ops(0.2, 0.9)):
-            for op in _lifts(pm.op):
-                PartialMeasurement(op=op, role=pm.role)
+        built = (wm_map(0.4), qmr_map(0.7), *post_wm_ops(0.2, 0.9), wm_map(1.0), qmr_map(0.0))
+        assert all(pm.op.shape == (2, 2) for pm in built)
         assert solves == []
 
     @pytest.mark.parametrize("dim", [2, 4])
@@ -390,6 +390,67 @@ class TestMeasureAndBranches:
             MeasurementPair(labels=("a", "b"), ops=(nan, RHO_1))
 
 
+def _numpy_completeness_error(ops) -> float:
+    """measurements._completeness_error as numpy computes it for any shape."""
+    total = sum(a.conj().T @ a for a in ops)
+    return np.abs(total - np.eye(total.shape[0])).max()
+
+
+def _random_kraus(rng, k: int, scale: float = 1.0) -> tuple[np.ndarray, ...]:
+    """k random 2x2 operators with sum A^t A = scale^2 I: G_i S^(-1/2), S = sum G^t G."""
+    g = rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2))
+    w, v = np.linalg.eigh(sum(x.conj().T @ x for x in g))
+    inv_root = (v / np.sqrt(w)) @ v.conj().T
+    return tuple(scale * x @ inv_root for x in g)
+
+
+class TestCompletenessError:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_scalar_2x2_matches_numpy(self, k):
+        # Each entry of sum A^t A sums 2k products conj(x) y. Whatever order and fusion
+        # numpy's matmul uses, both sums are within gamma_(2k+2) * sum |x||y| of the exact
+        # value (gamma_n = n u / (1 - n u), u = eps / 2, the complex product costing two
+        # roundings), and sum |x||y| <= max_m (sum A^t A)_mm by Cauchy-Schwarz. The "- 1"
+        # and the modulus add at most one rounding each of a value <= scale^2. So the two
+        # errors differ by at most 2 (2k + 4) u max(1, scale^2) < (2k + 5) eps max(1, scale^2).
+        rng = np.random.default_rng(30 + k)
+        for scale in (1.0, 1 + 1e-13, 0.9, 1.7):
+            tol = (2 * k + 5) * np.finfo(float).eps * max(1.0, scale * scale)
+            for _ in range(50):
+                ops = _random_kraus(rng, k, scale)
+                err = measurements._completeness_error(ops)
+                assert abs(err - _numpy_completeness_error(ops)) <= tol
+                assert abs(err - abs(scale * scale - 1)) < 1e-10   # the set's built defect
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan),
+                                     complex(0, np.inf)])
+    @pytest.mark.parametrize("site", [(0, 0), (0, 1), (1, 0), (1, 1)],
+                             ids=("a00", "a01", "a10", "a11"))
+    def test_non_finite_entry_fails_both_checks(self, bad, site):
+        op = np.diag([1.0, 0.0]).astype(complex)
+        op[site] = bad
+        err = measurements._completeness_error((op, RHO_1))
+        # a NaN entry gives NaN, as numpy's max does; an inf one NaN or inf; all fail
+        assert np.isnan(err) if np.isnan(bad) else np.isnan(err) or err == np.inf
+        with pytest.raises(ValueError, match=r"^measurement pair violates completeness by "
+                                             r"(nan|inf)$"):
+            MeasurementPair(labels=("a", "b"), ops=(op, RHO_1))
+        with pytest.raises(ValueError, match=r"^Kraus completeness violated by (nan|inf)$"):
+            KrausChannel(ops=(op, RHO_1))
+
+    def test_only_2x2_sets_skip_numpy(self, monkeypatch):
+        daggered = []
+        monkeypatch.setattr(measurements, "dagger", _logging(daggered, measurements.dagger))
+        ad = ad_kraus(0.3)
+        assert daggered == []
+        lifted = lift_local(ad, 2)   # a lifted 4x4 channel takes the numpy path
+        assert len(daggered) == 2
+        assert (measurements._completeness_error(lifted.ops)
+                == _numpy_completeness_error(lifted.ops))
+        with pytest.raises(ValueError, match="could not be broadcast"):
+            KrausChannel(ops=(*ad.ops, *lifted.ops))   # mixed shapes: numpy's error
+
+
 class TestPartialMeasure:
     def test_zero_strength_accepts_everything(self):
         rho = state_from_angles(InitialState(alpha=0.6, phi=0.0))
@@ -471,58 +532,72 @@ def _bits(obj) -> list[bytes]:
     return [a.tobytes() for a in _arrays(obj)]
 
 
+def _numpy_partial(diagonal) -> list[np.ndarray]:
+    """A real diagonal partial measurement's op and complement, built in numpy."""
+    d = np.array(diagonal)
+    return [np.diag(d).astype(complex),
+            np.diag(np.sqrt(np.clip(1 - d * d, 0.0, None))).astype(complex)]
+
+
+# the stage-operator factories, each beside a copy of the numpy construction
+# (np.sqrt into np.diag, then astype(complex)) they used to run
+_NUMPY_BUILDS = {
+    pre_wm_pair: lambda p: [np.diag([np.sqrt(p), np.sqrt(1 - p)]).astype(complex),
+                            np.diag([np.sqrt(1 - p), np.sqrt(p)]).astype(complex)],
+    post_wm_ops: lambda p_u, p_v: (_numpy_partial([np.sqrt(1 - p_u), 1.0])
+                                   + _numpy_partial([1.0, np.sqrt(1 - p_v)])),
+    wm_map: lambda p1: _numpy_partial([1.0, np.sqrt(1 - p1)]),
+    qmr_map: lambda p2: _numpy_partial([np.sqrt(1 - p2), 1.0]),
+    pd_kraus: lambda r: [a0 := np.diag([1, np.sqrt(1 - r)]).astype(complex),
+                         a1 := np.diag([0, np.sqrt(r)]).astype(complex), np.array((a0, a1))],
+    ad_kraus: lambda r: [a0 := np.diag([1, np.sqrt(1 - r)]).astype(complex),
+                         a1 := np.array([[0, np.sqrt(r)], [0, 0]], dtype=complex),
+                         np.array((a0, a1))],
+}
+
 _FACTORY_ARG = st.just(-0.0) | st.floats(0.0, 1.0)
 
 
 @st.composite
 def _factory_calls(draw):
-    """A memoized factory and in-range arguments, all float or all np.float64."""
+    """A stage-operator factory and in-range arguments, all float or all np.float64."""
     cast = draw(st.sampled_from([float, np.float64]))
-    x, y = cast(draw(_FACTORY_ARG)), cast(draw(_FACTORY_ARG))
-    return draw(st.sampled_from([(pre_wm_pair, (x,)), (post_wm_ops, (x, y)), (ad_kraus, (x,))]))
+    factory = draw(st.sampled_from(list(_NUMPY_BUILDS)))
+    n = 2 if factory is post_wm_ops else 1
+    return factory, tuple(cast(draw(_FACTORY_ARG)) for _ in range(n))
 
 
-class TestMemoizedFactories:
+# every factory the pipelines build stage operators with, and the class constructor
+_FACTORIES = {
+    "pre_wm_pair": lambda: pre_wm_pair(0.3), "post_wm_ops": lambda: post_wm_ops(0.3, 0.6),
+    "ad_kraus": lambda: ad_kraus(0.3), "make_channel": lambda: make_channel("ad", 0.3),
+    "pd_kraus": lambda: pd_kraus(0.3), "wm_map": lambda: wm_map(0.3),
+    "qmr_map": lambda: qmr_map(0.3), "rotation": lambda: rotation("y", 0.3),
+    "PartialMeasurement": lambda: PartialMeasurement(op=np.diag([1, 0.5]), role="t"),
+}
+
+
+class TestFactoryBuilds:
     @PROPERTY
     @given(_factory_calls())
-    def test_cached_bits_equal_a_fresh_build(self, call):
+    @example((pre_wm_pair, (-0.0,)))
+    @example((post_wm_ops, (np.float64(-0.0), np.float64(1.0))))
+    @example((ad_kraus, (-0.0,)))
+    @example((pd_kraus, (np.float64(-0.0),)))
+    def test_bits_equal_the_numpy_construction(self, call):
         factory, args = call
-        fresh = _bits(factory.__wrapped__(*args))
-        for _ in range(2):   # a build or a hit, then a hit
-            assert _bits(factory(*args)) == fresh
+        built = factory(*args)
+        # the arrays held, the stored sqrt(-0.0) = -0.0 included; a channel keeps r as given
+        assert _bits(built) == [a.tobytes() for a in _NUMPY_BUILDS[factory](*args)]
+        if factory in (ad_kraus, pd_kraus):
+            assert type(built.r) is type(args[0])
 
-    def test_key_keeps_the_sign_of_zero_and_the_type(self):
-        for factory in (pre_wm_pair, ad_kraus):
-            plus, minus = factory(0.0), factory(-0.0)
-            assert _bits(plus) != _bits(minus)
-            assert _bits(minus) == _bits(factory.__wrapped__(-0.0))
-        assert _bits(post_wm_ops(0.5, -0.0)) == _bits(post_wm_ops.__wrapped__(0.5, -0.0))
-        assert type(ad_kraus(np.float64(0.3)).r) is np.float64
-        assert type(ad_kraus(0.3).r) is float
-
-    def test_repeated_call_shares_one_object(self):
-        assert ad_kraus(0.3) is ad_kraus(0.3)
-        assert post_wm_ops(0.2, 0.4) is post_wm_ops(0.2, 0.4)
-
-    @pytest.mark.parametrize("call", [
-        lambda: pre_wm_pair(0.3), lambda: post_wm_ops(0.3, 0.6), lambda: ad_kraus(0.3),
-    ], ids=("pre_wm_pair", "post_wm_ops", "ad_kraus"))
-    def test_cached_arrays_reject_writes(self, call):
-        arrays = _arrays(call())
-        assert len(arrays) >= 1
-        for a in arrays:
-            with pytest.raises(ValueError, match="read-only"):
-                a[0, 0] = 2.0
-
-    def test_directly_built_objects_stay_writeable(self):
-        op = np.diag([1, 0.5]).astype(complex)
-        for obj in (PartialMeasurement(op=op, role="t"),
-                    rotation("y", 0.3), wm_map(0.3), qmr_map(0.3)):   # uncached factories
-            assert all(a.flags.writeable for a in _arrays(obj))
-
-    def test_zero_dim_array_argument_builds_uncached(self):
-        for factory, args in ((pre_wm_pair, (np.array(0.3),)), (ad_kraus, (np.array(0.3),)),
-                              (post_wm_ops, (0.5, np.array(0.3)))):
-            built = factory(*args)
-            assert _bits(built) == _bits(factory.__wrapped__(*args))
-            assert all(a.flags.writeable for a in _arrays(built))
+    @pytest.mark.parametrize("build", _FACTORIES.values(), ids=_FACTORIES)
+    def test_every_call_builds_a_new_writeable_object(self, build):
+        first, second = build(), build()
+        assert first is not second
+        arrays, others = _arrays(first), _arrays(second)
+        assert arrays and all(a.flags.writeable for a in arrays + others)
+        assert not any(np.shares_memory(a, b) for a in arrays for b in others)
+        arrays[0][0, 0] = 2.0
+        assert _bits(second) == _bits(build())

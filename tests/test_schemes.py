@@ -434,17 +434,18 @@ _RUNS = {
 class TestStageCounts:
     # each stage is applied straight to the previous stage's array: every
     # Branch is built once, with its final label, and only the input, the
-    # operators built per call (wm_map, qmr_map, one 2x2 measurement per
-    # ent_wmqmr stage), the output and a 4x4 output's metric spectra are
+    # partial measurements built per call (wm_map and qmr_map for wmqmr,
+    # post_wm_ops' two for qffc_ps and composite, one wm_map and one qmr_map
+    # for ent_wmqmr), the output and a 4x4 output's metric spectra are
     # checked, each once: a 2x2 by qmath._entries' scalar checks, a 4x4 by
     # as_matrix (which _entries calls for it); a qubit fidelity forms no matrix
-    _COUNTS = {"wmqmr": (3, 4), "qffc_ps": (4, 2), "composite": (4, 2), "qfbc": (2, 2),
+    _COUNTS = {"wmqmr": (3, 4), "qffc_ps": (4, 4), "composite": (4, 4), "qfbc": (2, 2),
                "qffc_rot": (2, 2), "ent_wmqmr_one": (3, 6), "ent_wmqmr_both": (5, 6)}
 
     @pytest.mark.parametrize("kind, branches, matrices",
                              [(kind, *counts) for kind, counts in _COUNTS.items()], ids=_COUNTS)
     def test_warm_mixed_input_call(self, kind, branches, matrices, monkeypatch):
-        _RUNS[kind]()   # fills the operator caches
+        _RUNS[kind]()   # a warm call
         built, seen = [], []
         post_init = Branch.__post_init__
         monkeypatch.setattr(Branch, "__post_init__", lambda b: (built.append(b), post_init(b))[1])

@@ -1,5 +1,6 @@
 """Repository checks: the README's library and CLI examples run, every CLI
-flag it names exists, and no module of the package imports a name it never uses."""
+flag it names exists, no module of the package imports a name it never uses,
+and the package's functools caches are the pinned ones."""
 
 import argparse
 import ast
@@ -74,6 +75,45 @@ def test_no_unread_private_names():
                for name in _private_names(tree)]
     assert len(defined) > 50
     assert [entry for entry in defined if entry.split(": ")[1] not in read] == []
+
+
+_CACHES = {"cache", "lru_cache", "cached_property"}
+
+
+def _cache_sites(source: str) -> list[str]:
+    """Each place a module names a functools cache (cache, lru_cache or cached_property,
+    bare or as an attribute): the qualified name of the function or class whose decorators
+    or body name it, or "<module>" at top level."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if scope == "<module>" else f"{scope}.{child.name}")
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr in _CACHES
+                    or isinstance(child, ast.Name) and child.id in _CACHES):
+                sites.append(scope)
+            visit(child, scope)
+    visit(ast.parse(source), "<module>")
+    return sites
+
+
+def test_cache_site_is_found():
+    source = ("import functools\nfrom functools import cache\n"
+              "class A:\n    @functools.cached_property\n    def x(self): ...\n"
+              "@cache\ndef f(): ...\n"
+              "def g(build):\n    return functools.lru_cache(8)(build)\n"
+              "h = functools.lru_cache(None)(len)\n")
+    assert _cache_sites(source) == ["A.x", "f", "g", "<module>"]
+
+
+def test_cache_inventory():
+    # every cache the package keeps, so that adding one shows up in review
+    sites = [site for p in PACKAGE.glob("*.py")
+             for site in _cache_sites(p.read_text(encoding="utf-8"))]
+    assert sorted(sites) == sorted(["GridSpec.strengths", "_qfbc_tables", "_qffc_tables",
+                                    "_loop_search", "_channels", "KrausChannel.transfer"])
 
 
 def test_readme_library_example_runs():
